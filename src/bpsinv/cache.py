@@ -36,12 +36,15 @@ class ResultCache:
             return self._memory[key]
         if not self.directory:
             return None
-        path = self._path(key)
-        if not os.path.exists(path):
+        try:
+            with open(self._path(key)) as fh:
+                obj = json.load(fh)
+        except (OSError, ValueError):
+            # a missing, unreadable or truncated entry is a miss; the caller
+            # recomputes and rewrites it
             return None
-        with open(path) as fh:
-            obj = json.load(fh)
-        if obj.get("version") != FORMAT_VERSION:
+        if not (isinstance(obj, dict) and "value" in obj
+                and obj.get("version") == FORMAT_VERSION):
             return None
         self._memory[key] = obj["value"]
         return obj["value"]

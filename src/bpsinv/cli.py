@@ -253,12 +253,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, GeometryError, InvariantError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    except (GeometryError, InvariantError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
+        # a failed integrality or palindromy check is a verification failure
+        return 1 if isinstance(exc, InvariantError) else 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,18 @@
 """Exact series substrate: Laurent polynomials and rational functions in the
 refinement variable v (v^2 = w), and sparse truncated q-series over that field.
 
+A rational function is kept as c * v^s * n(v) / d(v): one rational factor c,
+a v-power s, and coprime integer polynomials n, d that are primitive, have a
+nonzero constant term and a positive leading coefficient.  That form is unique
+(Gauss's lemma in the unique factorisation domain Z[v]), so equality and
+hashing are structural, and all of the arithmetic runs on Python ints; the
+only gcd is the integer primitive-PRS gcd of two polynomials.
+
 Everything here is exact; no floating point enters anywhere.  Values are
 immutable after construction and safe to share across threads.
 """
+
+from math import gcd, lcm
 
 from .exactq import qq, is_integral
 
@@ -52,14 +61,6 @@ class VPoly:
     def term(coeff, vexp=0):
         return VPoly({int(vexp): qq(coeff)})
 
-    @staticmethod
-    def w_power(j):
-        """w^j as a Laurent polynomial; j may be a half-integer."""
-        e = qq(2) * qq(j)
-        if not is_integral(e):
-            raise SeriesError("w-power %s is not a half-integer" % (j,))
-        return VPoly({int(e): qq(1)})
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self):
@@ -85,12 +86,6 @@ class VPoly:
     def is_even_support(self):
         """True iff supported on integer w-powers only."""
         return all(e % 2 == 0 for e in self._c)
-
-    def is_one(self):
-        return len(self._c) == 1 and self._c.get(0) == 1
-
-    def is_monomial(self):
-        return len(self._c) == 1
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -135,12 +130,6 @@ class VPoly:
             return VPoly()
         return VPoly({e: v * k for e, v in self._c.items()})
 
-    def shift(self, vexp):
-        """Multiply by v^vexp."""
-        if not vexp:
-            return self
-        return VPoly({e + vexp: v for e, v in self._c.items()})
-
     def __pow__(self, n):
         n = int(n)
         if n < 0:
@@ -160,79 +149,9 @@ class VPoly:
         """v -> v^-1 (w -> w^-1)."""
         return VPoly({-e: v for e, v in self._c.items()})
 
-    def subs_plain(self, m):
-        """q-free part of (w -> w^m): v -> v^m."""
-        return VPoly({e * m: v for e, v in self._c.items()})
-
-    def subs_multicover(self, m):
-        """w -> -(-w)^m on integer-w support (w^j -> (-1)^(j(m+1)) w^(jm))."""
-        if not self.is_even_support():
-            raise SeriesError("multicover substitution on half-integer w-support")
-        sign = -1 if m % 2 == 0 else 1
-        c = {}
-        for e, v in self._c.items():
-            j = e // 2
-            c[e * m] = v if (sign == 1 or j % 2 == 0) else -v
-        return VPoly(c)
-
     def eval_w_one(self):
         """Value at w = 1 (v = 1)."""
         return sum(self._c.values(), qq(0))
-
-    # -- exact division / gcd -----------------------------------------------
-
-    def _dense(self):
-        """(min_exp, [coeffs...]) dense view; poly must be nonzero."""
-        lo, hi = self.min_exp, self.max_exp
-        out = [qq(0)] * (hi - lo + 1)
-        for e, v in self._c.items():
-            out[e - lo] = v
-        return lo, out
-
-    def div_exact(self, other):
-        """Exact division; raises SeriesError when the division is inexact."""
-        if other.is_zero():
-            raise ZeroDivisionError("VPoly division by zero")
-        if self.is_zero():
-            return VPoly()
-        if other.is_monomial():
-            ((e, v),) = other._c.items()
-            inv = 1 / v
-            return VPoly({k - e: x * inv for k, x in self._c.items()})
-        alo, a = self._dense()
-        blo, b = other._dense()
-        if len(a) < len(b):
-            raise SeriesError("inexact VPoly division")
-        q = [qq(0)] * (len(a) - len(b) + 1)
-        lead = b[-1]
-        for i in range(len(a) - len(b), -1, -1):
-            coef = a[i + len(b) - 1] / lead
-            q[i] = coef
-            if coef:
-                for j, bj in enumerate(b):
-                    a[i + j] -= coef * bj
-        if any(a):
-            raise SeriesError("inexact VPoly division")
-        return VPoly({alo - blo + i: v for i, v in enumerate(q) if v})
-
-    @staticmethod
-    def gcd(a, b):
-        """Monic-by-leading gcd of the polynomial parts; v-power content is
-        stripped, so the result always has trailing exponent 0."""
-        if a.is_zero():
-            return b._strip_monic()
-        if b.is_zero():
-            return a._strip_monic()
-        fa = _to_primitive_int(a)
-        fb = _to_primitive_int(b)
-        g = _int_poly_gcd(fa, fb)
-        return VPoly({i: qq(v) for i, v in enumerate(g) if v})._strip_monic()
-
-    def _strip_monic(self):
-        if self.is_zero():
-            return self
-        p = self.shift(-self.min_exp)
-        return p.scale(1 / p._c[p.max_exp])
 
     # -- comparisons ---------------------------------------------------------
 
@@ -259,71 +178,126 @@ class VPoly:
         return " + ".join(bits)
 
 
-def _to_primitive_int(p):
-    """Dense primitive integer coefficient list of the polynomial part."""
-    lo, dense = p._dense()
-    den = 1
-    for v in dense:
-        if v:
-            d = v.denominator
-            den = den * d // _int_gcd(den, d)
-    ints = [int(v * den) for v in dense]
-    g = 0
-    for v in ints:
-        g = _int_gcd(g, abs(v))
-    return [v // g for v in ints]
+# ---------------------------------------------------------------------------
+# Integer polynomials
+# ---------------------------------------------------------------------------
+#
+# Dense tuples of Python ints, constant term first.  The WRat kernel keeps its
+# numerator and denominator in this form: primitive (coefficient gcd 1), with
+# a nonzero constant term and a positive leading coefficient.  Products and
+# exact quotients of such polynomials are again of this form (Gauss's lemma).
+
+_ONE = (1,)
 
 
-def _int_gcd(a, b):
-    a, b = int(a), int(b)
-    while b:
-        a, b = b, a % b
-    return a
+def _primitive(p):
+    """(content, primitive tuple) of a nonzero integer list whose first and
+    last entries are nonzero; the content carries the leading sign."""
+    g = gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    if g == 1:
+        return 1, tuple(p)
+    return g, tuple(x // g for x in p)
+
+
+def _pmul(a, b):
+    if a == _ONE:
+        return b
+    if b == _ONE:
+        return a
+    out = [0] * (len(a) + len(b) - 1)
+    b = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b:
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _pdiv(a, b):
+    """a / b when b divides a exactly."""
+    if b == _ONE:
+        return a
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        t = a[i + db]
+        if t:
+            t //= lb
+            q[i] = t
+            for j in range(db):
+                a[i + j] -= t * b[j]
+    return tuple(q)
 
 
 def _int_poly_gcd(a, b):
-    """Primitive PRS gcd for dense integer coefficient lists."""
-    a = _trim(a)
-    b = _trim(b)
+    """Primitive PRS gcd of two polynomials of the form above; ``_ONE`` when
+    they are coprime."""
+    if a == b:
+        return a
     if len(a) < len(b):
         a, b = b, a
-    while b:
+    while len(b) > 1:
         r = _pseudo_rem(a, b)
-        r = _trim(r)
-        if r:
-            g = 0
-            for v in r:
-                g = _int_gcd(g, abs(v))
-            r = [v // g for v in r]
-        a, b = b, r
-    if a and a[-1] < 0:
-        a = [-v for v in a]
-    return a
-
-
-def _trim(p):
-    n = len(p)
-    while n and not p[n - 1]:
-        n -= 1
-    return p[:n]
+        if not r:
+            return tuple(b) if b[-1] > 0 else tuple(-v for v in b)
+        g = gcd(*r)
+        # lists, not tuples: freed short tuples stay in the interpreter's
+        # tuple free lists, which raises peak memory
+        a, b = b, [v // g for v in r]
+    return _ONE
 
 
 def _pseudo_rem(a, b):
+    """Trimmed remainder of c * a by b for some nonzero integer c; the
+    top coefficient is eliminated only where it is nonzero."""
     a = list(a)
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        a = _trim(a)
-        if len(a) - 1 < db:
-            break
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = [v * lb for v in a]
-        for j in range(db + 1):
-            a[shift + j] -= la * b[j]
-        a = _trim(a)
-        if not a:
-            break
-    return a
+    low = b[:-1]
+    for top in range(len(a) - 1, db - 1, -1):
+        la = a[top]
+        if la:
+            if lb != 1:
+                for i in range(top):
+                    a[i] *= lb
+            for i, x in enumerate(low, top - db):
+                a[i] -= la * x
+    n = db
+    while n and not a[n - 1]:
+        n -= 1
+    return a[:n]
+
+
+def _spread(p, m):
+    """p(v) -> p(v^m)."""
+    if m == 1:
+        return p
+    out = [0] * ((len(p) - 1) * m + 1)
+    out[::m] = p
+    return tuple(out)
+
+
+def _twist(p, c):
+    """p(v) -> p(i v) on even support (v^e -> (-1)^(e/2) v^e), renormalised
+    to a positive leading coefficient; the sign goes into the factor c."""
+    p = tuple(-x if e % 4 else x for e, x in enumerate(p))
+    if p[-1] < 0:
+        return tuple(-x for x in p), -c
+    return p, c
+
+
+def _split(p):
+    """(c, s, n) with the nonzero VPoly p = c * v^s * n(v), n in the
+    primitive integer form above."""
+    lo = p.min_exp
+    L = lcm(*(int(x.denominator) for x in p._c.values()))
+    ints = [0] * (p.max_exp - lo + 1)
+    for e, x in p._c.items():
+        ints[e - lo] = int(x.numerator) * (L // int(x.denominator))
+    g, n = _primitive(ints)
+    return qq(g, L), lo, n
 
 
 # ---------------------------------------------------------------------------
@@ -336,24 +310,43 @@ _VP_ONE = VPoly({0: 1})
 class WRat:
     """Element of the fraction field Q(v), v^2 = w.
 
-    Canonical form: gcd(num, den) = 1, den is a genuine polynomial with
-    nonzero constant term and leading coefficient +1 (any v-monomial content
-    lives in the numerator).  Equal values therefore have equal
-    representations, making hashing and caching deterministic.
+    Canonical form: c * v^s * n(v) / d(v) with c a nonzero rational, s an
+    integer, and n, d tuples of ints (constant term first) that are each
+    primitive, have a nonzero constant term and a positive leading
+    coefficient, and are coprime.  Zero is the single value with c = 0,
+    s = 0 and n = d = (1,).
+
+    The form is unique: v-powers are units of Z[v, 1/v] and go into s; Z[v]
+    is a unique factorisation domain, so after cancelling gcd(n, d) each of
+    n and d is fixed up to its content and sign, which go into c.  Equal
+    values therefore have equal representations, making hashing and caching
+    deterministic.  All arithmetic is on the integer tuples; only c is a
+    rational of the exactq backend.
+
+    ``num`` and ``den`` are Laurent-polynomial views built on first use:
+    den = d / lc(d), a genuine polynomial with nonzero constant term and
+    leading coefficient +1, and num = c / lc(d) * v^s * n, so any v-monomial
+    content lives in the numerator.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("_c", "_s", "_n", "_d", "_num", "_den", "_hash")
 
-    def __init__(self, num, den=None, _reduced=False):
+    def __init__(self, num, den=None):
         if den is None:
             den = _VP_ONE
         if den.is_zero():
             raise ZeroDivisionError("WRat with zero denominator")
-        if not _reduced:
-            num, den = _reduce(num, den)
-        self.num = num
-        self.den = den
-        self._hash = None
+        if num.is_zero():
+            c, s, n, d = qq(0), 0, _ONE, _ONE
+        else:
+            cn, sn, n = _split(num)
+            cd, sd, d = _split(den)
+            g = _int_poly_gcd(n, d)
+            if len(g) > 1:
+                n, d = _pdiv(n, g), _pdiv(d, g)
+            c, s = cn / cd, sn - sd
+        self._c, self._s, self._n, self._d = c, s, n, d
+        self._num = self._den = self._hash = None
 
     # -- constructors --------------------------------------------------------
 
@@ -362,11 +355,14 @@ class WRat:
         x = qq(x)
         if not x:
             return WRAT_ZERO
-        return WRat(VPoly.term(x), _VP_ONE, _reduced=True)
+        return _wrat(x, 0, _ONE, _ONE)
 
     @staticmethod
     def w_power(j):
-        return WRat(VPoly.w_power(j), _VP_ONE, _reduced=True)
+        e = qq(2) * qq(j)
+        if not is_integral(e):
+            raise SeriesError("w-power %s is not a half-integer" % (j,))
+        return _wrat(qq(1), int(e), _ONE, _ONE)
 
     @staticmethod
     def one_minus_w(j):
@@ -375,46 +371,90 @@ class WRat:
 
     # -- structure -----------------------------------------------------------
 
+    @property
+    def num(self):
+        if self._num is None:
+            k = self._c / self._d[-1]
+            self._num = VPoly({self._s + e: k * x
+                               for e, x in enumerate(self._n) if x})
+        return self._num
+
+    @property
+    def den(self):
+        if self._den is None:
+            lc = self._d[-1]
+            self._den = VPoly({e: qq(x, lc)
+                               for e, x in enumerate(self._d) if x})
+        return self._den
+
     def is_zero(self):
-        return self.num.is_zero()
+        return not self._c
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self._c)
 
     def is_polynomial(self):
-        return self.den.is_one()
+        return len(self._d) == 1
 
     def as_vpoly(self):
-        if not self.den.is_one():
+        if len(self._d) > 1:
             raise SeriesError("WRat is not a Laurent polynomial")
         return self.num
 
     def is_even_support(self):
-        return self.num.is_even_support() and self.den.is_even_support()
+        return (self._s % 2 == 0 and not any(self._n[1::2])
+                and not any(self._d[1::2]))
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
         other = _coerce(other)
-        if self.is_zero():
+        if not self._c:
             return other
-        if other.is_zero():
+        if not other._c:
             return self
-        if self.den == other.den:
-            return WRat(self.num + other.num, self.den)
-        g = VPoly.gcd(self.den, other.den)
-        if g.is_one():
-            return WRat(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
-        d1 = self.den.div_exact(g)
-        d2 = other.den.div_exact(g)
-        num = self.num * d2 + other.num * d1
-        return WRat(num, self.den * d2)
+        a, b = (self, other) if self._s <= other._s else (other, self)
+        g = a._d
+        if g == b._d:
+            ea = eb = _ONE
+        else:
+            g = _int_poly_gcd(g, b._d)
+            ea, eb = _pdiv(a._d, g), _pdiv(b._d, g)
+        # a + b = (A n_a e_b + B v^k n_b e_a) / (Q v^(-s_a) g e_a e_b)
+        ca, cb = a._c, b._c
+        qa, qb = int(ca.denominator), int(cb.denominator)
+        Q = lcm(qa, qb)
+        A = int(ca.numerator) * (Q // qa)
+        B = int(cb.numerator) * (Q // qb)
+        ta, tb = _pmul(a._n, eb), _pmul(b._n, ea)
+        k = b._s - a._s
+        N = [A * x for x in ta]
+        top = k + len(tb)
+        if top > len(N):
+            N.extend([0] * (top - len(N)))
+        for i, x in enumerate(tb, k):
+            N[i] += B * x
+        hi = len(N)
+        while hi and not N[hi - 1]:
+            hi -= 1
+        if not hi:
+            return WRAT_ZERO
+        lo = 0
+        while not N[lo]:
+            lo += 1
+        cN, n = _primitive(N[lo:hi])
+        # n is coprime to e_a and e_b, so only a factor of g can cancel
+        h = _int_poly_gcd(n, g)
+        if len(h) > 1:
+            n, g = _pdiv(n, h), _pdiv(g, h)
+        return _wrat(qq(cN, Q), a._s + lo, n, _pmul(_pmul(g, ea), eb))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WRat(-self.num, self.den, _reduced=True)
+        if not self._c:
+            return self
+        return _wrat(-self._c, self._s, self._n, self._d)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -424,24 +464,24 @@ class WRat:
 
     def __mul__(self, other):
         other = _coerce(other)
-        if self.is_zero() or other.is_zero():
+        if not self._c or not other._c:
             return WRAT_ZERO
-        if self.den.is_one() and other.den.is_one():
-            return WRat(self.num * other.num, _VP_ONE, _reduced=True)
-        g1 = VPoly.gcd(self.num, other.den)
-        g2 = VPoly.gcd(other.num, self.den)
-        n1 = self.num if g1.is_one() else self.num.div_exact(g1)
-        d2 = other.den if g1.is_one() else other.den.div_exact(g1)
-        n2 = other.num if g2.is_one() else other.num.div_exact(g2)
-        d1 = self.den if g2.is_one() else self.den.div_exact(g2)
-        return WRat(n1 * n2, d1 * d2)
+        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
+        g = _int_poly_gcd(n1, d2)
+        if len(g) > 1:
+            n1, d2 = _pdiv(n1, g), _pdiv(d2, g)
+        g = _int_poly_gcd(n2, d1)
+        if len(g) > 1:
+            n2, d1 = _pdiv(n2, g), _pdiv(d1, g)
+        return _wrat(self._c * other._c, self._s + other._s,
+                     _pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
+        if not self._c:
             raise ZeroDivisionError("inverse of zero WRat")
-        return WRat(self.den, self.num)
+        return _wrat(1 / self._c, -self._s, self._d, self._n)
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -461,28 +501,50 @@ class WRat:
 
     def scale(self, k):
         k = qq(k)
-        if not k:
+        if not k or not self._c:
             return WRAT_ZERO
-        return WRat(self.num.scale(k), self.den)
+        return _wrat(self._c * k, self._s, self._n, self._d)
 
     # -- maps -----------------------------------------------------------------
 
     def conjugate(self):
-        return WRat(self.num.conjugate(), self.den.conjugate())
+        """v -> v^-1 (w -> w^-1)."""
+        if not self._c:
+            return self
+        c, n, d = self._c, self._n[::-1], self._d[::-1]
+        if n[-1] < 0:
+            n, c = tuple(-x for x in n), -c
+        if d[-1] < 0:
+            d, c = tuple(-x for x in d), -c
+        return _wrat(c, len(self._d) - len(self._n) - self._s, n, d)
 
     def substitute(self, m, multicover=False):
-        if multicover:
-            return WRat(self.num.subs_multicover(m), self.den.subs_multicover(m))
-        return WRat(self.num.subs_plain(m), self.den.subs_plain(m))
+        """w -> w^m (plain) or w -> -(-w)^m (multicover, integer-w support
+        only); m >= 1."""
+        m = int(m)
+        if m < 1:
+            raise SeriesError("substitution requires m >= 1")
+        if multicover and not self.is_even_support():
+            raise SeriesError("multicover substitution on half-integer w-support")
+        if not self._c:
+            return self
+        c, n, d = self._c, self._n, self._d
+        if multicover and m % 2 == 0:
+            # w^j -> (-1)^j w^(jm), i.e. v -> i v^m
+            if self._s % 4:
+                c = -c
+            n, c = _twist(n, c)
+            d, c = _twist(d, c)
+        return _wrat(c, self._s * m, _spread(n, m), _spread(d, m))
 
     def is_palindromic(self):
         return self.conjugate() == self
 
     def eval_w_one(self):
-        dv = self.den.eval_w_one()
+        dv = sum(self._d)
         if not dv:
             raise ZeroDivisionError("pole at w = 1")
-        return self.num.eval_w_one() / dv
+        return self._c * qq(sum(self._n), dv)
 
     # -- comparisons -----------------------------------------------------------
 
@@ -494,17 +556,26 @@ class WRat:
                 return NotImplemented
         # canonical form makes structural equality sound; cross-multiplication
         # would decide it too but is never needed
-        return self.num == other.num and self.den == other.den
+        return (self._c == other._c and self._s == other._s
+                and self._n == other._n and self._d == other._d)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            self._hash = hash((self._c, self._s, self._n, self._d))
         return self._hash
 
     def __repr__(self):
-        if self.den.is_one():
+        if len(self._d) == 1:
             return "(%s)" % (self.num,)
         return "(%s)/(%s)" % (self.num, self.den)
+
+
+def _wrat(c, s, n, d):
+    """A WRat from the parts of its canonical form, taken as given."""
+    x = object.__new__(WRat)
+    x._c, x._s, x._n, x._d = c, s, n, d
+    x._num = x._den = x._hash = None
+    return x
 
 
 def _coerce(x):
@@ -515,27 +586,8 @@ def _coerce(x):
     return WRat.from_rational(x)
 
 
-def _reduce(num, den):
-    if num.is_zero():
-        return VPoly(), _VP_ONE
-    shift = -den.min_exp
-    num = num.shift(shift)
-    den = den.shift(shift)
-    if not den.is_one():
-        g = VPoly.gcd(num, den)
-        if not g.is_one():
-            num = num.div_exact(g)
-            den = den.div_exact(g)
-    lc = den.coeff(den.max_exp)
-    if lc != 1:
-        inv = 1 / lc
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return num, den
-
-
-WRAT_ZERO = WRat(VPoly(), _VP_ONE, _reduced=True)
-WRAT_ONE = WRat(_VP_ONE, _VP_ONE, _reduced=True)
+WRAT_ZERO = _wrat(qq(0), 0, _ONE, _ONE)
+WRAT_ONE = _wrat(qq(1), 0, _ONE, _ONE)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bpsinv.cli import main
 from bpsinv.exactq import qq
+from bpsinv.invariants import InvariantError
 from bpsinv.serialize import (
     dumps, genfun_to_obj, genfun_from_obj, qseries_to_obj, qseries_from_obj,
 )
@@ -74,6 +75,39 @@ def test_cache_warm_is_bit_identical(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda blob: blob[:len(blob) // 2],
+    lambda blob: '{"version": 1}',
+    lambda blob: "[1, 2]",
+], ids=["truncated", "no_value", "not_an_object"])
+def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, corrupt):
+    args = ["compute", "--surface", "p2", "--rank", "1", "--c1", "0",
+            "--qorders", "2", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    code1, out1, _ = run_cli(args, capsys)
+    (entry,) = tmp_path.glob("*.json")
+    blob = entry.read_text()
+    entry.write_text(corrupt(blob))
+    code2, out2, err2 = run_cli(args, capsys)
+    assert code1 == code2 == 0
+    assert out2 == out1
+    assert err2 == ""
+    assert entry.read_text() == blob
+
+
+def test_verification_failure_exits_1(monkeypatch, capsys):
+    def fail(omega):
+        raise InvariantError("non-integral BPS invariant")
+
+    monkeypatch.setattr("bpsinv.cli.extract_table", fail)
+    code, out, err = run_cli(
+        ["compute", "--surface", "p2", "--rank", "1", "--c1", "0",
+         "--qorders", "2", "--format", "json"], capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "non-integral BPS invariant"}
 
 
 @st.composite

@@ -11,21 +11,20 @@ def w(j):
     return WRat.w_power(j)
 
 
-def test_vpoly_mul_and_div_exact():
+def test_vpoly_mul():
     a = VPoly({0: 1, 2: 1})            # 1 + w
     b = VPoly({0: 1, 2: -1})           # 1 - w
-    p = a * b                          # 1 - w^2
-    assert p == VPoly({0: 1, 4: -1})
-    assert p.div_exact(a) == b
-    with pytest.raises(SeriesError):
-        VPoly({0: 1, 2: 1, 4: 1}).div_exact(b)
+    assert a * b == VPoly({0: 1, 4: -1})
+    assert a * VPoly() == VPoly()
 
 
-def test_vpoly_gcd_strips_monomials():
+def test_wrat_strips_monomials_and_content():
     a = VPoly({2: 2, 4: 2})            # 2w(1 + w)
     b = VPoly({-2: 3, 0: 3})           # 3w^-1(1 + w)
-    g = VPoly.gcd(a, b)
-    assert g == VPoly({0: 1, 2: 1})
+    r = WRat(a, b)
+    assert r == WRat(VPoly({4: qq(2, 3)}))
+    assert r.is_polynomial()
+    assert WRat(b, a).den == VPoly({0: 1})
 
 
 def test_wrat_canonical_form():
@@ -164,3 +163,82 @@ def test_wrat_canonical_scaling(a, b, c):
     x = a / b
     y = (a * c) / (b * c)
     assert x == y and hash(x) == hash(y)
+
+
+# -- independent oracle: WRat against plain VPoly arithmetic -----------------
+
+_rational = st.sampled_from(
+    [qq(-2), qq(-1), qq(-1, 3), qq(1, 2), qq(2, 3), qq(1), qq(3), qq(5, 7)])
+
+
+@st.composite
+def true_wrat(draw, even=False):
+    """A WRat with rational coefficients and a genuine denominator, often
+    non-cyclotomic (2v + 1, v^2 - 3, ...)."""
+    step = 2 if even else 1
+
+    def poly(lo, hi, size):
+        return VPoly({step * draw(st.integers(lo, hi)): draw(_rational)
+                      for _ in range(draw(st.integers(1, size)))})
+
+    num = poly(-2, 3, 3)
+    den = poly(-1, 3, 3)
+    if den.is_zero():
+        den = VPoly({0: qq(2), step: qq(1)})
+    return WRat(num, den)
+
+
+def _subs_plain(p, m):
+    """v -> v^m on a Laurent polynomial."""
+    return VPoly({e * m: c for e, c in p.items()})
+
+
+def _subs_multicover(p, m):
+    """w^j -> (-1)^(j(m+1)) w^(jm) on integer-w support."""
+    return VPoly({e * m: -c if (e // 2) * (m + 1) % 2 else c
+                  for e, c in p.items()})
+
+
+def _same_value(x, num, den):
+    # x == num/den, checked by cross-multiplication of Laurent polynomials
+    return x.num * den == num * x.den
+
+
+def _monic_den(x):
+    d = x.den
+    return d.min_exp == 0 and d.coeff(d.max_exp) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(true_wrat(), true_wrat())
+def test_wrat_against_vpoly_oracle(a, b):
+    prod, total = a * b, a + b
+    assert _same_value(prod, a.num * b.num, a.den * b.den)
+    assert _same_value(total, a.num * b.den + b.num * a.den, a.den * b.den)
+    assert prod == WRat(a.num * b.num, a.den * b.den) == b * a
+    for x in (a, b, prod, total, a - b, a.conjugate()):
+        assert _monic_den(x)
+        y = WRat(x.num, x.den)
+        assert y == x and hash(y) == hash(x)
+    if a:
+        assert _same_value(b / a, b.num * a.den, b.den * a.num)
+    conj = a.conjugate()
+    assert _same_value(conj, a.num.conjugate(), a.den.conjugate())
+    for m in (1, 2, 3):
+        s = a.substitute(m)
+        assert _monic_den(s)
+        assert _same_value(s, _subs_plain(a.num, m),
+                           _subs_plain(a.den, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(true_wrat(even=True), st.integers(1, 4))
+def test_wrat_multicover_against_vpoly_oracle(a, m):
+    assert a.is_even_support()
+    s = a.substitute(m, multicover=True)
+    assert _monic_den(s)
+    num, den = _subs_multicover(a.num, m), _subs_multicover(a.den, m)
+    assert _same_value(s, num, den)
+    assert s == WRat(num, den)
+    assert a.is_palindromic() == (a.num * a.den.conjugate()
+                                  == a.num.conjugate() * a.den)
