@@ -2,12 +2,11 @@
 Hirzebruch surfaces and the projective plane."""
 
 from .series import QSeries, VPoly, WRat
-from .geometry import (
-    ChernVector, Polarization, Surface, SUITABLE, NEAR_PULLBACK, PULLBACK_H,
-)
+from .geometry import ChernVector, Polarization, Surface, SUITABLE
 from .invariants import Flavor, GenFun, InvariantTable, extract_table
+from .blowup import p2_genfun
 from .compute import (
-    default_cutoff, p2_genfun, p2_omega_genfun, p2_table, sigma_genfun,
+    default_cutoff, p2_omega_genfun, p2_table, sigma_genfun,
     sigma_omega_genfun, sigma_table,
 )
 
@@ -15,7 +14,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QSeries", "VPoly", "WRat", "ChernVector", "Polarization", "Surface",
-    "SUITABLE", "NEAR_PULLBACK", "PULLBACK_H", "Flavor", "GenFun",
+    "SUITABLE", "Flavor", "GenFun",
     "InvariantTable", "extract_table", "default_cutoff", "p2_genfun",
     "p2_omega_genfun", "p2_table", "sigma_genfun", "sigma_omega_genfun",
     "sigma_table",

@@ -18,8 +18,8 @@ from .invariants import GenFun, Flavor
 from .series import QSeries, VPoly, WRat, SeriesError
 
 __all__ = [
-    "eta_series", "theta_hat", "ThetaHat", "rank1_genfun",
-    "fibre_product_genfun", "total_set_curve", "blowup_factor",
+    "eta_series", "theta_hat", "rank1_genfun", "fibre_product_genfun",
+    "blowup_factor",
 ]
 
 
@@ -37,14 +37,6 @@ def eta_series(cutoff) -> QSeries:
     return prod.shift_q(qq(1, 24))
 
 
-class ThetaHat:
-    """Factor theta_hat(k) together with its label k."""
-
-    def __init__(self, k: int, series: QSeries):
-        self.k = k
-        self.series = series
-
-
 @lru_cache(maxsize=None)
 def _theta_hat_series(k, cutoff) -> QSeries:
     cutoff = qq(cutoff)
@@ -58,11 +50,11 @@ def _theta_hat_series(k, cutoff) -> QSeries:
     return out.shift_q(qq(1, 8))
 
 
-def theta_hat(k, cutoff) -> ThetaHat:
+def theta_hat(k, cutoff) -> QSeries:
     k = int(k)
     if k < 1:
         raise SeriesError("theta_hat requires k >= 1")
-    return ThetaHat(k, _theta_hat_series(k, qq(cutoff)))
+    return _theta_hat_series(k, qq(cutoff))
 
 
 @lru_cache(maxsize=None)
@@ -100,25 +92,6 @@ def fibre_product_genfun(r, c1, ell, cutoff) -> GenFun:
     series = (num * den.invert()).truncate(cutoff)
     return GenFun(surface=surface, r=r, c1=c1, J=None,
                   flavor=Flavor.STACK, series=series)
-
-
-def total_set_curve(r, g) -> WRat:
-    """Virtual count of the stack of rank-r bundles on a genus-g curve:
-    -w^(r^2(1-g)) (1+w^(2r-1))^(2g) / (1-w^(2r)) *
-    prod_{j<r} (1+w^(2j-1))^(2g) / (1-w^(2j))^2."""
-    r, g = int(r), int(g)
-    if r < 1 or g < 0:
-        raise SeriesError("total_set_curve requires r >= 1, g >= 0")
-    one = WRat.from_rational(1)
-    out = WRat.w_power(r * r * (1 - g)).scale(-1)
-    if g:
-        out = out * (one + WRat.w_power(2 * r - 1)) ** (2 * g)
-    out = out / WRat.one_minus_w(2 * r)
-    for j in range(1, r):
-        if g:
-            out = out * (one + WRat.w_power(2 * j - 1)) ** (2 * g)
-        out = out / WRat.one_minus_w(2 * j) ** 2
-    return out
 
 
 @lru_cache(maxsize=None)

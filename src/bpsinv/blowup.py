@@ -14,20 +14,21 @@ only corrections (b2 = 1).
 """
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import factorial, isqrt
 
 from .exactq import qq
 from .blocks import blowup_factor, rank1_genfun
 from .geometry import (
     NEAR_PULLBACK, PULLBACK_H, Surface, filtration_qshift,
 )
-from .invariants import Flavor, GenFun, InvariantError, omegabar_to_omega
+from .hn import _compositions
+from .invariants import Flavor, GenFun, InvariantError
 from .series import QSeries, WRat
 from .wallcross import _weight_of_sequence, genfun_at_polarization
 
 __all__ = [
     "BlowupError", "gieseker_to_mu", "blowup_divide", "mu_to_gieseker",
-    "p2_genfun", "p2_omega_genfun", "p2_table",
+    "p2_genfun",
 ]
 
 P2 = Surface.p2()
@@ -36,23 +37,6 @@ SIGMA1 = Surface.hirzebruch(1)
 
 class BlowupError(InvariantError):
     pass
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def _compositions(n):
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            out.append((first,) + rest)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -87,9 +71,9 @@ def gieseker_to_mu(r, c1, cutoff):
                 if qq(xs[i], ranks[i]) == qq(xs[i - 1], ranks[i - 1]):
                     run += 1
                 else:
-                    aut /= _factorial(run)
+                    aut /= factorial(run)
                     run = 1
-            aut /= _factorial(run)
+            aut /= factorial(run)
             prod = QSeries(
                 {shift: _weight_of_sequence(slots, SIGMA1).scale(aut)})
             for ri, x, y in zip(ranks, xs, ys):
@@ -170,7 +154,7 @@ def mu_to_gieseker(hmu_p2, r, x, cutoff=None):
             counts[ri] = counts.get(ri, 0) + 1
         coeff = qq(1)
         for c in counts.values():
-            coeff /= _factorial(c)
+            coeff /= factorial(c)
         prod = QSeries({0: WRat.from_rational(coeff)})
         for ri in ranks:
             prod = prod * p2_genfun(ri, (ri * x // r) % ri, cutoff + 1).series
@@ -216,20 +200,3 @@ def p2_genfun(r, x, cutoff, route_k=None):
     hmu_p2 = blowup_divide(hmu, r, k, cutoff + qq(1, 2))
     return mu_to_gieseker(hmu_p2, r, x, cutoff)
 
-
-def p2_omega_genfun(r, x, cutoff, route_k=None):
-    """Integer BPS flavor on the plane: invert the multi-cover sum."""
-    h = p2_genfun(r, x, cutoff, route_k)
-    lower = {}
-    g = gcd(r, x)
-    for m in range(2, g + 1):
-        if g % m:
-            continue
-        low = p2_omega_genfun(r // m, (x // m) % (r // m), cutoff)
-        lower[(r // m, low.c1)] = low
-    return omegabar_to_omega(h, lower)
-
-
-def p2_table(r, x, cutoff, route_k=None):
-    from .invariants import extract_table
-    return extract_table(p2_omega_genfun(r, x, cutoff, route_k))

@@ -20,7 +20,6 @@ class ResultCache:
         self.directory = directory
         if directory:
             os.makedirs(directory, exist_ok=True)
-        self._memory = {}
 
     @staticmethod
     def key_of(op, params):
@@ -32,8 +31,6 @@ class ResultCache:
         return os.path.join(self.directory, key + ".json")
 
     def get(self, key):
-        if key in self._memory:
-            return self._memory[key]
         if not self.directory:
             return None
         try:
@@ -46,11 +43,9 @@ class ResultCache:
         if not (isinstance(obj, dict) and "value" in obj
                 and obj.get("version") == FORMAT_VERSION):
             return None
-        self._memory[key] = obj["value"]
         return obj["value"]
 
     def put(self, key, value):
-        self._memory[key] = value
         if not self.directory:
             return
         blob = dumps({"version": FORMAT_VERSION, "value": value})

@@ -11,12 +11,12 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .exactq import qq
+from .blowup import p2_genfun
 from .cache import ResultCache
 from .compute import (
-    default_cutoff, p2_genfun, p2_omega_genfun, sigma_genfun,
+    default_cutoff, p2_omega_genfun, p2_table, sigma_genfun,
     sigma_omega_genfun,
 )
 from .geometry import GeometryError, Polarization, SUITABLE, Surface
@@ -163,7 +163,6 @@ def _suite_core():
 
 
 def _suite_table1():
-    from .blowup import p2_table
     expect = {
         3: (18, (1, 1, 2, 2, 2, 2)),
         4: (216, (1, 2, 5, 9, 15, 19, 22, 23, 24)),
@@ -183,7 +182,6 @@ def _suite_table1():
 
 
 def _suite_routes():
-    from .blowup import p2_genfun
     from .hn import suitable_genfun_closed, suitable_genfun_recursive
     ok = True
     for a in range(4):
@@ -205,19 +203,21 @@ SUITES = {"core": _suite_core, "table1": _suite_table1, "routes": _suite_routes}
 def cmd_check(args):
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = []
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = {name: pool.submit(SUITES[name]) for name in names}
-        for name in names:
-            try:
-                ok = bool(futures[name].result())
-            except Exception:
-                ok = False
-            results.append({"name": name, "ok": ok})
+    for name in names:
+        result = {"name": name}
+        try:
+            result["ok"] = bool(SUITES[name]())
+        except Exception as exc:
+            # a suite that raises has failed; report what raised and go on
+            result["ok"] = False
+            result["error"] = "%s: %s" % (type(exc).__name__, exc)
+        results.append(result)
     if args.format == "json":
         print(dumps({"results": results}))
     else:
         for r in results:
-            print("%s %s" % ("PASS" if r["ok"] else "FAIL", r["name"]))
+            line = "%s %s" % ("PASS" if r["ok"] else "FAIL", r["name"])
+            print(line + (" (%s)" % r["error"] if "error" in r else ""))
     return 0 if all(r["ok"] for r in results) else 1
 
 
@@ -240,14 +240,12 @@ def main(argv=None):
     pc.add_argument("--format", choices=["json", "csv", "text"],
                     default="text")
     pc.add_argument("--cache-dir", default=None)
-    pc.add_argument("--jobs", type=int, default=1)
     pc.set_defaults(func=cmd_compute)
 
     pk = sub.add_parser("check", help="run a verification suite")
     pk.add_argument("--suite", choices=["core", "table1", "routes", "all"],
                     default="all")
     pk.add_argument("--format", choices=["json", "text"], default="text")
-    pk.add_argument("--jobs", type=int, default=1)
     pk.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)

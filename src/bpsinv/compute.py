@@ -1,18 +1,16 @@
 """Top-level dispatch: generating functions and tables per surface, class
 and polarization."""
 
-from math import gcd
-
 from .exactq import qq
-from .blowup import p2_genfun, p2_omega_genfun, p2_table
+from .blowup import p2_genfun
 from .geometry import SUITABLE
 from .hn import suitable_genfun_recursive
-from .invariants import extract_table, omegabar_to_omega
+from .invariants import _class_divisors, extract_table, omegabar_to_omega
 from .wallcross import WallError, genfun_at_polarization
 
 __all__ = [
     "sigma_genfun", "sigma_omega_genfun", "sigma_table",
-    "p2_genfun", "p2_omega_genfun", "p2_table", "default_cutoff",
+    "p2_omega_genfun", "p2_table", "default_cutoff",
 ]
 
 
@@ -31,20 +29,31 @@ def sigma_genfun(r, c1, ell, J, cutoff):
     return genfun_at_polarization(r, tuple(c1), ell, J, qq(cutoff))
 
 
-def sigma_omega_genfun(r, c1, ell, J, cutoff):
-    """Integer BPS flavor on Sigma_ell: invert the multi-cover sum using
-    lower-rank results at the same polarization."""
-    h = sigma_genfun(r, c1, ell, J, cutoff)
-    g = gcd(gcd(r, abs(c1[0])), abs(c1[1]))
+def _omega_genfun(genfun, r, c1):
+    """Integer BPS flavor of genfun(r, c1): invert the multi-cover sum, with
+    each lower class (r/m, c1/m) taken from the same recursion."""
+    h = genfun(r, c1)
     lower = {}
-    for m in range(2, g + 1):
-        if g % m:
-            continue
-        low = sigma_omega_genfun(r // m, (c1[0] // m, c1[1] // m), ell, J,
-                                 cutoff)
-        lower[(r // m, low.c1)] = low
+    for m in _class_divisors(r, c1):
+        low = _omega_genfun(genfun, r // m, tuple(x // m for x in c1))
+        lower[(low.r, low.c1)] = low
     return omegabar_to_omega(h, lower)
+
+
+def sigma_omega_genfun(r, c1, ell, J, cutoff):
+    """Integer BPS flavor on Sigma_ell at J."""
+    return _omega_genfun(
+        lambda r, c1: sigma_genfun(r, c1, ell, J, cutoff), r, tuple(c1))
 
 
 def sigma_table(r, c1, ell, J, cutoff):
     return extract_table(sigma_omega_genfun(r, c1, ell, J, cutoff))
+
+
+def p2_omega_genfun(r, x, cutoff):
+    """Integer BPS flavor on the plane."""
+    return _omega_genfun(lambda r, c1: p2_genfun(r, c1[0], cutoff), r, (x,))
+
+
+def p2_table(r, x, cutoff):
+    return extract_table(p2_omega_genfun(r, x, cutoff))

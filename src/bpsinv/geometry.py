@@ -1,4 +1,4 @@
-"""Surface data, Chern vectors, stability orderings, walls and suitability.
+"""Surface data, Chern vectors, polarizations and walls.
 
 Surfaces are the Hirzebruch surfaces S_ell (basis C, f of H^2 with
 C^2 = -ell, f^2 = 0, C.f = 1) and the projective plane (basis H, H^2 = 1).
@@ -11,12 +11,9 @@ from .exactq import qq, is_integral
 
 __all__ = [
     "Surface", "ChernVector", "EpsRational", "Polarization", "GeometryError",
-    "discriminant", "discriminant_of_filtration", "expected_dimension",
-    "twist_reduce", "gieseker_constant", "slope_order", "wall_locus",
-    "is_suitable", "walls_between",
+    "discriminant", "filtration_qshift", "expected_dimension", "twist_reduce",
+    "walls_between",
 ]
-
-LESS, EQUAL, GREATER = -1, 0, 1
 
 
 class GeometryError(ValueError):
@@ -77,10 +74,6 @@ class Surface:
         return "hirzebruch:%d" % self.ell if self.rank2 else "p2"
 
 
-def _vec(u):
-    return tuple(qq(x) for x in u)
-
-
 def _vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
@@ -133,18 +126,6 @@ def discriminant(gamma, surface):
     return qq(surface.intersect(mu, mu), 2) - gamma.ch2 / qq(gamma.r)
 
 
-def discriminant_of_filtration(pieces, surface):
-    """Discriminant of the total class, evaluated through the subobjects of a
-    filtration with the given ordered quotients."""
-    if not pieces:
-        raise GeometryError("empty filtration")
-    r = sum(p.r for p in pieces)
-    out = sum((qq(p.r, r) * discriminant(p, surface) for p in pieces), qq(0))
-    out += filtration_qshift(
-        [(p.r, p.mu()) for p in pieces], surface) / qq(r)
-    return out
-
-
 def filtration_qshift(rank_mu_seq, surface):
     """r*Delta(total) - sum_i r_i*Delta_i for an ordered quotient sequence,
     i.e. the cross-term -(1/2) sum_i R_i R_{i-1}/r_i (mu(F_i)-mu(F_{i-1}))^2.
@@ -195,13 +176,6 @@ def twist_reduce(gamma, surface=None):
     return ChernVector(r, red, ch2), L
 
 
-def gieseker_constant(gamma, surface):
-    """Rank-normalized constant term of the reduced Hilbert polynomial,
-    dropping the Gamma-independent parts: ch2/r - K.mu/2."""
-    K = surface.canonical_class()
-    return gamma.ch2 / qq(gamma.r) - qq(surface.intersect(K, gamma.mu()), 2)
-
-
 # ---------------------------------------------------------------------------
 # Polarizations (with exact infinitesimal parts)
 # ---------------------------------------------------------------------------
@@ -215,16 +189,9 @@ class EpsRational:
         self.a = qq(a)
         self.b = qq(b)
 
-    def __add__(self, o):
-        o = _eps(o)
-        return EpsRational(self.a + o.a, self.b + o.b)
-
     def __sub__(self, o):
         o = _eps(o)
         return EpsRational(self.a - o.a, self.b - o.b)
-
-    def __neg__(self):
-        return EpsRational(-self.a, -self.b)
 
     def scale(self, k):
         return EpsRational(self.a * qq(k), self.b * qq(k))
@@ -263,29 +230,14 @@ class Polarization:
     n: EpsRational
 
     @staticmethod
-    def of(m, n):
-        m, n = _eps(m), _eps(n)
-        if m.sign() <= 0 or n.sign() < 0:
-            raise GeometryError("polarization requires m > 0, n >= 0")
-        return Polarization(m, n)
-
-    @staticmethod
     def generic(m, n):
         if qq(m) <= 0 or qq(n) <= 0:
             raise GeometryError("J_{m,n} requires m, n > 0")
         return Polarization(EpsRational(m), EpsRational(n))
 
-    def pair(self, u):
-        """(x C + y f) . J_{m,n} = x n + y m, as an EpsRational."""
-        x, y = u
-        return self.n.scale(x) + self.m.scale(y)
-
     @property
     def is_boundary(self):
         return self.n.sign() == 0
-
-    def slope_key(self):
-        return (self.n.a, self.n.b, self.m.a, self.m.b)
 
     def __str__(self):
         return "J_{%s,%s}" % (self.m, self.n)
@@ -297,56 +249,14 @@ PULLBACK_H = Polarization(EpsRational(1), EpsRational(0))        # J_{1,0}
 
 
 # ---------------------------------------------------------------------------
-# Stability orderings
-# ---------------------------------------------------------------------------
-
-def _mu_J(gamma, J):
-    return J.pair(gamma.mu())
-
-
-def slope_order(g1, g2, J, flavor="gieseker", surface=None):
-    """-1/0/+1 comparison of g1 against g2 for mu- or Gieseker stability.
-
-    The Gieseker flavor compares the reduced Hilbert polynomial
-    lexicographically: first the slope mu.J, then the rank-normalized
-    constant term."""
-    if surface is None:
-        surface = Surface.hirzebruch(0) if len(g1.c1) == 2 else Surface.p2()
-    if surface.rank2:
-        s = (_mu_J(g1, J) - _mu_J(g2, J)).sign()
-    else:
-        d = qq(g1.c1[0], g1.r) - qq(g2.c1[0], g2.r)
-        s = 1 if d > 0 else (-1 if d < 0 else 0)
-    if s or flavor == "mu":
-        return s
-    d = gieseker_constant(g1, surface) - gieseker_constant(g2, surface)
-    return 1 if d > 0 else (-1 if d < 0 else 0)
-
-
-def wall_locus(g_sub, g_tot, surface):
-    """Slope n/m > 0 where (mu(sub) - mu(tot)).J_{m,n} vanishes, or None.
-
-    Classes proportional to f never produce a wall (f.J = m > 0)."""
-    if not surface.rank2:
-        return None
-    xi = _vsub(g_sub.mu(), g_tot.mu())
-    x, y = xi
-    if x == 0:
-        return None
-    s = -y / x
-    return s if s > 0 else None
-
-
-# ---------------------------------------------------------------------------
-# Wall enumeration and suitability
+# Wall enumeration
 # ---------------------------------------------------------------------------
 
 def _direction_ball(max_minus_sq, ell):
     """Integer directions zeta = (x, y), x >= 1, y <= -1, with
     0 < -zeta^2 = ell x^2 + 2x|y| <= max_minus_sq.  Only such directions can
-    host a wall of marginal stability (positive slope |y|/x) or violate the
-    suitability sign condition; the minimal -zeta^2 at fixed x is >= 2x, so
-    the enumeration is finite."""
+    host a wall of marginal stability (positive slope |y|/x); the minimal
+    -zeta^2 at fixed x is >= 2x, so the enumeration is finite."""
     out = []
     x = 1
     while qq(ell) * x * x + 2 * x <= max_minus_sq:
@@ -364,43 +274,11 @@ def _primitive(x, y):
     return (x // g, y // g)
 
 
-def is_suitable(J, gamma, surface=None):
-    """Def-style test: J lies on no wall for gamma and every numerically
-    allowed subsheaf class has (mu' - mu).f = 0 or matching signs of
-    (mu' - mu).f and (mu' - mu).J.  The symbolic near-fibre polarization is
-    suitable by construction.  Only numerical classes are tested (rank, c1
-    and the Bogomolov bound), a superset of actual subsheaves, so False may
-    be conservative."""
-    if surface is None:
-        surface = Surface.hirzebruch(0)
-    if not surface.rank2:
-        raise GeometryError("suitability is a Hirzebruch-surface notion")
-    if J == SUITABLE:
-        return True
-    delta = discriminant(gamma, surface)
-    if delta < 0:
-        return True
-    r = gamma.r
-    for rp in range(1, r):
-        rq = r - rp
-        # zeta = rp c1'' - rq c1' = rp c1 - r c1' is integral with
-        # zeta = rp c1 mod r; Bogomolov plus the wall term of the filtration
-        # discriminant give -zeta^2 <= 2 r rp rq Delta
-        bound = 2 * qq(r) * qq(rp * rq) * delta
-        res = tuple((rp * x) % r for x in gamma.c1)
-        for (x, y) in _direction_ball(bound, surface.ell):
-            for sgn in (1, -1):
-                if ((sgn * x) % r, (sgn * y) % r) != res:
-                    continue
-                if J.pair((sgn * x, sgn * y)).sign() != sgn:
-                    return False
-    return True
-
-
-def walls_between(gamma, surface, slope_hi, slope_lo, qshift_bound):
-    """Walls with slope in the open interval (slope_lo, slope_hi) that can
-    carry a crossing term for gamma with q-shift below qshift_bound, sorted
-    by decreasing slope.  Returns [(slope, primitive direction)].
+def walls_between(gamma, surface, qshift_bound):
+    """Walls between the suitable chamber and the pullback of the plane's
+    hyperplane class (every slope is positive and finite) that can carry a
+    crossing term for gamma with q-shift below qshift_bound, sorted by
+    decreasing slope.  Returns [(slope, primitive direction)].
 
     A two-step splitting with slope difference zeta/(rp rq) shifts q by
     (-zeta^2)/(2 r rp rq); longer filtrations shift by at least as much per
@@ -413,7 +291,5 @@ def walls_between(gamma, surface, slope_hi, slope_lo, qshift_bound):
                 for rp in range(1, r))
     walls = {}
     for (x, y) in _direction_ball(bound, surface.ell):
-        s = qq(-y, x)
-        if slope_lo < s < slope_hi:
-            walls.setdefault(s, _primitive(x, y))
+        walls.setdefault(qq(-y, x), _primitive(x, y))
     return sorted(walls.items(), key=lambda t: t[0], reverse=True)

@@ -16,18 +16,17 @@ Both return the rational multi-cover flavor; they must agree identically.
 
 from functools import lru_cache
 from itertools import product as iproduct
-from math import gcd
+from math import factorial, gcd
 
 from .exactq import qq, qfrac, is_integral
 from .blocks import fibre_product_genfun
-from .geometry import Surface, SUITABLE, GeometryError, slope_order
+from .geometry import Surface, SUITABLE, GeometryError
 from .invariants import Flavor, GenFun
 from .series import QSeries, WRat
 
 __all__ = [
-    "M", "filtration_weight", "suitable_genfun_recursive",
-    "suitable_genfun_closed", "subtraction_terms",
-    "rank2_equal_slope_combination",
+    "M", "suitable_genfun_recursive", "suitable_genfun_closed",
+    "subtraction_terms",
 ]
 
 
@@ -42,40 +41,6 @@ def M(r_list, lam):
         partial += r_list[j]
         total += qq(r_list[j] + r_list[j + 1]) * qfrac(partial * lam)
     return total
-
-
-def filtration_weight(pieces, J, surface):
-    """(w-power weight, 1/|Aut| factor) of an extended HN filtration with the
-    given ordered quotient classes: weight w^(-sum_{i<j} r_i r_j (mu_j-mu_i).K)
-    and 1/prod m_a! over groups of equal reduced Hilbert polynomial."""
-    if not pieces:
-        raise GeometryError("empty filtration")
-    for a, b in zip(pieces, pieces[1:]):
-        if slope_order(a, b, J, "gieseker", surface) < 0:
-            raise GeometryError("pieces not ordered by decreasing p_J")
-    K = surface.canonical_class()
-    wexp = qq(0)
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            d = tuple(mj - mi for mi, mj in zip(pieces[i].mu(), pieces[j].mu()))
-            wexp -= qq(pieces[i].r * pieces[j].r) * surface.intersect(K, d)
-    aut = qq(1)
-    run = 1
-    for a, b in zip(pieces, pieces[1:]):
-        if slope_order(a, b, J, "gieseker", surface) == 0:
-            run += 1
-        else:
-            aut *= _factorial(run)
-            run = 1
-    aut *= _factorial(run)
-    return WRat.w_power(wexp), qq(1) / aut
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _compositions(n):
@@ -169,7 +134,7 @@ def subtraction_terms(r, alpha):
                     continue
                 aut = qq(1)
                 for b in blocks:
-                    aut /= _factorial(len(b))
+                    aut /= factorial(len(b))
                 weight = lam.scale(aut)
                 pieces = []
                 for b, phi in zip(blocks, phis):
@@ -252,11 +217,3 @@ def suitable_genfun_closed(r, a, ell, cutoff):
     return GenFun(surface=surface, r=r, c1=(0, alpha), J=SUITABLE,
                   flavor=Flavor.OMEGA_BAR, series=total.truncate(cutoff))
 
-
-def rank2_equal_slope_combination():
-    """H_2(C_0) + (1/(1-w^4) - 1/2) H_1(C_0)^2: the equal-slope rank-2
-    combination of curve stack counts; its genus-g analogue carries the
-    intersection-cohomology Betti numbers of moduli of bundles on a curve."""
-    from .blocks import total_set_curve
-    c = WRat.one_minus_w(4).inverse() - WRat.from_rational(qq(1, 2))
-    return total_set_curve(2, 0) + c * total_set_curve(1, 0) ** 2

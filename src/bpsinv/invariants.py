@@ -12,14 +12,13 @@ from math import gcd
 
 from .exactq import qq, is_integral
 from .geometry import (
-    ChernVector, Surface, discriminant, expected_dimension, gieseker_constant,
-    twist_reduce,
+    ChernVector, Surface, discriminant, expected_dimension, twist_reduce,
 )
 from .series import QSeries, VPoly, WRat
 
 __all__ = [
     "Flavor", "GenFun", "InvariantTable", "TableRow", "InvariantError",
-    "omegabar_to_omega", "stack_conversion", "extract_table",
+    "omegabar_to_omega", "extract_table",
 ]
 
 
@@ -30,7 +29,6 @@ class InvariantError(ValueError):
 class Flavor(Enum):
     OMEGA_BAR = "omegabar"
     OMEGA = "omega"
-    OMEGA_BAR_MU = "omegabar_mu"
     STACK = "stack"
     STACK_MU = "stack_mu"
 
@@ -59,9 +57,6 @@ class GenFun:
         c1sq = self.surface.intersect(self.c1, self.c1)
         ch2 = qq(c1sq) / qq(2 * self.r) - delta * qq(self.r)
         return ChernVector(self.r, self.c1, ch2)
-
-    def coefficient(self, gamma):
-        return self.series.coeff(self.exponent_of(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -101,93 +96,6 @@ def _reduced_key(key, surface):
     r, c1 = key
     red, _ = twist_reduce(ChernVector(r, c1, 0), surface)
     return (r, red.c1)
-
-
-# ---------------------------------------------------------------------------
-# Stack (virtual Poincare) conversion, per class
-# ---------------------------------------------------------------------------
-
-def _p_equal_decompositions(gamma, surface):
-    """Ordered tuples of classes with equal reduced Hilbert polynomial
-    summing to gamma.  Off walls, p-equality forces equal slopes mu_i = mu,
-    so each piece is determined by its rank: mu_i = r_i mu integral and
-    ch2_i fixed by the constant term.  Finite because ranks are bounded."""
-    r, c1 = gamma.r, gamma.c1
-    g = r
-    for x in c1:
-        g = gcd(g, abs(int(x)))
-    step = r // g  # smallest rank with integral slope multiple
-    const = gieseker_constant(gamma, surface)
-    K = surface.canonical_class()
-    mu = gamma.mu()
-
-    def piece(rp):
-        c1p = tuple(int(rp * m) for m in mu)
-        ch2p = qq(rp) * (const + qq(surface.intersect(K, mu), 2))
-        cand = ChernVector(rp, c1p, ch2p)
-        # a genuine sheaf class needs integral c2
-        try:
-            cand.c2(surface)
-        except Exception:
-            return None
-        return cand
-
-    out = []
-
-    def rec(tup, remaining):
-        if remaining == 0:
-            out.append(tuple(tup))
-            return
-        rp = step
-        while rp <= remaining:
-            p = piece(rp)
-            if p is not None:
-                rec(tup + [p], remaining - rp)
-            rp += step
-        return
-
-    rec([], r)
-    return [t for t in out if len(t) >= 1]
-
-
-def stack_conversion(inputs, direction, gamma, J, surface) -> WRat:
-    """I(Gamma) = sum (1/l!) prod Omegabar(Gamma_i) over p_J-equal ordered
-    decompositions (toStack), or the inverse log-type sum with coefficients
-    (-1)^(l+1)/l (fromStack).
-
-    ``inputs`` maps ChernVector -> WRat of the source flavor.  Requires every
-    decomposition piece to be present."""
-    if direction not in ("toStack", "fromStack"):
-        raise InvariantError("unknown direction %r" % (direction,))
-    total = WRat.from_rational(0)
-    for tup in _p_equal_decompositions(gamma, surface):
-        ell = len(tup)
-        coeff = qq(1)
-        for p in tup:
-            if p not in inputs:
-                if p == gamma:
-                    break
-                raise InvariantError(
-                    "missing decomposition piece %s (unbounded or incomplete "
-                    "input table)" % (p,))
-        else:
-            term = WRat.from_rational(
-                qq(1, _factorial(ell)) if direction == "toStack"
-                else qq((-1) ** (ell + 1), ell))
-            for p in tup:
-                term = term * inputs[p]
-            total = total + term
-            continue
-        # gamma itself missing from inputs: only legal if nothing decomposes
-        raise InvariantError("inputs lack the class %s itself" % (gamma,))
-    return total
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------

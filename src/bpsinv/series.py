@@ -537,9 +537,6 @@ class WRat:
             d, c = _twist(d, c)
         return _wrat(c, self._s * m, _spread(n, m), _spread(d, m))
 
-    def is_palindromic(self):
-        return self.conjugate() == self
-
     def eval_w_one(self):
         dv = sum(self._d)
         if not dv:
@@ -632,10 +629,6 @@ class QSeries:
     @staticmethod
     def one(cutoff=None):
         return QSeries({qq(0): WRAT_ONE}, cutoff)
-
-    @staticmethod
-    def monomial(exp, coeff=1, cutoff=None):
-        return QSeries({qq(exp): _coerce(coeff)}, cutoff)
 
     # -- structure ---------------------------------------------------------------
 
@@ -772,9 +765,6 @@ class QSeries:
             out = out + term
         return QSeries({e - e0: c * inv0 for e, c in out.terms.items()}, tcut)
 
-    def divide(self, other):
-        return self * other.invert()
-
     def truncate(self, cutoff):
         if cutoff is None:
             return self
@@ -793,9 +783,6 @@ class QSeries:
         return QSeries(
             {e * m: c.substitute(m, multicover) for e, c in self.terms.items()},
             cut)
-
-    def map_coeffs(self, f):
-        return QSeries({e: f(c) for e, c in self.terms.items()}, self.cutoff)
 
     # -- comparisons ---------------------------------------------------------------
 

@@ -24,16 +24,13 @@ from .exactq import qq, qfloor, is_integral
 from .blocks import rank1_genfun
 from .geometry import (
     ChernVector, EpsRational, GeometryError, Polarization, SUITABLE, Surface,
-    filtration_qshift, twist_reduce, walls_between,
+    filtration_qshift, walls_between,
 )
 from .hn import suitable_genfun_recursive
 from .invariants import Flavor, GenFun
 from .series import QSeries, WRat
 
-__all__ = [
-    "WallError", "genfun_at_polarization", "genfun_by_wall_march",
-    "wallcross_delta", "chamber_path", "ChamberPath",
-]
+__all__ = ["WallError", "genfun_at_polarization", "genfun_by_wall_march"]
 
 
 class WallError(GeometryError):
@@ -265,45 +262,6 @@ def _wall_delta_rank3(c1, omega, surface, h1, h2_before, h2_after, bound):
     return side_sum(1, h2_before) - side_sum(-1, h2_after)
 
 
-class ChamberPath:
-    """Ordered walls between two polarizations for a fixed class."""
-
-    def __init__(self, start, end, walls):
-        self.start = start
-        self.end = end
-        self.walls = walls  # [(slope, primitive direction)]
-
-    def __repr__(self):
-        return "ChamberPath(%s -> %s, %d walls)" % (
-            self.start, self.end, len(self.walls))
-
-
-def _slope_key(J):
-    """(rational, eps) part of n/m; the suitable chamber sits above every
-    wall slope."""
-    if J == SUITABLE or J.m.a == 0:
-        return (qq(10 ** 9), qq(0))
-    return (J.n.a / J.m.a, J.n.b / J.m.a)
-
-
-def chamber_path(gamma, J_start, J_end, surface, qshift_bound=qq(6)):
-    """Walls strictly between the chambers of J_start and J_end relevant for
-    gamma below the q-shift bound; empty on the plane (b2 = 1) and within a
-    single chamber."""
-    if not surface.rank2:
-        return ChamberPath(J_start, J_end, [])
-    hi = _slope_key(J_start)
-    lo = _slope_key(J_end)
-    if hi < lo:
-        hi, lo = lo, hi
-    walls = []
-    for s, prim in walls_between(gamma, surface, qq(10 ** 9), qq(0),
-                                 qshift_bound):
-        if lo < (s, qq(0)) < hi:
-            walls.append((s, prim))
-    return ChamberPath(J_start, J_end, walls)
-
-
 def _wall_is_crossed(slope, J_target):
     if J_target == SUITABLE:
         return False
@@ -332,7 +290,7 @@ def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
     h1 = _h1(ell, cutoff + pad)
     bound = cutoff + pad
     dummy = ChernVector.from_c2(r, (beta, alpha), 0, surface)
-    wall_list = walls_between(dummy, surface, qq(10 ** 9), qq(0), bound + 1)
+    wall_list = walls_between(dummy, surface, bound + 1)
     state2 = {key: suitable_genfun_recursive(2, key, ell, cutoff + pad).series
               for key in [(0, 0), (0, 1), (1, 0), (1, 1)]}
     target = suitable_genfun_recursive(r, (beta, alpha), ell,
@@ -352,63 +310,3 @@ def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
                 (beta, alpha), omega, surface, h1, h2_before, state2, bound)
     return GenFun(series=target.truncate(cutoff), **tag)
 
-
-# ---------------------------------------------------------------------------
-# Per-class delta across one wall
-# ---------------------------------------------------------------------------
-
-def wallcross_delta(gamma, J, J2, surface, tables=None, cutoff=None):
-    """Delta Omegabar(gamma, J -> J2) for adjacent chambers; the two-sided
-    filtration sum evaluated at the single wall between them.
-
-    ``tables`` optionally maps "before"/"after" to dicts of reduced rank-2
-    classes -> series on the corresponding side of the wall (required for
-    r = 3 when a rank-2 piece function is not in the suitable chamber)."""
-    if cutoff is None:
-        from .geometry import discriminant
-        cutoff = gamma.r * discriminant(gamma, surface) + 1
-    cutoff = qq(cutoff)
-    path = chamber_path(gamma, J, J2, surface, qshift_bound=cutoff + 2)
-    if len(path.walls) > 1:
-        raise WallError("polarizations are not in adjacent chambers")
-    red, _ = twist_reduce(gamma, surface)
-    if not path.walls:
-        return WRat.from_rational(0)
-    slope, omega = path.walls[0]
-    forward = _slope_key(J) > _slope_key(J2)
-    h1 = _h1(surface.ell, cutoff + 1)
-    if gamma.r == 2:
-        dser = _wall_delta_rank2(red.c1, omega, surface, h1, cutoff + 1)
-    elif gamma.r == 3:
-        if tables is None:
-            before = _rank2_states_above(slope, surface, h1, cutoff + 1)
-            after = {key: before[key] + _wall_delta_rank2(
-                key, omega, surface, h1, cutoff + 1) for key in before}
-        else:
-            before, after = tables["before"], tables["after"]
-        dser = _wall_delta_rank3(red.c1, omega, surface, h1, before, after,
-                                 cutoff + 1)
-    else:
-        raise WallError("per-class crossing covers r <= 3 only")
-    if not forward:
-        dser = -dser
-    from .geometry import discriminant
-    e = red.r * discriminant(red, surface) - qq(red.r * surface.chi_top, 24)
-    return dser.coeff(e)
-
-
-def _rank2_states_above(slope, surface, h1, bound):
-    """Rank-2 series marched from the suitable chamber down to just above the
-    given wall slope."""
-    ell = surface.ell
-    states = {key: suitable_genfun_recursive(2, key, ell, bound).series
-              for key in [(0, 0), (0, 1), (1, 0), (1, 1)]}
-    dummy = ChernVector.from_c2(2, (0, 0), 0, surface)
-    for s, omega in walls_between(dummy, surface, qq(10 ** 9), qq(0),
-                                  bound + 1):
-        if s <= slope:
-            continue
-        for key in states:
-            states[key] = states[key] + _wall_delta_rank2(
-                key, omega, surface, h1, bound)
-    return states

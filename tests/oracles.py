@@ -1,0 +1,153 @@
+"""Independent checks of pipeline output that the pipeline itself never
+calls: the per-class wall-crossing delta, the curve stack counts, the
+equal-slope rank-2 combination and the filtration discriminant."""
+
+import math
+
+from bpsinv.exactq import qq
+from bpsinv.geometry import (
+    ChernVector, SUITABLE, discriminant, filtration_qshift, twist_reduce,
+    walls_between,
+)
+from bpsinv.hn import suitable_genfun_recursive
+from bpsinv.series import SeriesError, WRat
+from bpsinv.wallcross import (
+    WallError, _h1, _wall_delta_rank2, _wall_delta_rank3,
+)
+
+
+# ---------------------------------------------------------------------------
+# Curve stack counts
+# ---------------------------------------------------------------------------
+
+def total_set_curve(r, g) -> WRat:
+    """Virtual count of the stack of rank-r bundles on a genus-g curve:
+    -w^(r^2(1-g)) (1+w^(2r-1))^(2g) / (1-w^(2r)) *
+    prod_{j<r} (1+w^(2j-1))^(2g) / (1-w^(2j))^2."""
+    r, g = int(r), int(g)
+    if r < 1 or g < 0:
+        raise SeriesError("total_set_curve requires r >= 1, g >= 0")
+    one = WRat.from_rational(1)
+    out = WRat.w_power(r * r * (1 - g)).scale(-1)
+    if g:
+        out = out * (one + WRat.w_power(2 * r - 1)) ** (2 * g)
+    out = out / WRat.one_minus_w(2 * r)
+    for j in range(1, r):
+        if g:
+            out = out * (one + WRat.w_power(2 * j - 1)) ** (2 * g)
+        out = out / WRat.one_minus_w(2 * j) ** 2
+    return out
+
+
+def rank2_equal_slope_combination():
+    """H_2(C_0) + (1/(1-w^4) - 1/2) H_1(C_0)^2: the equal-slope rank-2
+    combination of curve stack counts; its genus-g analogue carries the
+    intersection-cohomology Betti numbers of moduli of bundles on a curve."""
+    c = WRat.one_minus_w(4).inverse() - WRat.from_rational(qq(1, 2))
+    return total_set_curve(2, 0) + c * total_set_curve(1, 0) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Filtration discriminant
+# ---------------------------------------------------------------------------
+
+def discriminant_of_filtration(pieces, surface):
+    """Discriminant of the total class, evaluated through the subobjects of a
+    filtration with the given ordered quotients."""
+    r = sum(p.r for p in pieces)
+    out = sum((qq(p.r, r) * discriminant(p, surface) for p in pieces), qq(0))
+    out += filtration_qshift(
+        [(p.r, p.mu()) for p in pieces], surface) / qq(r)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Per-class delta across one wall
+# ---------------------------------------------------------------------------
+
+class ChamberPath:
+    """Ordered walls between two polarizations for a fixed class."""
+
+    def __init__(self, start, end, walls):
+        self.start = start
+        self.end = end
+        self.walls = walls  # [(slope, primitive direction)]
+
+
+def _slope_key(J):
+    """(rational, eps) part of n/m; the suitable chamber sits above every
+    wall slope."""
+    if J == SUITABLE or J.m.a == 0:
+        return (math.inf, qq(0))
+    return (J.n.a / J.m.a, J.n.b / J.m.a)
+
+
+def chamber_path(gamma, J_start, J_end, surface, qshift_bound=qq(6)):
+    """Walls strictly between the chambers of J_start and J_end relevant for
+    gamma below the q-shift bound; empty on the plane (b2 = 1) and within a
+    single chamber."""
+    if not surface.rank2:
+        return ChamberPath(J_start, J_end, [])
+    hi = _slope_key(J_start)
+    lo = _slope_key(J_end)
+    if hi < lo:
+        hi, lo = lo, hi
+    walls = []
+    for s, prim in walls_between(gamma, surface, qshift_bound):
+        if lo < (s, qq(0)) < hi:
+            walls.append((s, prim))
+    return ChamberPath(J_start, J_end, walls)
+
+
+def wallcross_delta(gamma, J, J2, surface, tables=None, cutoff=None):
+    """Delta Omegabar(gamma, J -> J2) for adjacent chambers; the two-sided
+    filtration sum evaluated at the single wall between them.
+
+    ``tables`` optionally maps "before"/"after" to dicts of reduced rank-2
+    classes -> series on the corresponding side of the wall (required for
+    r = 3 when a rank-2 piece function is not in the suitable chamber)."""
+    if cutoff is None:
+        cutoff = gamma.r * discriminant(gamma, surface) + 1
+    cutoff = qq(cutoff)
+    path = chamber_path(gamma, J, J2, surface, qshift_bound=cutoff + 2)
+    if len(path.walls) > 1:
+        raise WallError("polarizations are not in adjacent chambers")
+    red, _ = twist_reduce(gamma, surface)
+    if not path.walls:
+        return WRat.from_rational(0)
+    slope, omega = path.walls[0]
+    forward = _slope_key(J) > _slope_key(J2)
+    h1 = _h1(surface.ell, cutoff + 1)
+    if gamma.r == 2:
+        dser = _wall_delta_rank2(red.c1, omega, surface, h1, cutoff + 1)
+    elif gamma.r == 3:
+        if tables is None:
+            before = _rank2_states_above(slope, surface, h1, cutoff + 1)
+            after = {key: before[key] + _wall_delta_rank2(
+                key, omega, surface, h1, cutoff + 1) for key in before}
+        else:
+            before, after = tables["before"], tables["after"]
+        dser = _wall_delta_rank3(red.c1, omega, surface, h1, before, after,
+                                 cutoff + 1)
+    else:
+        raise WallError("per-class crossing covers r <= 3 only")
+    if not forward:
+        dser = -dser
+    e = red.r * discriminant(red, surface) - qq(red.r * surface.chi_top, 24)
+    return dser.coeff(e)
+
+
+def _rank2_states_above(slope, surface, h1, bound):
+    """Rank-2 series marched from the suitable chamber down to just above the
+    given wall slope."""
+    ell = surface.ell
+    states = {key: suitable_genfun_recursive(2, key, ell, bound).series
+              for key in [(0, 0), (0, 1), (1, 0), (1, 1)]}
+    dummy = ChernVector.from_c2(2, (0, 0), 0, surface)
+    for s, omega in walls_between(dummy, surface, bound + 1):
+        if s <= slope:
+            continue
+        for key in states:
+            states[key] = states[key] + _wall_delta_rank2(
+                key, omega, surface, h1, bound)
+    return states

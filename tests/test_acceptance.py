@@ -5,12 +5,14 @@ Run with -s to see one PASS line per criterion."""
 import time
 
 from bpsinv.exactq import qq
-from bpsinv.blocks import fibre_product_genfun, total_set_curve
-from bpsinv.blowup import p2_genfun, p2_table
-from bpsinv.compute import sigma_table
+from bpsinv.blocks import fibre_product_genfun
+from bpsinv.blowup import p2_genfun
+from bpsinv.compute import p2_table, sigma_table
 from bpsinv.geometry import Polarization, SUITABLE, Surface
 from bpsinv.hn import suitable_genfun_closed, suitable_genfun_recursive
 from bpsinv.wallcross import genfun_at_polarization, genfun_by_wall_march
+
+from oracles import total_set_curve
 
 REFERENCE_R3_ROWS = {
     3: (18, (1, 1, 2, 2, 2, 2)),

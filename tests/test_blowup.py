@@ -4,8 +4,8 @@ from bpsinv.exactq import qq
 from bpsinv.blocks import blowup_factor, rank1_genfun
 from bpsinv.blowup import (
     BlowupError, blowup_divide, gieseker_to_mu, mu_to_gieseker, p2_genfun,
-    p2_omega_genfun, p2_table,
 )
+from bpsinv.compute import p2_omega_genfun, p2_table
 from bpsinv.geometry import NEAR_PULLBACK, PULLBACK_H, Surface
 from bpsinv.invariants import Flavor, GenFun
 from bpsinv.series import QSeries, WRat
@@ -171,3 +171,15 @@ def test_mu_to_gieseker_gcd_one_identity():
     div = blowup_divide(hmu, 3, 1, qq(3, 2))
     out = mu_to_gieseker(div, 3, 1, qq(1))
     assert out.series.eq_to_cutoff(div.series, qq(1))
+
+
+def test_plane_omega_reuses_the_plane_memo_entry():
+    # the CLI asks for p2_genfun(r, x, cutoff) and then p2_omega_genfun; the
+    # second call must find the first one's memo entry for the top class
+    c = qq(2)
+    p2_genfun.cache_clear()
+    p2_genfun(2, 0, c)
+    p2_genfun(1, 0, c)
+    misses = p2_genfun.cache_info().misses
+    p2_omega_genfun(2, 0, c)
+    assert p2_genfun.cache_info().misses == misses

@@ -129,3 +129,19 @@ def test_serialization_round_trip(s):
     back = qseries_from_obj(json.loads(json.dumps(obj)))
     assert back == s
     assert dumps(qseries_to_obj(back)) == dumps(obj)
+
+
+def test_check_reports_what_raised(monkeypatch, capsys):
+    def boom():
+        raise RuntimeError("suite exploded")
+
+    monkeypatch.setattr("bpsinv.cli.SUITES", {"core": boom})
+    code, out, _ = run_cli(["check", "--suite", "core", "--format", "json"],
+                           capsys)
+    assert code == 1
+    assert json.loads(out) == {"results": [
+        {"name": "core", "ok": False,
+         "error": "RuntimeError: suite exploded"}]}
+    code, out, _ = run_cli(["check", "--suite", "core"], capsys)
+    assert code == 1
+    assert out == "FAIL core (RuntimeError: suite exploded)\n"

@@ -1,11 +1,13 @@
 from bpsinv.exactq import qq
-from bpsinv.blocks import eta_series, theta_hat, fibre_product_genfun, total_set_curve
-from bpsinv.geometry import ChernVector, Surface, SUITABLE
+from bpsinv.blocks import eta_series, theta_hat
+from bpsinv.geometry import ChernVector, Surface
 from bpsinv.hn import (
-    M, filtration_weight, subtraction_terms, suitable_genfun_closed,
-    suitable_genfun_recursive, rank2_equal_slope_combination,
+    M, subtraction_terms, suitable_genfun_closed, suitable_genfun_recursive,
 )
 from bpsinv.series import QSeries, WRat
+from bpsinv.wallcross import _weight_of_sequence
+
+from oracles import rank2_equal_slope_combination
 
 S1 = Surface.hirzebruch(1)
 
@@ -27,21 +29,21 @@ def test_M_values():
     assert M((1, 1, 1), qq(2, 3)) == 2
 
 
+def _filtration_weight(pieces):
+    return _weight_of_sequence([(p.r, p.mu()) for p in pieces], S1)
+
+
 def test_filtration_weight_tower_example():
-    # pieces (1, (a+1) f), (1, -a f) of (2, f): weight w^(-2(2a+1)), Aut = 1
+    # pieces (1, (a+1) f), (1, -a f) of (2, f): weight w^(-2(2a+1))
     for a in range(3):
         p1 = ChernVector.from_c2(1, (0, a + 1), 0, S1)
         p2 = ChernVector.from_c2(1, (0, -a), 0, S1)
-        wgt, aut = filtration_weight([p1, p2], SUITABLE, S1)
-        assert wgt == wp(-2 * (2 * a + 1))
-        assert aut == 1
+        assert _filtration_weight([p1, p2]) == wp(-2 * (2 * a + 1))
 
 
 def test_filtration_weight_equal_pieces():
     p = ChernVector.from_c2(1, (0, 0), 1, S1)
-    wgt, aut = filtration_weight([p, p], SUITABLE, S1)
-    assert wgt == wp(0)
-    assert aut == qq(1, 2)
+    assert _filtration_weight([p, p]) == wp(0)
 
 
 def test_subtraction_terms_rank2():
@@ -78,7 +80,7 @@ def test_subtraction_terms_rank3_c1zero():
 def _theta_inv(ks, cutoff, eta_pow=0):
     den = QSeries.one(None)
     for k in ks:
-        den = den * theta_hat(k, cutoff).series
+        den = den * theta_hat(k, cutoff)
     if eta_pow > 0:
         den = den * eta_series(cutoff) ** eta_pow
     return den

@@ -1,14 +1,12 @@
-import random
 
 import pytest
 
 from bpsinv.exactq import qq
 from bpsinv.blocks import rank1_genfun
-from bpsinv.geometry import ChernVector, Surface, SUITABLE
+from bpsinv.geometry import Surface, SUITABLE
 from bpsinv.hn import suitable_genfun_recursive
 from bpsinv.invariants import (
     Flavor, GenFun, InvariantError, extract_table, omegabar_to_omega,
-    stack_conversion,
 )
 from bpsinv.series import QSeries, VPoly, WRat
 
@@ -39,50 +37,6 @@ def test_multicover_missing_lower_input_errors():
         omegabar_to_omega(h2, {})
 
 
-def _const_matched_piece(gamma, surface, rp):
-    from bpsinv.geometry import gieseker_constant
-    K = surface.canonical_class()
-    mu = gamma.mu()
-    c1p = tuple(int(rp * m) for m in mu)
-    ch2p = qq(rp) * (gieseker_constant(gamma, surface)
-                     + qq(surface.intersect(K, mu), 2))
-    return ChernVector(rp, c1p, ch2p)
-
-
-def test_stack_conversion_no_decomposition_is_identity():
-    g = ChernVector.from_c2(2, (0,), 1, P2)  # pieces would need c2 = 1/2
-    val = WRat.w_power(2) + WRat.from_rational(3)
-    out = stack_conversion({g: val}, "toStack", g, None, P2)
-    assert out == val
-
-
-def test_stack_conversion_rank2_structure():
-    g = ChernVector.from_c2(2, (0,), 2, P2)
-    p = _const_matched_piece(g, P2, 1)
-    assert p.c2(P2) == 1
-    vg = WRat.w_power(2)
-    vp = WRat.w_power(-2) + WRat.from_rational(1)
-    out = stack_conversion({g: vg, p: vp}, "toStack", g, None, P2)
-    assert out == vg + vp * vp * WRat.from_rational(qq(1, 2))
-
-
-def test_stack_conversion_round_trip():
-    rng = random.Random(5)
-    for c2 in (2, 4, 6):
-        g = ChernVector.from_c2(3, (0,), c2, P2)
-        p1 = _const_matched_piece(g, P2, 1)
-        p2 = _const_matched_piece(g, P2, 2)
-        inputs = {}
-        for cls in (g, p1, p2):
-            inputs[cls] = WRat.w_power(rng.randint(-2, 2)) \
-                + WRat.from_rational(rng.randint(-3, 3))
-        stacked = dict(inputs)
-        for cls in (p1, p2, g):
-            stacked[cls] = stack_conversion(inputs, "toStack", cls, None, P2)
-        back = stack_conversion(stacked, "fromStack", g, None, P2)
-        assert back == inputs[g]
-
-
 def test_extract_table_rank1_p2():
     h = rank1_genfun(P2, qq(4))
     out = omegabar_to_omega(
@@ -111,7 +65,6 @@ def test_extract_rejects_expected_empty():
     series = QSeries({qq(-1, 3): WRat(VPoly({2: 1, -2: -1})).scale(qq(1, 1))},
                      qq(0))
     g = GenFun(surface=S1, r=2, c1=(0, 0), J=SUITABLE, flavor=Flavor.OMEGA,
-               series=series.map_coeffs(
-                   lambda c: c * WRat(VPoly({2: 1, -2: -1})).inverse()))
+               series=series.scale(WRat(VPoly({2: 1, -2: -1})).inverse()))
     with pytest.raises(InvariantError):
         extract_table(g)

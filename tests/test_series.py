@@ -240,5 +240,5 @@ def test_wrat_multicover_against_vpoly_oracle(a, m):
     num, den = _subs_multicover(a.num, m), _subs_multicover(a.den, m)
     assert _same_value(s, num, den)
     assert s == WRat(num, den)
-    assert a.is_palindromic() == (a.num * a.den.conjugate()
+    assert (a.conjugate() == a) == (a.num * a.den.conjugate()
                                   == a.num.conjugate() * a.den)

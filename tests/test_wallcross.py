@@ -7,9 +7,10 @@ from bpsinv.geometry import (
 from bpsinv.hn import suitable_genfun_recursive
 from bpsinv.series import QSeries, WRat
 from bpsinv.wallcross import (
-    WallError, chamber_path, genfun_at_polarization, genfun_by_wall_march,
-    wallcross_delta,
+    WallError, genfun_at_polarization, genfun_by_wall_march,
 )
+
+from oracles import chamber_path, wallcross_delta
 
 S0 = Surface.hirzebruch(0)
 S1 = Surface.hirzebruch(1)
