@@ -53,7 +53,9 @@ def gieseker_to_mu(r, c1, cutoff):
         raise BlowupError("mu-stack conversion covers r <= 3 only")
     pad = qq(1)
     bound = cutoff + pad + qq(r, 6)
-    total = QSeries.zero(None)
+    # tuples with the same multiset of piece functions share their product,
+    # so the monomial weights are summed per multiset and multiplied once
+    weights = {}
     S = isqrt(int(2 * r * bound)) + 2
     for ranks in _compositions(r):
         if any((ri * Y) % r for ri in ranks):
@@ -74,13 +76,17 @@ def gieseker_to_mu(r, c1, cutoff):
                     aut /= factorial(run)
                     run = 1
             aut /= factorial(run)
-            prod = QSeries(
+            weight = QSeries(
                 {shift: _weight_of_sequence(slots, SIGMA1).scale(aut)})
-            for ri, x, y in zip(ranks, xs, ys):
-                prod = prod * genfun_at_polarization(
-                    ri, (x % ri, y % ri), 1, NEAR_PULLBACK,
-                    cutoff + pad).series
-            total = total + prod
+            pieces = tuple(sorted((ri, x % ri, y % ri)
+                                  for ri, x, y in zip(ranks, xs, ys)))
+            weights[pieces] = weights.get(pieces, QSeries.zero(None)) + weight
+    total = QSeries.zero(None)
+    for pieces, prod in weights.items():
+        for ri, x, y in pieces:
+            prod = prod * genfun_at_polarization(
+                ri, (x, y), 1, NEAR_PULLBACK, cutoff + pad).series
+        total = total + prod
     return GenFun(surface=SIGMA1, r=r, c1=(X, Y), J=PULLBACK_H,
                   flavor=Flavor.STACK_MU, series=total.truncate(cutoff))
 

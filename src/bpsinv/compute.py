@@ -21,12 +21,14 @@ def default_cutoff(r, surface, qorders):
 
 def sigma_genfun(r, c1, ell, J, cutoff):
     """Rational-invariant generating function on Sigma_ell at J; the suitable
-    chamber supports r <= 4, generic polarizations r <= 3."""
+    chamber supports r <= 4, generic polarizations r <= 3.  The result
+    depends on c1 mod r only, and so do the memo keys."""
+    c1 = tuple(c % r for c in c1)
     if J == SUITABLE:
-        return suitable_genfun_recursive(r, tuple(c1), ell, qq(cutoff))
+        return suitable_genfun_recursive(r, c1, ell, qq(cutoff))
     if r > 3:
         raise WallError("generic polarizations support r <= 3")
-    return genfun_at_polarization(r, tuple(c1), ell, J, qq(cutoff))
+    return genfun_at_polarization(r, c1, ell, J, qq(cutoff))
 
 
 def _omega_genfun(genfun, r, c1):

@@ -4,8 +4,7 @@ strings, never floats; v-polynomials are [exponent, coefficient] lists."""
 import json
 
 from .exactq import qq
-from .geometry import EpsRational, Polarization, Surface, SUITABLE
-from .invariants import Flavor, GenFun
+from .geometry import SUITABLE
 from .series import QSeries, VPoly, WRat
 
 FORMAT_VERSION = 1
@@ -47,13 +46,6 @@ def surface_to_obj(s):
     return str(s)
 
 
-def surface_from_obj(obj):
-    if obj == "p2":
-        return Surface.p2()
-    kind, ell = obj.split(":")
-    return Surface.hirzebruch(int(ell))
-
-
 def polarization_to_obj(J):
     if J is None:
         return None
@@ -61,15 +53,6 @@ def polarization_to_obj(J):
         return "suitable"
     return {"m": [_q_str(J.m.a), _q_str(J.m.b)],
             "n": [_q_str(J.n.a), _q_str(J.n.b)]}
-
-
-def polarization_from_obj(obj):
-    if obj is None:
-        return None
-    if obj == "suitable":
-        return SUITABLE
-    return Polarization(EpsRational(qq(obj["m"][0]), qq(obj["m"][1])),
-                        EpsRational(qq(obj["n"][0]), qq(obj["n"][1])))
 
 
 def genfun_to_obj(h):
@@ -82,17 +65,6 @@ def genfun_to_obj(h):
         "flavor": h.flavor.value,
         "series": qseries_to_obj(h.series),
     }
-
-
-def genfun_from_obj(obj):
-    return GenFun(
-        surface=surface_from_obj(obj["surface"]),
-        r=int(obj["rank"]),
-        c1=tuple(obj["c1"]),
-        J=polarization_from_obj(obj["polarization"]),
-        flavor=Flavor(obj["flavor"]),
-        series=qseries_from_obj(obj["series"]),
-    )
 
 
 def table_to_obj(t):

@@ -14,7 +14,7 @@ immutable after construction and safe to share across threads.
 
 from math import gcd, lcm
 
-from .exactq import qq, is_integral
+from .exactq import qq, qfloor, is_integral
 
 __all__ = ["VPoly", "WRat", "QSeries", "SeriesError", "NonInvertibleError"]
 
@@ -30,6 +30,20 @@ class NonInvertibleError(SeriesError):
 # Stored q-exponent denominators must divide this (1/24 from eta, 1/8 from
 # theta, 1/3 and 1/4 from the blow-up lattice sums and wall q-shifts).
 QEXP_DENOMINATOR_BOUND = 24
+
+
+def _power(base, n, one):
+    """base ** n for an int n >= 0 by binary powering.  The first factor is
+    taken as it is rather than multiplied into ``one``, and base is squared
+    only while higher bits remain, so x ** 2 is the single product x * x."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return one if out is None else out
+        base = base * base
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +148,7 @@ class VPoly:
         n = int(n)
         if n < 0:
             raise SeriesError("negative VPoly power; use WRat")
-        out = VPoly.term(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, _VP_ONE)
 
     # -- maps ----------------------------------------------------------------
 
@@ -364,11 +371,6 @@ class WRat:
             raise SeriesError("w-power %s is not a half-integer" % (j,))
         return _wrat(qq(1), int(e), _ONE, _ONE)
 
-    @staticmethod
-    def one_minus_w(j):
-        """1 - w^j (j integer, possibly negative)."""
-        return WRat.from_rational(1) - WRat.w_power(j)
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -490,14 +492,7 @@ class WRat:
         n = int(n)
         if n < 0:
             return self.inverse() ** (-n)
-        out = WRAT_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, WRAT_ONE)
 
     def scale(self, k):
         k = qq(k)
@@ -723,14 +718,7 @@ class QSeries:
         n = int(n)
         if n < 0:
             return self.invert() ** (-n)
-        out = QSeries.one(None)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, QSeries.one(None))
 
     def invert(self, cutoff=None):
         """Multiplicative inverse up to the cutoff; the leading exponent is
@@ -751,19 +739,26 @@ class QSeries:
             raise NonInvertibleError(
                 "cannot invert a non-monomial exact series without a cutoff")
         inv0 = c0.inverse()
-        # u = self / (c0 q^e0) - 1 has positive leading exponent
-        ucut = None if self.cutoff is None else self.cutoff - e0
-        u = QSeries({e - e0: c * inv0 for e, c in self.terms.items() if e != e0},
-                    ucut)
-        p = tcut + e0  # precision of the geometric sum
-        out = QSeries.one(p)
-        term = QSeries.one(None)
-        while u.terms:
-            term = (term * (-u)).truncate(p)
-            if not term.terms:
-                break
-            out = out + term
-        return QSeries({e - e0: c * inv0 for e, c in out.terms.items()}, tcut)
+        # self = c0 q^e0 (1 + u) with u of positive leading exponent, and
+        # b = 1/(1 + u) solves b_0 = 1, b_e = -sum_f u_f b_(e-f) below the
+        # precision tcut + e0.  Exponents are scaled by QEXP_DENOMINATOR_BOUND
+        # to ints, which the denominator check on stored exponents allows.
+        D = QEXP_DENOMINATOR_BOUND
+        P = -qfloor(-(tcut + e0) * D)  # integer exponents e < P are kept
+        nu = sorted((int((e - e0) * D), -(c * inv0))
+                    for e, c in self.terms.items() if e != e0)
+        b = {0: WRAT_ONE} if P > 0 else {}
+        for e in range(1, P):
+            acc = WRAT_ZERO
+            for f, c in nu:
+                if f > e:
+                    break
+                be = b.get(e - f)
+                if be is not None:
+                    acc = acc + c * be
+            if acc:
+                b[e] = acc
+        return QSeries({qq(e, D) - e0: c * inv0 for e, c in b.items()}, tcut)
 
     def truncate(self, cutoff):
         if cutoff is None:

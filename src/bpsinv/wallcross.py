@@ -41,6 +41,12 @@ def _h1(ell, cutoff):
     return rank1_genfun(Surface.hirzebruch(ell), qq(cutoff)).series
 
 
+@lru_cache(maxsize=None)
+def _h1_squared(ell, cutoff):
+    """h1^2, shared by every rank-2 window sum and wall march at the cutoff."""
+    return _h1(ell, cutoff) ** 2
+
+
 # ---------------------------------------------------------------------------
 # Closed-form route
 # ---------------------------------------------------------------------------
@@ -66,20 +72,21 @@ def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
         return GenFun(series=base.truncate(cutoff), **tag)
     if J.is_boundary:
         raise WallError("polarization on wall")
-    total = base
     Ebound = cutoff + qq(1, 2)
     # the displayed sums are written for the class beta C - alpha_f f
     af = (-alpha) % r
+    # every window term carries the factor h1^2 (r = 2) or h1 (r = 3): the
+    # rest is summed first and multiplied by that factor once
+    window = QSeries.zero(None)
     if r == 2:
-        h1sq = _h1(ell, cutoff + 1) ** 2
         for x, y, s1, s2 in _window(2, beta, af, ell, J, Ebound,
                                     _tiebreak_suitable):
             X = (ell - 2) * x + 2 * y
             E = qq(ell * x * x, 4) + qq(x * y, 2)
             coeff = (WRat.w_power(-X) - WRat.w_power(X)).scale(qq(s1 - s2, 4))
-            total = total + (h1sq * QSeries({E: coeff}))
+            window = window + QSeries({E: coeff})
+        factor = _h1_squared(ell, cutoff + 1)
     else:
-        h1 = _h1(ell, cutoff + 1)
         for x, y, s1, s2 in _window(3, beta, af, ell, J, Ebound,
                                     _tiebreak_suitable):
             X = (ell - 2) * x + 2 * y
@@ -91,7 +98,9 @@ def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
                 Polarization.generic(abs(x), abs(y)), cutoff + 1,
                 _tiebreak_suitable=True).series
             coeff = (WRat.w_power(-X) - WRat.w_power(X)).scale(qq(s1 - s2, 2))
-            total = total + (h2 * h1 * QSeries({E: coeff}))
+            window = window + h2 * QSeries({E: coeff})
+        factor = _h1(ell, cutoff + 1)
+    total = base + factor * window
     return GenFun(series=total.truncate(cutoff), **tag)
 
 
@@ -160,15 +169,15 @@ def _integral_class(vec):
     return all(is_integral(v) for v in vec)
 
 
-def _wall_delta_rank2(c1, omega, surface, h1, bound):
+def _wall_delta_rank2(c1, omega, surface, h1sq, bound):
     """Series delta of h_{2,c1} across the wall with primitive direction
     omega, from the high-slope side to the low-slope side:
-    sum_{s>0} (w^(s omega.K) - w^(-s omega.K)) q^(s^2(-omega^2)/4) h1^2."""
+    sum_{s>0} (w^(s omega.K) - w^(-s omega.K)) q^(s^2(-omega^2)/4) h1^2,
+    given h1sq = h1^2."""
     mw2 = -(surface.intersect(omega, omega))
     K = surface.canonical_class()
     wK = surface.intersect(omega, K)
-    delta = QSeries.zero(None)
-    h1sq = h1 * h1
+    weights = QSeries.zero(None)
     s = 0
     while True:
         s += 1
@@ -179,16 +188,18 @@ def _wall_delta_rank2(c1, omega, surface, h1, bound):
         if not _integral_class(c1a):
             continue
         coeff = WRat.w_power(s * wK) - WRat.w_power(-s * wK)
-        delta = delta + (h1sq * QSeries({shift: coeff}))
-    return delta
+        weights = weights + QSeries({shift: coeff})
+    return h1sq * weights
 
 
-def _wall_delta_rank3(c1, omega, surface, h1, h2_before, h2_after, bound):
+def _wall_delta_rank3(c1, omega, surface, h1, h1cube, h2_before, h2_after,
+                      bound):
     """Series delta of h_{3,c1} across one wall: the filtration sum over
     tuples of pieces with slopes on the wall line, weakly ordered per side
     with Boltzmann factors 1/run! on equal-slope runs, evaluated with the
     side's piece functions; the difference of the two sides is the jump.
-    h2_before/h2_after map reduced rank-2 classes to series per side."""
+    h2_before/h2_after map reduced rank-2 classes to series per side, and
+    h1cube = h1^3."""
     mw2 = -(surface.intersect(omega, omega))
     mu = tuple(qq(x, 3) for x in c1)
 
@@ -196,7 +207,9 @@ def _wall_delta_rank3(c1, omega, surface, h1, h2_before, h2_after, bound):
         return table[(int(c1_vec[0]) % 2, int(c1_vec[1]) % 2)]
 
     def side_sum(sigma, h2_table):
-        total = QSeries.zero(None)
+        """(lin, cub): the side's sum is h1 * lin + h1^3 * cub."""
+        lin = QSeries.zero(None)
+        cub = QSeries.zero(None)
         # (1)+(2) strict pairs: c1_1 = (c1 + s omega)/3, slopes t1 = s/3,
         # t2 = -s/6; q-shift s^2 (-omega^2)/12
         smax = isqrt(int(12 * bound / mw2)) + 2
@@ -213,8 +226,8 @@ def _wall_delta_rank3(c1, omega, surface, h1, h2_before, h2_after, bound):
             shift = filtration_qshift(slots, surface)
             if shift > bound:
                 continue
-            total = total + (h2_of(c1b, h2_table) * h1 * QSeries(
-                {shift: _weight_of_sequence(slots, surface)}))
+            lin = lin + h2_of(c1b, h2_table) * QSeries(
+                {shift: _weight_of_sequence(slots, surface)})
         # (1)+(1)+(1) strict triples: c1_i = (c1 + s_i omega)/3, sum s_i = 0
         smax3 = isqrt(int(36 * bound / mw2)) + 6
         for s1 in range(1, smax3 + 1):
@@ -232,8 +245,8 @@ def _wall_delta_rank3(c1, omega, surface, h1, h2_before, h2_after, bound):
                 shift = filtration_qshift(slots, surface)
                 if shift > bound:
                     continue
-                total = total + (h1 * h1 * h1 * QSeries(
-                    {shift: _weight_of_sequence(slots, surface)}))
+                cub = cub + QSeries(
+                    {shift: _weight_of_sequence(slots, surface)})
         # (1,1)+(1): identical pair tied at t = sa/3, single at -2 sa/3;
         # the equal-slope run carries the Boltzmann factor 1/2!
         smax2 = isqrt(int(3 * bound / mw2)) + 2
@@ -250,16 +263,19 @@ def _wall_delta_rank3(c1, omega, surface, h1, h2_before, h2_after, bound):
             shift = filtration_qshift(slots, surface)
             if shift > bound:
                 continue
-            total = total + (h1 * h1 * h1 * QSeries(
-                {shift: _weight_of_sequence(slots, surface).scale(qq(1, 2))}))
+            cub = cub + QSeries(
+                {shift: _weight_of_sequence(slots, surface).scale(qq(1, 2))})
         # equal-slope (1)+(2) run at t = 0: both orders with 1/2! collapse to
         # the full product, which jumps with the rank-2 factor
         if _integral_class(mu):
             c1b = tuple(2 * v for v in mu)
-            total = total + (h1 * h2_of(c1b, h2_table))
-        return total
+            lin = lin + h2_of(c1b, h2_table)
+        return lin, cub
 
-    return side_sum(1, h2_before) - side_sum(-1, h2_after)
+    lin_before, cub_before = side_sum(1, h2_before)
+    lin_after, cub_after = side_sum(-1, h2_after)
+    return (h1 * (lin_before - lin_after)
+            + h1cube * (cub_before - cub_after))
 
 
 def _wall_is_crossed(slope, J_target):
@@ -288,6 +304,8 @@ def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
         raise WallError("wall marching covers r <= 3 only")
     pad = qq(1)
     h1 = _h1(ell, cutoff + pad)
+    h1sq = _h1_squared(ell, cutoff + pad)
+    h1cube = h1 * h1sq if r == 3 else None
     bound = cutoff + pad
     dummy = ChernVector.from_c2(r, (beta, alpha), 0, surface)
     wall_list = walls_between(dummy, surface, bound + 1)
@@ -301,12 +319,13 @@ def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
         h2_before = dict(state2)
         for key in state2:
             state2[key] = state2[key] + _wall_delta_rank2(
-                key, omega, surface, h1, bound)
+                key, omega, surface, h1sq, bound)
         if r == 2:
             target = target + _wall_delta_rank2(
-                (beta, alpha), omega, surface, h1, bound)
+                (beta, alpha), omega, surface, h1sq, bound)
         else:
             target = target + _wall_delta_rank3(
-                (beta, alpha), omega, surface, h1, h2_before, state2, bound)
+                (beta, alpha), omega, surface, h1, h1cube, h2_before, state2,
+                bound)
     return GenFun(series=target.truncate(cutoff), **tag)
 

@@ -1,6 +1,7 @@
 """Independent checks of pipeline output that the pipeline itself never
 calls: the per-class wall-crossing delta, the curve stack counts, the
-equal-slope rank-2 combination and the filtration discriminant."""
+equal-slope rank-2 combination, the filtration discriminant and the
+geometric-series inverse of a q-series."""
 
 import math
 
@@ -10,15 +11,58 @@ from bpsinv.geometry import (
     walls_between,
 )
 from bpsinv.hn import suitable_genfun_recursive
-from bpsinv.series import SeriesError, WRat
+from bpsinv.series import NonInvertibleError, QSeries, SeriesError, WRat
 from bpsinv.wallcross import (
     WallError, _h1, _wall_delta_rank2, _wall_delta_rank3,
 )
 
 
 # ---------------------------------------------------------------------------
+# Geometric-series inverse
+# ---------------------------------------------------------------------------
+
+def geometric_invert(s, cutoff=None):
+    """QSeries.invert by summing (-u)^k with full truncated products, where
+    s = c0 q^e0 (1 + u): the same cutoff rules, computed independently of
+    the coefficient recurrence."""
+    if not s.terms:
+        raise NonInvertibleError("non-invertible zero series")
+    e0 = min(s.terms)
+    c0 = s.terms[e0]
+    if len(s.terms) == 1 and s.cutoff is None:
+        return QSeries({-e0: c0.inverse()}, cutoff)
+    if s.cutoff is not None:
+        tcut = s.cutoff - 2 * e0
+        if cutoff is not None:
+            tcut = min(tcut, qq(cutoff))
+    elif cutoff is not None:
+        tcut = qq(cutoff)
+    else:
+        raise NonInvertibleError(
+            "cannot invert a non-monomial exact series without a cutoff")
+    inv0 = c0.inverse()
+    ucut = None if s.cutoff is None else s.cutoff - e0
+    u = QSeries({e - e0: c * inv0 for e, c in s.terms.items() if e != e0},
+                ucut)
+    p = tcut + e0  # precision of the geometric sum
+    out = QSeries.one(p)
+    term = QSeries.one(None)
+    while u.terms:
+        term = (term * (-u)).truncate(p)
+        if not term.terms:
+            break
+        out = out + term
+    return QSeries({e - e0: c * inv0 for e, c in out.terms.items()}, tcut)
+
+
+# ---------------------------------------------------------------------------
 # Curve stack counts
 # ---------------------------------------------------------------------------
+
+def one_minus_w(j):
+    """1 - w^j (j integer, possibly negative)."""
+    return WRat.from_rational(1) - WRat.w_power(j)
+
 
 def total_set_curve(r, g) -> WRat:
     """Virtual count of the stack of rank-r bundles on a genus-g curve:
@@ -31,11 +75,11 @@ def total_set_curve(r, g) -> WRat:
     out = WRat.w_power(r * r * (1 - g)).scale(-1)
     if g:
         out = out * (one + WRat.w_power(2 * r - 1)) ** (2 * g)
-    out = out / WRat.one_minus_w(2 * r)
+    out = out / one_minus_w(2 * r)
     for j in range(1, r):
         if g:
             out = out * (one + WRat.w_power(2 * j - 1)) ** (2 * g)
-        out = out / WRat.one_minus_w(2 * j) ** 2
+        out = out / one_minus_w(2 * j) ** 2
     return out
 
 
@@ -43,7 +87,7 @@ def rank2_equal_slope_combination():
     """H_2(C_0) + (1/(1-w^4) - 1/2) H_1(C_0)^2: the equal-slope rank-2
     combination of curve stack counts; its genus-g analogue carries the
     intersection-cohomology Betti numbers of moduli of bundles on a curve."""
-    c = WRat.one_minus_w(4).inverse() - WRat.from_rational(qq(1, 2))
+    c = one_minus_w(4).inverse() - WRat.from_rational(qq(1, 2))
     return total_set_curve(2, 0) + c * total_set_curve(1, 0) ** 2
 
 
@@ -118,17 +162,18 @@ def wallcross_delta(gamma, J, J2, surface, tables=None, cutoff=None):
     slope, omega = path.walls[0]
     forward = _slope_key(J) > _slope_key(J2)
     h1 = _h1(surface.ell, cutoff + 1)
+    h1sq = h1 * h1
     if gamma.r == 2:
-        dser = _wall_delta_rank2(red.c1, omega, surface, h1, cutoff + 1)
+        dser = _wall_delta_rank2(red.c1, omega, surface, h1sq, cutoff + 1)
     elif gamma.r == 3:
         if tables is None:
-            before = _rank2_states_above(slope, surface, h1, cutoff + 1)
+            before = _rank2_states_above(slope, surface, h1sq, cutoff + 1)
             after = {key: before[key] + _wall_delta_rank2(
-                key, omega, surface, h1, cutoff + 1) for key in before}
+                key, omega, surface, h1sq, cutoff + 1) for key in before}
         else:
             before, after = tables["before"], tables["after"]
-        dser = _wall_delta_rank3(red.c1, omega, surface, h1, before, after,
-                                 cutoff + 1)
+        dser = _wall_delta_rank3(red.c1, omega, surface, h1, h1sq * h1,
+                                 before, after, cutoff + 1)
     else:
         raise WallError("per-class crossing covers r <= 3 only")
     if not forward:
@@ -137,7 +182,7 @@ def wallcross_delta(gamma, J, J2, surface, tables=None, cutoff=None):
     return dser.coeff(e)
 
 
-def _rank2_states_above(slope, surface, h1, bound):
+def _rank2_states_above(slope, surface, h1sq, bound):
     """Rank-2 series marched from the suitable chamber down to just above the
     given wall slope."""
     ell = surface.ell
@@ -149,5 +194,5 @@ def _rank2_states_above(slope, surface, h1, bound):
             continue
         for key in states:
             states[key] = states[key] + _wall_delta_rank2(
-                key, omega, surface, h1, bound)
+                key, omega, surface, h1sq, bound)
     return states

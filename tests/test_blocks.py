@@ -5,7 +5,7 @@ from bpsinv.blocks import (
 from bpsinv.geometry import Surface
 from bpsinv.series import QSeries, VPoly, WRat
 
-from oracles import total_set_curve
+from oracles import one_minus_w, total_set_curve
 
 P2 = Surface.p2()
 S1 = Surface.hirzebruch(1)
@@ -87,7 +87,7 @@ def test_fibre_product_vanishing_and_leading():
 def test_total_set_curve_values():
     assert total_set_curve(1, 0) == wpoly({1: 1, -1: -1}).inverse()
     expect = WRat.w_power(4).scale(-1) / (
-        WRat.one_minus_w(4) * WRat.one_minus_w(2) ** 2)
+        one_minus_w(4) * one_minus_w(2) ** 2)
     assert total_set_curve(2, 0) == expect
 
 

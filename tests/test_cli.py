@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from bpsinv.cli import main
 from bpsinv.exactq import qq
+from bpsinv.hn import suitable_genfun_recursive
 from bpsinv.invariants import InvariantError
-from bpsinv.serialize import (
-    dumps, genfun_to_obj, genfun_from_obj, qseries_to_obj, qseries_from_obj,
-)
+from bpsinv.serialize import dumps, qseries_to_obj, qseries_from_obj
 from bpsinv.series import QSeries, VPoly, WRat
+from bpsinv.wallcross import genfun_at_polarization
 
 
 def run_cli(args, capsys):
@@ -95,6 +95,24 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, corrupt):
     assert out2 == out1
     assert err2 == ""
     assert entry.read_text() == blob
+
+
+@pytest.mark.parametrize("polarization", ["suitable", "13,9"])
+def test_equivalent_c1_reuse_memo_entries(monkeypatch, capsys, polarization):
+    # c1 matters mod r only: 2,0 and 0,2 are the class 0,0 at rank 2
+    monkeypatch.delenv("BPSINV_CACHE_DIR", raising=False)
+    memos = (suitable_genfun_recursive, genfun_at_polarization)
+    outs, misses = [], []
+    for c1 in ("0,0", "2,0", "0,2"):
+        code, out, _ = run_cli(
+            ["compute", "--surface", "hirzebruch:1", "--rank", "2",
+             "--c1", c1, "--polarization", polarization, "--qorders", "3",
+             "--format", "json"], capsys)
+        assert code == 0
+        outs.append(out)
+        misses.append([m.cache_info().misses for m in memos])
+    assert outs[0] == outs[1] == outs[2]
+    assert misses[0] == misses[1] == misses[2]
 
 
 def test_verification_failure_exits_1(monkeypatch, capsys):

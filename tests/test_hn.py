@@ -7,13 +7,9 @@ from bpsinv.hn import (
 from bpsinv.series import QSeries, WRat
 from bpsinv.wallcross import _weight_of_sequence
 
-from oracles import rank2_equal_slope_combination
+from oracles import one_minus_w as one_minus, rank2_equal_slope_combination
 
 S1 = Surface.hirzebruch(1)
-
-
-def one_minus(j):
-    return WRat.one_minus_w(j)
 
 
 def wp(j):

@@ -6,6 +6,8 @@ from bpsinv.series import (
     VPoly, WRat, QSeries, SeriesError, NonInvertibleError, WRAT_ONE, WRAT_ZERO,
 )
 
+from oracles import geometric_invert, one_minus_w
+
 
 def w(j):
     return WRat.w_power(j)
@@ -46,7 +48,7 @@ def test_wrat_field_ops():
     third = WRat.from_rational(qq(1, 3))
     assert third * WRat.from_rational(3) == WRAT_ONE
     # 1/(w - w^-1) has the familiar closed form -w/(1-w^2)
-    assert x.inverse() == WRat.from_rational(-1) * w(1) / WRat.one_minus_w(2)
+    assert x.inverse() == WRat.from_rational(-1) * w(1) / one_minus_w(2)
 
 
 def test_wrat_multicover_substitution():
@@ -242,3 +244,57 @@ def test_wrat_multicover_against_vpoly_oracle(a, m):
     assert s == WRat(num, den)
     assert (a.conjugate() == a) == (a.num * a.den.conjugate()
                                   == a.num.conjugate() * a.den)
+
+
+# -- independent oracle: invert and powers against plain products ------------
+
+@st.composite
+def invert_case(draw):
+    """(series, cutoff argument) with exponents in steps of 1, 1/8 or 1/24,
+    possibly negative leading exponents, a leading coefficient that need not
+    be a unit of Z[v, 1/v], exact or truncated input, and an optional
+    cutoff argument (None for an exact non-monomial input raises).  Cutoffs
+    also take steps of 1/5, which no stored exponent can meet."""
+    step = draw(st.sampled_from([1, 8, 24]))
+    ks = draw(st.lists(st.integers(-step, 2 * step), min_size=1, max_size=4,
+                       unique=True))
+    terms = {qq(k, step): draw(small_wrat(allow_zero=False)) for k in ks}
+    lead = qq(min(ks), step)
+    terms[lead] = draw(st.one_of(small_wrat(allow_zero=False), true_wrat()))
+    cut = arg = None
+    if draw(st.booleans()):
+        den = draw(st.sampled_from([step, 5]))
+        cut = lead + qq(draw(st.integers(1, 3 * den)), den)
+    if draw(st.booleans()):
+        den = draw(st.sampled_from([step, 5]))
+        arg = qq(draw(st.integers(-2 * den, 3 * den)), den)
+    return QSeries(terms, cut), arg
+
+
+@settings(max_examples=400, deadline=None)
+@given(invert_case())
+def test_invert_matches_geometric_series(case):
+    a, arg = case
+    try:
+        expect = geometric_invert(a, arg)
+    except NonInvertibleError:
+        with pytest.raises(NonInvertibleError):
+            a.invert(arg)
+        return
+    got = a.invert(arg)
+    assert got.terms == expect.terms
+    assert got.cutoff == expect.cutoff
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_series(), st.booleans(), small_wrat(), st.integers(0, 5))
+def test_pow_matches_repeated_multiplication(a, exact, x, n):
+    if exact:
+        a = QSeries(a.terms)
+    series, wrat = QSeries.one(), WRAT_ONE
+    for _ in range(n):
+        series, wrat = series * a, wrat * x
+    power = a ** n
+    assert power.terms == series.terms
+    assert power.cutoff == series.cutoff
+    assert x ** n == wrat
