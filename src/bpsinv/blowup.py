@@ -70,7 +70,7 @@ def gieseker_to_mu(r, c1, cutoff):
             aut = qq(1)
             run = 1
             for i in range(1, len(ranks)):
-                if qq(xs[i], ranks[i]) == qq(xs[i - 1], ranks[i - 1]):
+                if xs[i] * ranks[i - 1] == xs[i - 1] * ranks[i]:
                     run += 1
                 else:
                     aut /= factorial(run)
@@ -93,30 +93,25 @@ def gieseker_to_mu(r, c1, cutoff):
 
 def _slope_tuples(ranks, X, S):
     """Integer tuples (x_i) with sum X and x_i/r_i weakly decreasing, every
-    slope within S of the mean (pairs further apart exceed the q-shift bound
-    that produced S)."""
-    mean = qq(X, sum(ranks))
+    slope within S of the mean X/R, R = sum r_i (pairs further apart exceed
+    the q-shift bound that produced S).  In integers: x_i starts at
+    floor((X - S R) r_i / R) and runs while x_i R <= (X + S R) r_i, and
+    x_i/r_i <= x_(i-1)/r_(i-1) is x_i r_(i-1) <= x_(i-1) r_i."""
+    R = sum(ranks)
+    lo, hi = X - S * R, X + S * R
 
-    def rec(prefix, remaining_ranks, remaining_X, prev_slope):
-        if not remaining_ranks:
-            if remaining_X == 0:
-                yield tuple(prefix)
-            return
-        ri = remaining_ranks[0]
-        lo = (mean - S) * ri
-        hi = (mean + S) * ri
-        x = int(lo.numerator // lo.denominator)
-        while qq(x) <= hi:
-            s = qq(x, ri)
-            if prev_slope is None or s <= prev_slope:
-                if len(remaining_ranks) > 1:
-                    yield from rec(prefix + [x], remaining_ranks[1:],
-                                   remaining_X - x, s)
+    def rec(prefix, i, remaining_X):
+        ri = ranks[i]
+        x = lo * ri // R
+        while x * R <= hi * ri:
+            if not prefix or x * ranks[i - 1] <= prefix[-1] * ri:
+                if i + 1 < len(ranks):
+                    yield from rec(prefix + [x], i + 1, remaining_X - x)
                 elif x == remaining_X:
                     yield tuple(prefix + [x])
             x += 1
 
-    yield from rec([], list(ranks), X, None)
+    yield from rec([], 0, X)
 
 
 def blowup_divide(hmu, r, k, cutoff=None):

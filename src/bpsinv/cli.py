@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input.
 import argparse
 import json
 import sys
+import time
 
-from .exactq import qq
+from .exactq import QQ, qq
 from .blowup import p2_genfun
 from .cache import ResultCache
 from .compute import (
@@ -21,7 +22,9 @@ from .compute import (
 )
 from .geometry import GeometryError, Polarization, SUITABLE, Surface
 from .invariants import InvariantError, extract_table
-from .serialize import dumps, genfun_to_obj, table_to_obj
+from .serialize import (
+    dumps, genfun_to_obj, polarization_to_obj, table_to_obj,
+)
 
 
 class InputError(ValueError):
@@ -74,10 +77,11 @@ def cmd_compute(args):
     if args.qorders < 1:
         raise InputError("qorders must be positive")
     cache = ResultCache(args.cache_dir)
+    # keyed on the parsed polarization: spellings of one J share an entry,
+    # and the plane, which has none, ignores the option
     spec = {
         "surface": str(surface), "rank": args.rank, "c1": list(c1),
-        "polarization": args.polarization or "suitable",
-        "qorders": args.qorders,
+        "polarization": polarization_to_obj(J), "qorders": args.qorders,
     }
     key = cache.key_of("compute", spec)
     value = cache.get(key)
@@ -205,19 +209,24 @@ def cmd_check(args):
     results = []
     for name in names:
         result = {"name": name}
+        start = time.perf_counter()
         try:
             result["ok"] = bool(SUITES[name]())
         except Exception as exc:
             # a suite that raises has failed; report what raised and go on
             result["ok"] = False
             result["error"] = "%s: %s" % (type(exc).__name__, exc)
+        result["seconds"] = round(time.perf_counter() - start, 3)
         results.append(result)
     if args.format == "json":
-        print(dumps({"results": results}))
+        print(dumps({"backend": QQ.__name__, "results": results}))
     else:
         for r in results:
-            line = "%s %s" % ("PASS" if r["ok"] else "FAIL", r["name"])
-            print(line + (" (%s)" % r["error"] if "error" in r else ""))
+            detail = "%.2f s" % r["seconds"]
+            if "error" in r:
+                detail += ", " + r["error"]
+            print("%s %s (%s)" % ("PASS" if r["ok"] else "FAIL", r["name"],
+                                  detail))
     return 0 if all(r["ok"] for r in results) else 1
 
 

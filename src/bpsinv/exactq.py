@@ -17,10 +17,6 @@ def qq(a, b=1):
     return QQ(a, b)
 
 
-ZERO = qq(0)
-ONE = qq(1)
-
-
 def qfloor(x):
     """Floor of a rational, as an int."""
     return int(x.numerator // x.denominator)

@@ -1,12 +1,19 @@
 """Exact series substrate: Laurent polynomials and rational functions in the
 refinement variable v (v^2 = w), and sparse truncated q-series over that field.
 
-A rational function is kept as c * v^s * n(v) / d(v): one rational factor c,
-a v-power s, and coprime integer polynomials n, d that are primitive, have a
-nonzero constant term and a positive leading coefficient.  That form is unique
-(Gauss's lemma in the unique factorisation domain Z[v]), so equality and
-hashing are structural, and all of the arithmetic runs on Python ints; the
-only gcd is the integer primitive-PRS gcd of two polynomials.
+A rational function is kept as (p/q) * v^s * n(v) / d(v): a rational content
+held as a reduced pair of ints p, q > 0, a v-power s, and coprime integer
+polynomials n, d that are primitive, have a nonzero constant term and a
+positive leading coefficient.  That form is unique (Gauss's lemma in the
+unique factorisation domain Z[v]), so equality and hashing are structural,
+and all of the arithmetic runs on Python ints; the only polynomial gcd is the
+integer primitive-PRS gcd.
+
+A q-series stores its exponents as ints scaled by 24, the common denominator
+of every exponent that occurs, and keeps its cutoff an exact rational; each
+operation compares exponents against the integer cap ceil(24 * cutoff).  So
+no rational is built, compared or hashed inside the product, sum and
+inversion loops.
 
 Everything here is exact; no floating point enters anywhere.  Values are
 immutable after construction and safe to share across threads.
@@ -14,7 +21,10 @@ immutable after construction and safe to share across threads.
 
 from math import gcd, lcm
 
-from .exactq import qq, qfloor, is_integral
+from .exactq import qq, is_integral
+from .intpoly import (
+    _ONE, _int_poly_gcd, _pdiv, _pmul, _primitive, _spread, _twist,
+)
 
 __all__ = ["VPoly", "WRat", "QSeries", "SeriesError", "NonInvertibleError"]
 
@@ -69,12 +79,6 @@ class VPoly:
         self._c = c
         self._hash = None
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def term(coeff, vexp=0):
-        return VPoly({int(vexp): qq(coeff)})
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self):
@@ -113,12 +117,6 @@ class VPoly:
                 c.pop(e, None)
         return VPoly(c)
 
-    def __neg__(self):
-        return VPoly({e: -v for e, v in self._c.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, VPoly):
             if not self._c or not other._c:
@@ -143,12 +141,6 @@ class VPoly:
         if not k:
             return VPoly()
         return VPoly({e: v * k for e, v in self._c.items()})
-
-    def __pow__(self, n):
-        n = int(n)
-        if n < 0:
-            raise SeriesError("negative VPoly power; use WRat")
-        return _power(self, n, _VP_ONE)
 
     # -- maps ----------------------------------------------------------------
 
@@ -185,126 +177,25 @@ class VPoly:
         return " + ".join(bits)
 
 
-# ---------------------------------------------------------------------------
-# Integer polynomials
-# ---------------------------------------------------------------------------
-#
-# Dense tuples of Python ints, constant term first.  The WRat kernel keeps its
-# numerator and denominator in this form: primitive (coefficient gcd 1), with
-# a nonzero constant term and a positive leading coefficient.  Products and
-# exact quotients of such polynomials are again of this form (Gauss's lemma).
-
-_ONE = (1,)
-
-
-def _primitive(p):
-    """(content, primitive tuple) of a nonzero integer list whose first and
-    last entries are nonzero; the content carries the leading sign."""
-    g = gcd(*p)
-    if p[-1] < 0:
-        g = -g
-    if g == 1:
-        return 1, tuple(p)
-    return g, tuple(x // g for x in p)
-
-
-def _pmul(a, b):
-    if a == _ONE:
-        return b
-    if b == _ONE:
-        return a
-    out = [0] * (len(a) + len(b) - 1)
-    b = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in b:
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _pdiv(a, b):
-    """a / b when b divides a exactly."""
-    if b == _ONE:
-        return a
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [0] * (len(a) - db)
-    for i in range(len(q) - 1, -1, -1):
-        t = a[i + db]
-        if t:
-            t //= lb
-            q[i] = t
-            for j in range(db):
-                a[i + j] -= t * b[j]
-    return tuple(q)
-
-
-def _int_poly_gcd(a, b):
-    """Primitive PRS gcd of two polynomials of the form above; ``_ONE`` when
-    they are coprime."""
-    if a == b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r = _pseudo_rem(a, b)
-        if not r:
-            return tuple(b) if b[-1] > 0 else tuple(-v for v in b)
-        g = gcd(*r)
-        # lists, not tuples: freed short tuples stay in the interpreter's
-        # tuple free lists, which raises peak memory
-        a, b = b, [v // g for v in r]
-    return _ONE
-
-
-def _pseudo_rem(a, b):
-    """Trimmed remainder of c * a by b for some nonzero integer c; the
-    top coefficient is eliminated only where it is nonzero."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    low = b[:-1]
-    for top in range(len(a) - 1, db - 1, -1):
-        la = a[top]
-        if la:
-            if lb != 1:
-                for i in range(top):
-                    a[i] *= lb
-            for i, x in enumerate(low, top - db):
-                a[i] -= la * x
-    n = db
-    while n and not a[n - 1]:
-        n -= 1
-    return a[:n]
-
-
-def _spread(p, m):
-    """p(v) -> p(v^m)."""
-    if m == 1:
-        return p
-    out = [0] * ((len(p) - 1) * m + 1)
-    out[::m] = p
-    return tuple(out)
-
-
-def _twist(p, c):
-    """p(v) -> p(i v) on even support (v^e -> (-1)^(e/2) v^e), renormalised
-    to a positive leading coefficient; the sign goes into the factor c."""
-    p = tuple(-x if e % 4 else x for e, x in enumerate(p))
-    if p[-1] < 0:
-        return tuple(-x for x in p), -c
-    return p, c
-
-
 def _split(p):
-    """(c, s, n) with the nonzero VPoly p = c * v^s * n(v), n in the
-    primitive integer form above."""
+    """(g, L, s, n) with the nonzero VPoly p = (g / L) * v^s * n(v), n in the
+    primitive integer form of intpoly, L > 0 and gcd(g, L) = 1."""
     lo = p.min_exp
     L = lcm(*(int(x.denominator) for x in p._c.values()))
     ints = [0] * (p.max_exp - lo + 1)
     for e, x in p._c.items():
         ints[e - lo] = int(x.numerator) * (L // int(x.denominator))
     g, n = _primitive(ints)
-    return qq(g, L), lo, n
+    # a prime of L divides some coefficient's reduced denominator to its
+    # full power, so it does not divide that coefficient's entry of ints
+    return g, L, lo, n
+
+
+def _cmul(p1, q1, p2, q2):
+    """(p1/q1) * (p2/q2) for reduced pairs, cross-cancelled so that the
+    result is reduced; q1 q2 > 0 gives a positive denominator."""
+    g1, g2 = gcd(p1, q2), gcd(p2, q1)
+    return (p1 // g1) * (p2 // g2), (q1 // g2) * (q2 // g1)
 
 
 # ---------------------------------------------------------------------------
@@ -317,26 +208,28 @@ _VP_ONE = VPoly({0: 1})
 class WRat:
     """Element of the fraction field Q(v), v^2 = w.
 
-    Canonical form: c * v^s * n(v) / d(v) with c a nonzero rational, s an
-    integer, and n, d tuples of ints (constant term first) that are each
-    primitive, have a nonzero constant term and a positive leading
-    coefficient, and are coprime.  Zero is the single value with c = 0,
-    s = 0 and n = d = (1,).
+    Canonical form: (p/q) * v^s * n(v) / d(v) with p/q a nonzero rational
+    kept as a pair of ints, q > 0 and gcd(p, q) = 1; s an integer; and n, d
+    tuples of ints (constant term first) that are each primitive, have a
+    nonzero constant term and a positive leading coefficient, and are
+    coprime.  Zero is the single value with p/q = 0/1, s = 0 and
+    n = d = (1,).
 
     The form is unique: v-powers are units of Z[v, 1/v] and go into s; Z[v]
     is a unique factorisation domain, so after cancelling gcd(n, d) each of
-    n and d is fixed up to its content and sign, which go into c.  Equal
+    n and d is fixed up to its content and sign, which go into p/q.  Equal
     values therefore have equal representations, making hashing and caching
-    deterministic.  All arithmetic is on the integer tuples; only c is a
-    rational of the exactq backend.
+    deterministic.  All arithmetic is on Python ints; rationals of the
+    exactq backend appear only at the edges (``from_rational``, ``scale``
+    and the views below).
 
     ``num`` and ``den`` are Laurent-polynomial views built on first use:
     den = d / lc(d), a genuine polynomial with nonzero constant term and
-    leading coefficient +1, and num = c / lc(d) * v^s * n, so any v-monomial
-    content lives in the numerator.
+    leading coefficient +1, and num = p / (q lc(d)) * v^s * n, so any
+    v-monomial content lives in the numerator.
     """
 
-    __slots__ = ("_c", "_s", "_n", "_d", "_num", "_den", "_hash")
+    __slots__ = ("_p", "_q", "_s", "_n", "_d", "_num", "_den", "_hash")
 
     def __init__(self, num, den=None):
         if den is None:
@@ -344,15 +237,18 @@ class WRat:
         if den.is_zero():
             raise ZeroDivisionError("WRat with zero denominator")
         if num.is_zero():
-            c, s, n, d = qq(0), 0, _ONE, _ONE
+            p, q, s, n, d = 0, 1, 0, _ONE, _ONE
         else:
-            cn, sn, n = _split(num)
-            cd, sd, d = _split(den)
+            gn, Ln, sn, n = _split(num)
+            gd, Ld, sd, d = _split(den)
             g = _int_poly_gcd(n, d)
             if len(g) > 1:
                 n, d = _pdiv(n, g), _pdiv(d, g)
-            c, s = cn / cd, sn - sd
-        self._c, self._s, self._n, self._d = c, s, n, d
+            p, q = _cmul(gn, Ln, Ld, gd)
+            if q < 0:
+                p, q = -p, -q
+            s = sn - sd
+        self._p, self._q, self._s, self._n, self._d = p, q, s, n, d
         self._num = self._den = self._hash = None
 
     # -- constructors --------------------------------------------------------
@@ -362,21 +258,21 @@ class WRat:
         x = qq(x)
         if not x:
             return WRAT_ZERO
-        return _wrat(x, 0, _ONE, _ONE)
+        return _wrat(int(x.numerator), int(x.denominator), 0, _ONE, _ONE)
 
     @staticmethod
     def w_power(j):
         e = qq(2) * qq(j)
         if not is_integral(e):
             raise SeriesError("w-power %s is not a half-integer" % (j,))
-        return _wrat(qq(1), int(e), _ONE, _ONE)
+        return _wrat(1, 1, int(e), _ONE, _ONE)
 
     # -- structure -----------------------------------------------------------
 
     @property
     def num(self):
         if self._num is None:
-            k = self._c / self._d[-1]
+            k = qq(self._p, self._q * self._d[-1])
             self._num = VPoly({self._s + e: k * x
                                for e, x in enumerate(self._n) if x})
         return self._num
@@ -390,10 +286,10 @@ class WRat:
         return self._den
 
     def is_zero(self):
-        return not self._c
+        return not self._p
 
     def __bool__(self):
-        return bool(self._c)
+        return bool(self._p)
 
     def is_polynomial(self):
         return len(self._d) == 1
@@ -411,9 +307,9 @@ class WRat:
 
     def __add__(self, other):
         other = _coerce(other)
-        if not self._c:
+        if not self._p:
             return other
-        if not other._c:
+        if not other._p:
             return self
         a, b = (self, other) if self._s <= other._s else (other, self)
         g = a._d
@@ -423,11 +319,12 @@ class WRat:
             g = _int_poly_gcd(g, b._d)
             ea, eb = _pdiv(a._d, g), _pdiv(b._d, g)
         # a + b = (A n_a e_b + B v^k n_b e_a) / (Q v^(-s_a) g e_a e_b)
-        ca, cb = a._c, b._c
-        qa, qb = int(ca.denominator), int(cb.denominator)
-        Q = lcm(qa, qb)
-        A = int(ca.numerator) * (Q // qa)
-        B = int(cb.numerator) * (Q // qb)
+        qa, qb = a._q, b._q
+        if qa == qb:
+            Q, A, B = qa, a._p, b._p
+        else:
+            Q = lcm(qa, qb)
+            A, B = a._p * (Q // qa), b._p * (Q // qb)
         ta, tb = _pmul(a._n, eb), _pmul(b._n, ea)
         k = b._s - a._s
         N = [A * x for x in ta]
@@ -449,14 +346,15 @@ class WRat:
         h = _int_poly_gcd(n, g)
         if len(h) > 1:
             n, g = _pdiv(n, h), _pdiv(g, h)
-        return _wrat(qq(cN, Q), a._s + lo, n, _pmul(_pmul(g, ea), eb))
+        h = gcd(cN, Q)
+        return _wrat(cN // h, Q // h, a._s + lo, n, _pmul(_pmul(g, ea), eb))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self._c:
+        if not self._p:
             return self
-        return _wrat(-self._c, self._s, self._n, self._d)
+        return _wrat(-self._p, self._q, self._s, self._n, self._d)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -466,7 +364,7 @@ class WRat:
 
     def __mul__(self, other):
         other = _coerce(other)
-        if not self._c or not other._c:
+        if not self._p or not other._p:
             return WRAT_ZERO
         n1, d1, n2, d2 = self._n, self._d, other._n, other._d
         g = _int_poly_gcd(n1, d2)
@@ -475,15 +373,16 @@ class WRat:
         g = _int_poly_gcd(n2, d1)
         if len(g) > 1:
             n2, d1 = _pdiv(n2, g), _pdiv(d1, g)
-        return _wrat(self._c * other._c, self._s + other._s,
-                     _pmul(n1, n2), _pmul(d1, d2))
+        p, q = _cmul(self._p, self._q, other._p, other._q)
+        return _wrat(p, q, self._s + other._s, _pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self._c:
+        if not self._p:
             raise ZeroDivisionError("inverse of zero WRat")
-        return _wrat(1 / self._c, -self._s, self._d, self._n)
+        p, q = (self._q, self._p) if self._p > 0 else (-self._q, -self._p)
+        return _wrat(p, q, -self._s, self._d, self._n)
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -496,22 +395,23 @@ class WRat:
 
     def scale(self, k):
         k = qq(k)
-        if not k or not self._c:
+        if not k or not self._p:
             return WRAT_ZERO
-        return _wrat(self._c * k, self._s, self._n, self._d)
+        p, q = _cmul(self._p, self._q, int(k.numerator), int(k.denominator))
+        return _wrat(p, q, self._s, self._n, self._d)
 
     # -- maps -----------------------------------------------------------------
 
     def conjugate(self):
         """v -> v^-1 (w -> w^-1)."""
-        if not self._c:
+        if not self._p:
             return self
-        c, n, d = self._c, self._n[::-1], self._d[::-1]
+        p, n, d = self._p, self._n[::-1], self._d[::-1]
         if n[-1] < 0:
-            n, c = tuple(-x for x in n), -c
+            n, p = tuple(-x for x in n), -p
         if d[-1] < 0:
-            d, c = tuple(-x for x in d), -c
-        return _wrat(c, len(self._d) - len(self._n) - self._s, n, d)
+            d, p = tuple(-x for x in d), -p
+        return _wrat(p, self._q, len(self._d) - len(self._n) - self._s, n, d)
 
     def substitute(self, m, multicover=False):
         """w -> w^m (plain) or w -> -(-w)^m (multicover, integer-w support
@@ -521,22 +421,16 @@ class WRat:
             raise SeriesError("substitution requires m >= 1")
         if multicover and not self.is_even_support():
             raise SeriesError("multicover substitution on half-integer w-support")
-        if not self._c:
+        if not self._p:
             return self
-        c, n, d = self._c, self._n, self._d
+        p, n, d = self._p, self._n, self._d
         if multicover and m % 2 == 0:
             # w^j -> (-1)^j w^(jm), i.e. v -> i v^m
             if self._s % 4:
-                c = -c
-            n, c = _twist(n, c)
-            d, c = _twist(d, c)
-        return _wrat(c, self._s * m, _spread(n, m), _spread(d, m))
-
-    def eval_w_one(self):
-        dv = sum(self._d)
-        if not dv:
-            raise ZeroDivisionError("pole at w = 1")
-        return self._c * qq(sum(self._n), dv)
+                p = -p
+            n, p = _twist(n, p)
+            d, p = _twist(d, p)
+        return _wrat(p, self._q, self._s * m, _spread(n, m), _spread(d, m))
 
     # -- comparisons -----------------------------------------------------------
 
@@ -548,12 +442,13 @@ class WRat:
                 return NotImplemented
         # canonical form makes structural equality sound; cross-multiplication
         # would decide it too but is never needed
-        return (self._c == other._c and self._s == other._s
-                and self._n == other._n and self._d == other._d)
+        return (self._p == other._p and self._q == other._q
+                and self._s == other._s and self._n == other._n
+                and self._d == other._d)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self._c, self._s, self._n, self._d))
+            self._hash = hash((self._p, self._q, self._s, self._n, self._d))
         return self._hash
 
     def __repr__(self):
@@ -562,10 +457,10 @@ class WRat:
         return "(%s)/(%s)" % (self.num, self.den)
 
 
-def _wrat(c, s, n, d):
+def _wrat(p, q, s, n, d):
     """A WRat from the parts of its canonical form, taken as given."""
     x = object.__new__(WRat)
-    x._c, x._s, x._n, x._d = c, s, n, d
+    x._p, x._q, x._s, x._n, x._d = p, q, s, n, d
     x._num = x._den = x._hash = None
     return x
 
@@ -578,26 +473,49 @@ def _coerce(x):
     return WRat.from_rational(x)
 
 
-WRAT_ZERO = _wrat(qq(0), 0, _ONE, _ONE)
-WRAT_ONE = _wrat(qq(1), 0, _ONE, _ONE)
+WRAT_ZERO = _wrat(0, 1, 0, _ONE, _ONE)
+WRAT_ONE = _wrat(1, 1, 0, _ONE, _ONE)
 
 
 # ---------------------------------------------------------------------------
 # Sparse truncated q-series
 # ---------------------------------------------------------------------------
 
+_D = QEXP_DENOMINATOR_BOUND
+
+
+def _cap(cutoff):
+    """The integer cap ceil(24 * cutoff) of a rational cutoff, or None: for
+    an int E, E < cap exactly when E / 24 < cutoff, on or off the 1/24
+    grid."""
+    if cutoff is None:
+        return None
+    return -(-_D * int(cutoff.numerator) // int(cutoff.denominator))
+
+
 class QSeries:
     """Sparse series in q with rational exponents and WRat coefficients.
 
-    ``cutoff`` is an exclusive upper bound on stored exponents; ``None`` means
-    the series is exact (a finite q-Laurent polynomial).  Arithmetic
-    propagates cutoffs pessimistically and never fabricates precision.
+    Exponents are stored as ints E = 24 e (24 = QEXP_DENOMINATOR_BOUND,
+    which every stored exponent's denominator divides), so the product,
+    sum and inversion loops add, compare and hash ints only.  ``cutoff`` is
+    an exact rational, an exclusive upper bound on stored exponents; ``None``
+    means the series is exact (a finite q-Laurent polynomial).  Each
+    operation compares against the integer cap ceil(24 cutoff) (see
+    ``_cap``), which keeps exactly the exponents below the cutoff even when
+    the cutoff is off the 1/24 grid.  Arithmetic propagates cutoffs
+    pessimistically and never fabricates precision.
+
+    The constructor checks its input (exponent denominators dividing 24;
+    zeros and exponents at or above the cutoff dropped); the arithmetic
+    builds its valid results with ``_qseries`` unchecked.  ``terms`` is the
+    rational-keyed view {e: coefficient}, built on first use.
     """
 
-    __slots__ = ("terms", "cutoff")
+    __slots__ = ("_t", "cutoff", "_terms")
 
     def __init__(self, terms=None, cutoff=None):
-        self.cutoff = None if cutoff is None else qq(cutoff)
+        cutoff = None if cutoff is None else qq(cutoff)
         t = {}
         if terms:
             for e, c in terms.items():
@@ -606,43 +524,51 @@ class QSeries:
                     c = _coerce(c)
                 if c.is_zero():
                     continue
-                if self.cutoff is not None and e >= self.cutoff:
+                if cutoff is not None and e >= cutoff:
                     continue
-                if QEXP_DENOMINATOR_BOUND % int(e.denominator):
+                den = int(e.denominator)
+                if _D % den:
                     raise SeriesError(
                         "q-exponent denominator %s outside tracked bound"
-                        % (e.denominator,))
-                t[e] = c
-        self.terms = t
+                        % (den,))
+                t[int(e.numerator) * (_D // den)] = c
+        self._t, self.cutoff, self._terms = t, cutoff, None
 
     # -- constructors -----------------------------------------------------------
 
     @staticmethod
     def zero(cutoff=None):
-        return QSeries({}, cutoff)
+        return _qseries({}, None if cutoff is None else qq(cutoff))
 
     @staticmethod
     def one(cutoff=None):
-        return QSeries({qq(0): WRAT_ONE}, cutoff)
+        return QSeries({0: WRAT_ONE}, cutoff)
 
     # -- structure ---------------------------------------------------------------
 
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = {qq(E, _D): c for E, c in self._t.items()}
+        return self._terms
+
     def is_zero(self):
-        return not self.terms
+        return not self._t
 
     def support(self):
-        return sorted(self.terms)
+        return [qq(E, _D) for E in sorted(self._t)]
 
     def coeff(self, e):
-        return self.terms.get(qq(e), WRAT_ZERO)
+        E = qq(e) * _D
+        return self._t.get(int(E), WRAT_ZERO) if is_integral(E) else WRAT_ZERO
 
     def leading_exponent(self):
-        if not self.terms:
+        if not self._t:
             return self.cutoff
-        return min(self.terms)
+        return qq(min(self._t), _D)
 
     def leading_coeff(self):
-        return self.terms[min(self.terms)]
+        return self._t[min(self._t)]
 
     # -- arithmetic ----------------------------------------------------------------
 
@@ -655,46 +581,50 @@ class QSeries:
 
     def __add__(self, other):
         cut = self._merge_cut(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e, WRAT_ZERO) + c
+        t = dict(self._t)
+        for E, c in other._t.items():
+            s = t.get(E, WRAT_ZERO) + c
             if s.is_zero():
-                t.pop(e, None)
+                t.pop(E, None)
             else:
-                t[e] = s
-        return QSeries(t, cut)
+                t[E] = s
+        cap = _cap(cut)
+        if cap is not None:
+            t = {E: c for E, c in t.items() if E < cap}
+        return _qseries(t, cut)
 
     def __neg__(self):
-        return QSeries({e: -c for e, c in self.terms.items()}, self.cutoff)
+        return _qseries({E: -c for E, c in self._t.items()}, self.cutoff)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         cut = self._mul_cut(other)
-        if not self.terms or not other.terms:
-            return QSeries({}, cut)
+        if not self._t or not other._t:
+            return _qseries({}, cut)
+        cap = _cap(cut)
         t = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = ea + eb
-                if cut is not None and e >= cut:
+        for Ea, ca in self._t.items():
+            for Eb, cb in other._t.items():
+                E = Ea + Eb
+                if cap is not None and E >= cap:
                     continue
                 p = ca * cb
                 if p.is_zero():
                     continue
-                s = t.get(e, WRAT_ZERO) + p
+                s = t.get(E, WRAT_ZERO) + p
                 if s.is_zero():
-                    t.pop(e, None)
+                    t.pop(E, None)
                 else:
-                    t[e] = s
-        return QSeries(t, cut)
+                    t[E] = s
+        return _qseries(t, cut)
 
     def _mul_cut(self, other):
         # a factor that is exactly zero gives an exact zero product
-        if not self.terms and self.cutoff is None:
+        if not self._t and self.cutoff is None:
             return None
-        if not other.terms and other.cutoff is None:
+        if not other._t and other.cutoff is None:
             return None
         cands = []
         if self.cutoff is not None:
@@ -706,13 +636,16 @@ class QSeries:
     def scale(self, k):
         k = _coerce(k)
         if k.is_zero():
-            return QSeries({}, self.cutoff)
-        return QSeries({e: c * k for e, c in self.terms.items()}, self.cutoff)
+            return _qseries({}, self.cutoff)
+        return _qseries({E: c * k for E, c in self._t.items()}, self.cutoff)
 
     def shift_q(self, de):
         de = qq(de)
         cut = None if self.cutoff is None else self.cutoff + de
-        return QSeries({e + de: c for e, c in self.terms.items()}, cut)
+        if self._t and not is_integral(de * _D):
+            raise SeriesError("q-shift %s leaves the 1/24 exponent grid" % de)
+        dE = int(de * _D)
+        return _qseries({E + dE: c for E, c in self._t.items()}, cut)
 
     def __pow__(self, n):
         n = int(n)
@@ -723,30 +656,32 @@ class QSeries:
     def invert(self, cutoff=None):
         """Multiplicative inverse up to the cutoff; the leading exponent is
         negated.  A zero series is not invertible."""
-        if not self.terms:
+        if not self._t:
             raise NonInvertibleError("non-invertible zero series")
-        e0 = min(self.terms)
-        c0 = self.terms[e0]
-        if len(self.terms) == 1 and self.cutoff is None:
-            return QSeries({-e0: c0.inverse()}, cutoff)
+        E0 = min(self._t)
+        c0 = self._t[E0]
+        if cutoff is not None:
+            cutoff = qq(cutoff)
+        if len(self._t) == 1 and self.cutoff is None:
+            if cutoff is not None and -E0 >= _cap(cutoff):
+                return _qseries({}, cutoff)
+            return _qseries({-E0: c0.inverse()}, cutoff)
         if self.cutoff is not None:
-            tcut = self.cutoff - 2 * e0
+            tcut = self.cutoff - qq(2 * E0, _D)
             if cutoff is not None:
-                tcut = min(tcut, qq(cutoff))
+                tcut = min(tcut, cutoff)
         elif cutoff is not None:
-            tcut = qq(cutoff)
+            tcut = cutoff
         else:
             raise NonInvertibleError(
                 "cannot invert a non-monomial exact series without a cutoff")
         inv0 = c0.inverse()
         # self = c0 q^e0 (1 + u) with u of positive leading exponent, and
         # b = 1/(1 + u) solves b_0 = 1, b_e = -sum_f u_f b_(e-f) below the
-        # precision tcut + e0.  Exponents are scaled by QEXP_DENOMINATOR_BOUND
-        # to ints, which the denominator check on stored exponents allows.
-        D = QEXP_DENOMINATOR_BOUND
-        P = -qfloor(-(tcut + e0) * D)  # integer exponents e < P are kept
-        nu = sorted((int((e - e0) * D), -(c * inv0))
-                    for e, c in self.terms.items() if e != e0)
+        # precision tcut + e0, i.e. for integer exponents e < P.
+        P = _cap(tcut) + E0
+        nu = sorted((E - E0, -(c * inv0))
+                    for E, c in self._t.items() if E != E0)
         b = {0: WRAT_ONE} if P > 0 else {}
         for e in range(1, P):
             acc = WRAT_ZERO
@@ -758,14 +693,15 @@ class QSeries:
                     acc = acc + c * be
             if acc:
                 b[e] = acc
-        return QSeries({qq(e, D) - e0: c * inv0 for e, c in b.items()}, tcut)
+        return _qseries({e - E0: c * inv0 for e, c in b.items()}, tcut)
 
     def truncate(self, cutoff):
         if cutoff is None:
             return self
         cutoff = qq(cutoff)
         cut = cutoff if self.cutoff is None else min(self.cutoff, cutoff)
-        return QSeries({e: c for e, c in self.terms.items() if e < cut}, cut)
+        cap = _cap(cut)
+        return _qseries({E: c for E, c in self._t.items() if E < cap}, cut)
 
     # -- maps -------------------------------------------------------------------
 
@@ -775,33 +711,39 @@ class QSeries:
         if m < 1:
             raise SeriesError("substitution requires m >= 1")
         cut = None if self.cutoff is None else self.cutoff * m
-        return QSeries(
-            {e * m: c.substitute(m, multicover) for e, c in self.terms.items()},
+        return _qseries(
+            {E * m: c.substitute(m, multicover) for E, c in self._t.items()},
             cut)
 
     # -- comparisons ---------------------------------------------------------------
 
     def eq_to_cutoff(self, other, cutoff=None):
         """Equality of all coefficients below the tightest available cutoff."""
-        cuts = [c for c in (self.cutoff, other.cutoff, cutoff) if c is not None]
-        cut = min(cuts) if cuts else None
-        exps = set(self.terms) | set(other.terms)
-        for e in exps:
-            if cut is not None and e >= cut:
-                continue
-            if self.coeff(e) != other.coeff(e):
-                return False
-        return True
+        cuts = [qq(c) for c in (self.cutoff, other.cutoff, cutoff)
+                if c is not None]
+        cap = _cap(min(cuts)) if cuts else None
+        return all(self._t.get(E, WRAT_ZERO) == other._t.get(E, WRAT_ZERO)
+                   for E in set(self._t) | set(other._t)
+                   if cap is None or E < cap)
 
     def __eq__(self, other):
-        return (isinstance(other, QSeries) and self.terms == other.terms
+        return (isinstance(other, QSeries) and self._t == other._t
                 and self.cutoff == other.cutoff)
 
     def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.cutoff))
+        return hash((frozenset(self._t.items()), self.cutoff))
 
     def __repr__(self):
-        bits = ["q^(%s)*%r" % (e, self.terms[e]) for e in sorted(self.terms)[:6]]
-        if len(self.terms) > 6:
+        bits = ["q^(%s)*%r" % (qq(E, _D), self._t[E])
+                for E in sorted(self._t)[:6]]
+        if len(self._t) > 6:
             bits.append("...")
         return "QSeries[%s | cutoff=%s]" % (" + ".join(bits) or "0", self.cutoff)
+
+
+def _qseries(t, cutoff):
+    """A QSeries from an int-keyed dict of nonzero WRats, every key below the
+    cap of the rational (or None) cutoff, taken as given."""
+    s = object.__new__(QSeries)
+    s._t, s.cutoff, s._terms = t, cutoff, None
+    return s

@@ -1,7 +1,8 @@
 """Independent checks of pipeline output that the pipeline itself never
 calls: the per-class wall-crossing delta, the curve stack counts, the
-equal-slope rank-2 combination, the filtration discriminant and the
-geometric-series inverse of a q-series."""
+equal-slope rank-2 combination, the filtration discriminant, the
+geometric-series inverse of a q-series, a q-series kept as a plain
+{rational exponent: WRat} dict, and the rational slope-tuple enumeration."""
 
 import math
 
@@ -53,6 +54,139 @@ def geometric_invert(s, cutoff=None):
             break
         out = out + term
     return QSeries({e - e0: c * inv0 for e, c in out.terms.items()}, tcut)
+
+
+# ---------------------------------------------------------------------------
+# Reference q-series on rational exponents
+# ---------------------------------------------------------------------------
+
+class RefSeries:
+    """A q-series as a plain {Fraction: WRat} dict with a rational cutoff
+    (None when exact), built and combined term by term with the cutoff rules
+    of QSeries: sums keep the smaller cutoff, products the smaller of each
+    cutoff plus the other factor's leading exponent."""
+
+    def __init__(self, terms, cutoff=None):
+        self.cutoff = None if cutoff is None else qq(cutoff)
+        self.terms = {}
+        for e, c in terms.items():
+            e = qq(e)
+            if c and (self.cutoff is None or e < self.cutoff):
+                self.terms[e] = c
+
+    def _lead(self):
+        return min(self.terms) if self.terms else self.cutoff
+
+    def __add__(self, other):
+        cuts = [c for c in (self.cutoff, other.cutoff) if c is not None]
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, WRat.from_rational(0)) + c
+        return RefSeries(out, min(cuts) if cuts else None)
+
+    def __mul__(self, other):
+        if ((not self.terms and self.cutoff is None)
+                or (not other.terms and other.cutoff is None)):
+            return RefSeries({}, None)
+        cuts = []
+        if self.cutoff is not None:
+            cuts.append(self.cutoff + other._lead())
+        if other.cutoff is not None:
+            cuts.append(other.cutoff + self._lead())
+        out = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                out[ea + eb] = out.get(ea + eb, WRat.from_rational(0)) \
+                    + ca * cb
+        return RefSeries(out, min(cuts) if cuts else None)
+
+    def truncate(self, cutoff):
+        cuts = [c for c in (self.cutoff, qq(cutoff)) if c is not None]
+        return RefSeries(self.terms, min(cuts))
+
+    def shift_q(self, de):
+        de = qq(de)
+        return RefSeries({e + de: c for e, c in self.terms.items()},
+                         None if self.cutoff is None else self.cutoff + de)
+
+    def substitute(self, m, multicover=False):
+        return RefSeries(
+            {e * m: c.substitute(m, multicover)
+             for e, c in self.terms.items()},
+            None if self.cutoff is None else self.cutoff * m)
+
+    def invert(self, cutoff=None):
+        """The geometric series sum_k (-u)^k of s = c0 q^e0 (1 + u), taken
+        to the precision tcut + e0 of the QSeries.invert rules."""
+        e0 = min(self.terms)
+        inv0 = self.terms[e0].inverse()
+        if len(self.terms) == 1 and self.cutoff is None:
+            return RefSeries({-e0: inv0}, cutoff)
+        if self.cutoff is not None:
+            tcut = self.cutoff - 2 * e0
+            if cutoff is not None:
+                tcut = min(tcut, qq(cutoff))
+        elif cutoff is not None:
+            tcut = qq(cutoff)
+        else:
+            raise NonInvertibleError("exact non-monomial series")
+        p = tcut + e0
+        minus_u = {e - e0: -(c * inv0)
+                   for e, c in self.terms.items() if e != e0}
+        one = WRat.from_rational(1)
+        out, term = {qq(0): one}, {qq(0): one}
+        while term:
+            step = {}
+            for ea, ca in term.items():
+                for eb, cb in minus_u.items():
+                    if ea + eb < p:
+                        step[ea + eb] = step.get(
+                            ea + eb, WRat.from_rational(0)) + ca * cb
+            term = {e: c for e, c in step.items() if c}
+            for e, c in term.items():
+                out[e] = out.get(e, WRat.from_rational(0)) + c
+        return RefSeries({e - e0: c * inv0 for e, c in out.items() if e < p},
+                         tcut)
+
+    def eq_to_cutoff(self, other, cutoff=None):
+        cuts = [c for c in (self.cutoff, other.cutoff, cutoff)
+                if c is not None]
+        zero = WRat.from_rational(0)
+        return all(self.terms.get(e, zero) == other.terms.get(e, zero)
+                   for e in set(self.terms) | set(other.terms)
+                   if not cuts or e < min(cuts))
+
+
+# ---------------------------------------------------------------------------
+# Slope tuples of the mu-stack conversion
+# ---------------------------------------------------------------------------
+
+def slope_tuples(ranks, X, S):
+    """blowup._slope_tuples computed with rational bounds and slopes: integer
+    tuples (x_i) with sum X, x_i/r_i weakly decreasing and within S of the
+    mean, from floor((mean - S) r_i) up, in the same order."""
+    mean = qq(X, sum(ranks))
+
+    def rec(prefix, remaining_ranks, remaining_X, prev_slope):
+        if not remaining_ranks:
+            if remaining_X == 0:
+                yield tuple(prefix)
+            return
+        ri = remaining_ranks[0]
+        lo = (mean - S) * ri
+        hi = (mean + S) * ri
+        x = int(lo.numerator // lo.denominator)
+        while qq(x) <= hi:
+            s = qq(x, ri)
+            if prev_slope is None or s <= prev_slope:
+                if len(remaining_ranks) > 1:
+                    yield from rec(prefix + [x], remaining_ranks[1:],
+                                   remaining_X - x, s)
+                elif x == remaining_X:
+                    yield tuple(prefix + [x])
+            x += 1
+
+    yield from rec([], list(ranks), X, None)
 
 
 # ---------------------------------------------------------------------------

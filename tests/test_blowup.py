@@ -3,13 +3,17 @@ import pytest
 from bpsinv.exactq import qq
 from bpsinv.blocks import blowup_factor, rank1_genfun
 from bpsinv.blowup import (
-    BlowupError, blowup_divide, gieseker_to_mu, mu_to_gieseker, p2_genfun,
+    BlowupError, _slope_tuples, blowup_divide, gieseker_to_mu, mu_to_gieseker,
+    p2_genfun,
 )
 from bpsinv.compute import p2_omega_genfun, p2_table
 from bpsinv.geometry import NEAR_PULLBACK, PULLBACK_H, Surface
+from bpsinv.hn import _compositions
 from bpsinv.invariants import Flavor, GenFun
 from bpsinv.series import QSeries, WRat
 from bpsinv.wallcross import genfun_at_polarization
+
+from oracles import slope_tuples
 
 P2 = Surface.p2()
 S1 = Surface.hirzebruch(1)
@@ -24,6 +28,19 @@ def test_gcd_one_class_mu_equals_gieseker():
         hmu = gieseker_to_mu(2, c1, qq(2))
         base = h_eps(2, (c1[0] % 2, c1[1] % 2), qq(2))
         assert hmu.series.eq_to_cutoff(base, qq(2))
+
+
+def test_slope_tuples_match_rational_oracle():
+    # same tuples in the same order as the rational bounds and slopes
+    seen = 0
+    for r in (1, 2, 3):
+        for ranks in _compositions(r):
+            for X in range(-6, 7):
+                for S in range(1, 7):
+                    got = list(_slope_tuples(ranks, X, S))
+                    assert got == list(slope_tuples(ranks, X, S))
+                    seen += len(got)
+    assert seen > 1000
 
 
 def test_rank2_mu_corrections_match_display():

@@ -1,12 +1,14 @@
 import json
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bpsinv.cli import main
-from bpsinv.exactq import qq
+from bpsinv.exactq import QQ, qq
 from bpsinv.hn import suitable_genfun_recursive
 from bpsinv.invariants import InvariantError
 from bpsinv.serialize import dumps, qseries_to_obj, qseries_from_obj
@@ -157,9 +159,70 @@ def test_check_reports_what_raised(monkeypatch, capsys):
     code, out, _ = run_cli(["check", "--suite", "core", "--format", "json"],
                            capsys)
     assert code == 1
-    assert json.loads(out) == {"results": [
+    obj = json.loads(out)
+    seconds = obj["results"][0].pop("seconds")
+    assert 0 <= seconds < 1
+    assert obj == {"backend": QQ.__name__, "results": [
         {"name": "core", "ok": False,
          "error": "RuntimeError: suite exploded"}]}
     code, out, _ = run_cli(["check", "--suite", "core"], capsys)
     assert code == 1
-    assert out == "FAIL core (RuntimeError: suite exploded)\n"
+    assert re.fullmatch(
+        r"FAIL core \(\d+\.\d\d s, RuntimeError: suite exploded\)\n", out)
+
+
+def test_check_reports_seconds_and_backend(monkeypatch, capsys):
+    def nap():
+        time.sleep(0.05)
+        return True
+
+    monkeypatch.setattr("bpsinv.cli.SUITES", {"core": nap, "routes": nap})
+    code, out, _ = run_cli(["check", "--format", "json"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["backend"] == QQ.__name__ in ("Fraction", "mpq")
+    assert [r["name"] for r in obj["results"]] == ["core", "routes"]
+    for r in obj["results"]:
+        assert r["ok"] is True
+        assert 0.05 <= r["seconds"] < 5
+    code, out, _ = run_cli(["check", "--suite", "routes"], capsys)
+    assert code == 0
+    assert re.fullmatch(r"PASS routes \(\d+\.\d\d s\)\n", out)
+
+
+def test_polarization_spellings_share_a_cache_entry(tmp_path, monkeypatch,
+                                                    capsys):
+    import bpsinv.cli as cli
+
+    computed = []
+    run_compute = cli._run_compute
+
+    def counting(*args):
+        computed.append(args)
+        return run_compute(*args)
+
+    monkeypatch.setattr(cli, "_run_compute", counting)
+
+    def send(surface, c1, *polarization):
+        code, out, _ = run_cli(
+            ["compute", "--surface", surface, "--rank", "2", "--c1", c1,
+             "--qorders", "2", "--format", "json",
+             "--cache-dir", str(tmp_path)] + list(polarization), capsys)
+        assert code == 0
+        return out
+
+    # one J spelled three ways: one computation, byte-identical output
+    outs = [send("hirzebruch:0", "0,1", "--polarization", p)
+            for p in ("13,9", "13, 9", "26/2,9")]
+    assert outs[0] == outs[1] == outs[2]
+    assert len(computed) == 1
+    # a proportional J serializes other m, n, so it keeps its own entry
+    other = send("hirzebruch:0", "0,1", "--polarization", "26,18")
+    assert len(computed) == 2
+    assert json.loads(other)["genfun"]["polarization"] != \
+        json.loads(outs[0])["genfun"]["polarization"]
+    # the plane has no polarization: the option does not split the entry
+    plane = send("p2", "1")
+    assert send("p2", "1", "--polarization", "13,9") == plane
+    assert len(computed) == 3
+    assert len(list(tmp_path.glob("*.json"))) == 3

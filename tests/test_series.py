@@ -1,3 +1,5 @@
+from math import ceil, gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,7 @@ from bpsinv.series import (
     VPoly, WRat, QSeries, SeriesError, NonInvertibleError, WRAT_ONE, WRAT_ZERO,
 )
 
-from oracles import geometric_invert, one_minus_w
+from oracles import RefSeries, geometric_invert, one_minus_w
 
 
 def w(j):
@@ -211,6 +213,11 @@ def _monic_den(x):
     return d.min_exp == 0 and d.coeff(d.max_exp) == 1
 
 
+def _content_form(x):
+    # the rational content p/q: q > 0, gcd(p, q) = 1, and zero is 0/1
+    return x._q > 0 and gcd(x._p, x._q) == 1 and (x._p or x._q == 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(true_wrat(), true_wrat())
 def test_wrat_against_vpoly_oracle(a, b):
@@ -220,17 +227,24 @@ def test_wrat_against_vpoly_oracle(a, b):
     assert prod == WRat(a.num * b.num, a.den * b.den) == b * a
     for x in (a, b, prod, total, a - b, a.conjugate()):
         assert _monic_den(x)
+        assert _content_form(x)
         y = WRat(x.num, x.den)
         assert y == x and hash(y) == hash(x)
+    assert a - a == WRAT_ZERO and _content_form(a - a)
     if a:
         assert _same_value(b / a, b.num * a.den, b.den * a.num)
+        assert _content_form(b / a) and _content_form(a.inverse())
     conj = a.conjugate()
     assert _same_value(conj, a.num.conjugate(), a.den.conjugate())
     for m in (1, 2, 3):
         s = a.substitute(m)
         assert _monic_den(s)
+        assert _content_form(s)
         assert _same_value(s, _subs_plain(a.num, m),
                            _subs_plain(a.den, m))
+    for k in (qq(-3, 4), qq(6), qq(0)):
+        assert _content_form(a.scale(k))
+        assert _same_value(a.scale(k), a.num.scale(k), a.den)
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,6 +253,7 @@ def test_wrat_multicover_against_vpoly_oracle(a, m):
     assert a.is_even_support()
     s = a.substitute(m, multicover=True)
     assert _monic_den(s)
+    assert _content_form(s)
     num, den = _subs_multicover(a.num, m), _subs_multicover(a.den, m)
     assert _same_value(s, num, den)
     assert s == WRat(num, den)
@@ -298,3 +313,70 @@ def test_pow_matches_repeated_multiplication(a, exact, x, n):
     assert power.terms == series.terms
     assert power.cutoff == series.cutoff
     assert x ** n == wrat
+
+
+# -- independent oracle: integer exponents against a rational-keyed series ----
+
+_q_cut = st.one_of(
+    st.none(),
+    st.builds(qq, st.integers(-5, 20), st.just(5)),
+    st.builds(qq, st.integers(-24, 96), st.just(24)))
+
+
+@st.composite
+def grid_series(draw, near=None):
+    """(QSeries, RefSeries) from the same terms: exponents with denominators
+    1, 2, 3, 4, 8 and 24, often a negative leading exponent, zero
+    coefficients that must be dropped, and an exact input or a cutoff in
+    steps of 1/5 or 1/24.  For its own cutoff and for ``near`` it adds the
+    largest exponent on the 1/24 grid below the cutoff (kept) and the cutoff
+    itself when on the grid (dropped)."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        den = draw(st.sampled_from([1, 2, 3, 4, 8, 24]))
+        terms[qq(draw(st.integers(-den, 3 * den)), den)] = draw(small_wrat())
+    cut = draw(_q_cut)
+    for c in (cut, near):
+        if c is not None:
+            below = qq(ceil(24 * c) - 1, 24)
+            terms[below] = draw(small_wrat(allow_zero=False))
+            if (24 * c).denominator == 1:
+                terms[c] = draw(small_wrat(allow_zero=False))
+    return QSeries(terms, cut), RefSeries(terms, cut)
+
+
+def _same(got, ref):
+    assert got.terms == ref.terms
+    assert got.cutoff == ref.cutoff
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _q_cut, st.integers(1, 3),
+       st.builds(qq, st.integers(-24, 24), st.sampled_from([1, 3, 8, 24])))
+def test_qseries_against_rational_reference(data, cut, m, de):
+    a, ra = data.draw(grid_series(cut))
+    b, rb = data.draw(grid_series(cut))
+    _same(a, ra)
+    _same(a + b, ra + rb)
+    _same(a - b, ra + RefSeries({e: -c for e, c in rb.terms.items()},
+                                rb.cutoff))
+    _same(a * b, ra * rb)
+    _same(a.truncate(cut), ra.truncate(cut) if cut is not None else ra)
+    _same(a.shift_q(de), ra.shift_q(de))
+    _same(a.substitute(m), ra.substitute(m))
+    if all(c.is_even_support() for c in a.terms.values()):
+        _same(a.substitute(m, True), ra.substitute(m, True))
+    assert [a.coeff(e) for e in a.support()] == \
+        [ra.terms[e] for e in sorted(ra.terms)]
+    for other, rother in ((b, rb), (a.truncate(cut), ra), (a + b, ra + rb)):
+        assert a.eq_to_cutoff(other, cut) == ra.eq_to_cutoff(rother, cut)
+    if a.is_zero():
+        return
+    arg = None if cut is None else min(cut, qq(2))
+    try:
+        expect = ra.invert(arg)
+    except NonInvertibleError:
+        with pytest.raises(NonInvertibleError):
+            a.invert(arg)
+        return
+    _same(a.invert(arg), expect)
