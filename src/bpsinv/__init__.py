@@ -9,6 +9,7 @@ from .compute import (
     default_cutoff, p2_omega_genfun, p2_table, sigma_genfun,
     sigma_omega_genfun, sigma_table,
 )
+from .memo import clear_caches
 
 __version__ = "0.1.0"
 
@@ -17,5 +18,5 @@ __all__ = [
     "SUITABLE", "Flavor", "GenFun",
     "InvariantTable", "extract_table", "default_cutoff", "p2_genfun",
     "p2_omega_genfun", "p2_table", "sigma_genfun", "sigma_omega_genfun",
-    "sigma_table",
+    "sigma_table", "clear_caches",
 ]

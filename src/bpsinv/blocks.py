@@ -10,11 +10,10 @@ and eta with total phase +1; coefficients stay rational throughout, which the
 constructors assert implicitly by living in WRat.
 """
 
-from functools import lru_cache
-
 from .exactq import qq, is_integral
 from .geometry import Surface
 from .invariants import GenFun, Flavor
+from .memo import memo
 from .series import QSeries, VPoly, WRat, SeriesError
 
 __all__ = [
@@ -23,10 +22,9 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@memo
 def eta_series(cutoff) -> QSeries:
     """Dedekind eta: q^(1/24) prod (1 - q^n), expanded below the cutoff."""
-    cutoff = qq(cutoff)
     if cutoff <= qq(1, 24):
         raise SeriesError("eta cutoff must exceed 1/24")
     prod = QSeries.one(cutoff - qq(1, 24))
@@ -37,9 +35,11 @@ def eta_series(cutoff) -> QSeries:
     return prod.shift_q(qq(1, 24))
 
 
-@lru_cache(maxsize=None)
-def _theta_hat_series(k, cutoff) -> QSeries:
-    cutoff = qq(cutoff)
+@memo
+def theta_hat(k, cutoff) -> QSeries:
+    k = int(k)
+    if k < 1:
+        raise SeriesError("theta_hat requires k >= 1")
     body_cut = cutoff - qq(1, 8)
     out = QSeries({0: WRat(VPoly({2 * k: 1, -2 * k: -1}))}, body_cut)
     n = 1
@@ -50,26 +50,20 @@ def _theta_hat_series(k, cutoff) -> QSeries:
     return out.shift_q(qq(1, 8))
 
 
-def theta_hat(k, cutoff) -> QSeries:
-    k = int(k)
-    if k < 1:
-        raise SeriesError("theta_hat requires k >= 1")
-    return _theta_hat_series(k, qq(cutoff))
-
-
-@lru_cache(maxsize=None)
+@memo
 def rank1_genfun(surface: Surface, cutoff) -> GenFun:
     """h_{1,c1} = 1/(theta_hat(1) eta^(b2-1)); independent of c1 and J."""
-    cutoff = qq(cutoff)
-    den = _theta_hat_series(1, cutoff + 2)
+    # den at c keeps c + (b2-1)/24, 1/den that minus 2 lead(den) = (b2+2)/12
+    pad = qq(surface.b2 + 5, 24)
+    den = theta_hat(1, cutoff + pad)
     if surface.b2 > 1:
-        den = den * eta_series(cutoff + 2) ** (surface.b2 - 1)
+        den = den * eta_series(cutoff + pad) ** (surface.b2 - 1)
     series = den.invert().truncate(cutoff)
     return GenFun(surface=surface, r=1, c1=surface.zero_class(), J=None,
                   flavor=Flavor.OMEGA_BAR, series=series)
 
 
-@lru_cache(maxsize=None)
+@memo
 def fibre_product_genfun(r, c1, ell, cutoff) -> GenFun:
     """Stack generating function for sheaves with semi-stable fibre
     restriction: eta^(2r-3) / (theta_hat(1)^2 ... theta_hat(r-1)^2 theta_hat(r)),
@@ -79,22 +73,21 @@ def fibre_product_genfun(r, c1, ell, cutoff) -> GenFun:
         raise SeriesError("fibre product requires r >= 1")
     surface = Surface.hirzebruch(ell)
     c1 = tuple(int(x) for x in c1)
-    cutoff = qq(cutoff)
     if r > 1 and c1[0] % r != 0:
         return GenFun(surface=surface, r=r, c1=c1, J=None,
                       flavor=Flavor.STACK, series=QSeries.zero(cutoff))
-    pad = qq(2 * r)  # generous slack for the negative leading exponent
-    den = _theta_hat_series(r, cutoff + pad)
+    # den at c keeps c + (r-1)/4, 1/den c - r/4, times eta^(2r-3) c-(4r+3)/24
+    pad = qq(4 * r + 3, 24)
+    den = theta_hat(r, cutoff + pad)
     for j in range(1, r):
-        den = den * _theta_hat_series(j, cutoff + pad) ** 2
-    num = eta_series(cutoff + pad) ** (2 * r - 3) if r >= 2 else \
-        eta_series(cutoff + pad).invert()
+        den = den * theta_hat(j, cutoff + pad) ** 2
+    num = eta_series(cutoff + pad) ** (2 * r - 3)
     series = (num * den.invert()).truncate(cutoff)
     return GenFun(surface=surface, r=r, c1=c1, J=None,
                   flavor=Flavor.STACK, series=series)
 
 
-@lru_cache(maxsize=None)
+@memo
 def blowup_factor(r, k, cutoff) -> QSeries:
     """B_{r,k} = eta^-r sum over (a_1..a_r), sum a_i = 0, a_i in Z + k/r, of
     q^(-sum_{i<j} a_i a_j) w^(sum_{i<j} (a_i - a_j)).
@@ -105,8 +98,8 @@ def blowup_factor(r, k, cutoff) -> QSeries:
     on the sum-zero lattice, so points outside a finite ball exceed the
     cutoff."""
     r, k = int(r), int(k) % int(r)
-    cutoff = qq(cutoff)
-    eta_inv = (eta_series(cutoff + r + 2) ** r).invert()
+    # eta^-r at c keeps c + (r-1)/24 - r/12; the lattice sum starts at q^>=0
+    eta_inv = (eta_series(cutoff + qq(r + 1, 24)) ** r).invert()
     lead = eta_inv.leading_exponent()
     theta_cut = cutoff - lead
     shift = qq(k, r)

@@ -13,16 +13,16 @@ Step (3) reverses step (1) on the plane, where equal-slope splittings are the
 only corrections (b2 = 1).
 """
 
-from functools import lru_cache
 from math import factorial, isqrt
 
 from .exactq import qq
 from .blocks import blowup_factor, rank1_genfun
 from .geometry import (
-    NEAR_PULLBACK, PULLBACK_H, Surface, filtration_qshift,
+    NEAR_PULLBACK, PULLBACK_H, Surface, filtration_qshift, piece_cutoff,
 )
 from .hn import _compositions
 from .invariants import Flavor, GenFun, InvariantError
+from .memo import memo
 from .series import QSeries, WRat
 from .wallcross import _weight_of_sequence, genfun_at_polarization
 
@@ -39,7 +39,7 @@ class BlowupError(InvariantError):
     pass
 
 
-@lru_cache(maxsize=None)
+@memo
 def gieseker_to_mu(r, c1, cutoff):
     """H^mu_{r,c1}(J_{1,0}) on the blown-up plane from the J_{1,eps} chamber
     functions: sum over tuples of pieces (r_i, x_i C + y_i f) with all
@@ -47,12 +47,11 @@ def gieseker_to_mu(r, c1, cutoff):
     1/prod(run)!, w^(-sum r_i r_j (mu_j - mu_i).K) and the filtration
     q-shift."""
     r = int(r)
-    cutoff = qq(cutoff)
     X, Y = int(c1[0]), int(c1[1])
     if r > 3:
         raise BlowupError("mu-stack conversion covers r <= 3 only")
-    pad = qq(1)
-    bound = cutoff + pad + qq(r, 6)
+    # q-shifts (>= 0, Hodge index) multiply pieces of total lead -r/6
+    bound = cutoff + qq(r, 6)
     # tuples with the same multiset of piece functions share their product,
     # so the monomial weights are summed per multiset and multiplied once
     weights = {}
@@ -85,7 +84,8 @@ def gieseker_to_mu(r, c1, cutoff):
     for pieces, prod in weights.items():
         for ri, x, y in pieces:
             prod = prod * genfun_at_polarization(
-                ri, (x, y), 1, NEAR_PULLBACK, cutoff + pad).series
+                ri, (x, y), 1, NEAR_PULLBACK,
+                piece_cutoff(cutoff, r, ri, SIGMA1)).series
         total = total + prod
     return GenFun(surface=SIGMA1, r=r, c1=(X, Y), J=PULLBACK_H,
                   flavor=Flavor.STACK_MU, series=total.truncate(cutoff))
@@ -114,16 +114,16 @@ def _slope_tuples(ranks, X, S):
     yield from rec([], 0, X)
 
 
-def blowup_divide(hmu, r, k, cutoff=None):
+def blowup_divide(hmu, r, k, cutoff):
     """Divide a mu-stack series on the blown-up plane by B_{r,k}; the result
     lives on the plane.  All coefficients must keep integer w-support."""
     if hmu.flavor != Flavor.STACK_MU:
         raise BlowupError("blow-up division needs a STACK_MU input")
-    if cutoff is None:
-        cutoff = hmu.series.cutoff
     r = int(r)
     k = int(k) % r
-    B = blowup_factor(r, k, qq(cutoff) + 1)
+    # hmu (lead -r/6) / B keeps B's cutoff - 2 lead(B) - r/6, and hmu's
+    # cutoff - lead(B), which is the caller's to supply
+    B = blowup_factor(r, k, cutoff + 2 * _lead_of_B(r, k) + qq(r, 6))
     quotient = hmu.series * B.invert()
     for c in quotient.terms.values():
         if not c.is_even_support():
@@ -133,15 +133,18 @@ def blowup_divide(hmu, r, k, cutoff=None):
                   flavor=Flavor.STACK_MU, series=quotient.truncate(cutoff))
 
 
-def mu_to_gieseker(hmu_p2, r, x, cutoff=None):
+def _lead_of_B(r, k):
+    """B_{r,k} leads with q^(k(r-k)/(2r) - r/24): eta^-r times the shortest
+    vector of the shifted lattice, k entries (k-r)/r and r-k entries k/r."""
+    return qq(k * (r - k), 2 * r) - qq(r, 24)
+
+
+def mu_to_gieseker(hmu_p2, r, x, cutoff):
     """Reverse step (1) on the plane: subtract the equal-slope stacky
     products of lower-rank plane functions (1/prod k!) h^k...; the identity
     for classes with gcd(r, c1.H) = 1."""
     if hmu_p2.surface != P2:
         raise BlowupError("step (3) applies on the plane")
-    if cutoff is None:
-        cutoff = hmu_p2.series.cutoff
-    cutoff = qq(cutoff)
     r = int(r)
     x = int(x)
     series = hmu_p2.series
@@ -158,7 +161,8 @@ def mu_to_gieseker(hmu_p2, r, x, cutoff=None):
             coeff /= factorial(c)
         prod = QSeries({0: WRat.from_rational(coeff)})
         for ri in ranks:
-            prod = prod * p2_genfun(ri, (ri * x // r) % ri, cutoff + 1).series
+            prod = prod * p2_genfun(ri, (ri * x // r) % ri,
+                                    piece_cutoff(cutoff, r, ri, P2)).series
         series = series - prod
     return GenFun(surface=P2, r=r, c1=(x % r,), J=None,
                   flavor=Flavor.OMEGA_BAR, series=series.truncate(cutoff))
@@ -179,7 +183,7 @@ def _multisets(n):
     return out
 
 
-@lru_cache(maxsize=None)
+@memo
 def p2_genfun(r, x, cutoff, route_k=None):
     """h_{r,xH}(z,tau; P^2), rational multi-cover flavor, by wall-crossing to
     the J_{1,eps} chamber, the mu-stack conversion, blow-up division, and the
@@ -187,7 +191,6 @@ def p2_genfun(r, x, cutoff, route_k=None):
     blown-up-plane route; the default makes the Sigma_1 class (x-k)C + xf
     carry C-coefficient x-1."""
     r = int(r)
-    cutoff = qq(cutoff)
     x = int(x) % r
     if r == 1:
         return GenFun(surface=P2, r=1, c1=(0,), J=None,
@@ -197,7 +200,7 @@ def p2_genfun(r, x, cutoff, route_k=None):
         raise BlowupError("plane pipeline covers r <= 3 only")
     k = (x - 1) % r if route_k is None else int(route_k) % r
     c1_sigma = (x - k, x)
-    hmu = gieseker_to_mu(r, c1_sigma, cutoff + 1)
-    hmu_p2 = blowup_divide(hmu, r, k, cutoff + qq(1, 2))
+    hmu = gieseker_to_mu(r, c1_sigma, cutoff + _lead_of_B(r, k))
+    hmu_p2 = blowup_divide(hmu, r, k, cutoff)
     return mu_to_gieseker(hmu_p2, r, x, cutoff)
 

@@ -31,6 +31,11 @@ class InputError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a JSON error and exit 2, not usage text
+        raise InputError(message)
+
+
 def _parse_surface(text):
     if text == "p2":
         return Surface.p2()
@@ -231,7 +236,7 @@ def cmd_check(args):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bpsinv",
         description="Exact BPS-invariant generating functions for sheaves on "
                     "Hirzebruch surfaces and the projective plane")
@@ -257,8 +262,8 @@ def main(argv=None):
     pk.add_argument("--format", choices=["json", "text"], default="text")
     pk.set_defaults(func=cmd_check)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (InputError, GeometryError, InvariantError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

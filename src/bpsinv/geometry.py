@@ -12,7 +12,7 @@ from .exactq import qq, is_integral
 __all__ = [
     "Surface", "ChernVector", "EpsRational", "Polarization", "GeometryError",
     "discriminant", "filtration_qshift", "expected_dimension", "twist_reduce",
-    "walls_between",
+    "walls_between", "piece_cutoff",
 ]
 
 
@@ -124,6 +124,13 @@ def discriminant(gamma, surface):
     """Delta = (c2 - (r-1)/(2r) c1^2) / r = mu^2/2 - ch2/r."""
     mu = gamma.mu()
     return qq(surface.intersect(mu, mu), 2) - gamma.ch2 / qq(gamma.r)
+
+
+def piece_cutoff(cutoff, r, ri, surface):
+    """The cutoff a rank-ri factor needs in a rank-r product wanted below
+    cutoff: rank-s functions lead with q^(-s chi/24), so the other factors
+    lead with q^(-(r - ri) chi/24) together."""
+    return cutoff + qq((r - ri) * surface.chi_top, 24)
 
 
 def filtration_qshift(rank_mu_seq, surface):

@@ -14,14 +14,14 @@ over rank compositions with explicit w-weights built from the sawtooth sum M.
 Both return the rational multi-cover flavor; they must agree identically.
 """
 
-from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial, gcd
 
 from .exactq import qq, qfrac, is_integral
 from .blocks import fibre_product_genfun
-from .geometry import Surface, SUITABLE, GeometryError
+from .geometry import Surface, SUITABLE, GeometryError, piece_cutoff
 from .invariants import Flavor, GenFun
+from .memo import memo
 from .series import QSeries, WRat
 
 __all__ = [
@@ -108,7 +108,7 @@ def _phi_choices(block):
     return [qq(c, g) for c in range(g)]
 
 
-@lru_cache(maxsize=None)
+@memo
 def subtraction_terms(r, alpha):
     """Aggregated extended-HN subtraction weights at the suitable chamber for
     target c1 = alpha f, keyed by the multiset of pieces (rank, f-residue).
@@ -150,25 +150,23 @@ def _reduce_to_fibre_class(r, c1):
     return (c1[0] % r, c1[1] % r)
 
 
-@lru_cache(maxsize=None)
+@memo
 def suitable_genfun_recursive(r, c1, ell, cutoff):
     """h_{r,c1}(J_{eps,1}) on Sigma_ell by extended-HN subtraction from the
     fibre product formula; zero when c1.f is nonzero mod r."""
     r = int(r)
-    cutoff = qq(cutoff)
     surface = Surface.hirzebruch(ell)
     beta, alpha = _reduce_to_fibre_class(r, tuple(c1))
     tag = dict(surface=surface, r=r, c1=(beta, alpha), J=SUITABLE,
                flavor=Flavor.OMEGA_BAR)
     if beta != 0:
         return GenFun(series=QSeries.zero(cutoff), **tag)
-    pad = qq(1)
-    total = fibre_product_genfun(r, (0, alpha), ell, cutoff + pad).series
+    total = fibre_product_genfun(r, (0, alpha), ell, cutoff).series
     for pieces, weight in subtraction_terms(r, alpha).items():
         prod = QSeries({0: weight})
         for (ri, ai) in pieces:
             prod = prod * suitable_genfun_recursive(
-                ri, (0, ai), ell, cutoff + pad).series
+                ri, (0, ai), ell, piece_cutoff(cutoff, r, ri, surface)).series
         total = total - prod
     return GenFun(series=total.truncate(cutoff), **tag)
 
@@ -180,6 +178,7 @@ def suitable_genfun_recursive(r, c1, ell, cutoff):
 def _inner_tower(R, lam, ell, cutoff):
     """sum over compositions rho of R of w^(2 M(rho, lam)) /
     prod_j (1 - w^(2(rho_j + rho_{j+1}))) * prod_j H_{rho_j, 0}."""
+    surface = Surface.hirzebruch(ell)
     out = QSeries.zero(cutoff)
     for rho in _compositions(R):
         weight = WRat.w_power(2 * M(rho, lam))
@@ -188,30 +187,30 @@ def _inner_tower(R, lam, ell, cutoff):
                                - WRat.w_power(2 * (a + b)))
         prod = QSeries({0: weight})
         for rj in rho:
-            prod = prod * fibre_product_genfun(rj, (0, 0), ell, cutoff).series
+            prod = prod * fibre_product_genfun(
+                rj, (0, 0), ell, piece_cutoff(cutoff, R, rj, surface)).series
         out = out + prod
     return out
 
 
-@lru_cache(maxsize=None)
+@memo
 def suitable_genfun_closed(r, a, ell, cutoff):
     """h_{r,-af}(J_{eps,1}) by the solved recursion: a sum over splittings
     into equal-slope parts (r_i, a_i = r_i a/r) with coefficients
     (-1)^(m-1)/m of products of strict-slope towers."""
     r = int(r)
     a = int(a) % r
-    cutoff = qq(cutoff)
     surface = Surface.hirzebruch(ell)
     lam = qq(a, r)
-    pad = qq(1)
-    total = QSeries.zero(cutoff + pad)
+    total = QSeries.zero(cutoff)
     for ranks in _compositions(r):
         if any((ri * a) % r for ri in ranks):
             continue
         m = len(ranks)
         prod = QSeries({0: WRat.from_rational(qq((-1) ** (m - 1), m))})
         for ri in ranks:
-            prod = prod * _inner_tower(ri, lam, ell, cutoff + pad)
+            prod = prod * _inner_tower(
+                ri, lam, ell, piece_cutoff(cutoff, r, ri, surface))
         total = total + prod
     alpha = (-a) % r
     return GenFun(surface=surface, r=r, c1=(0, alpha), J=SUITABLE,

@@ -581,16 +581,16 @@ class QSeries:
 
     def __add__(self, other):
         cut = self._merge_cut(other)
-        t = dict(self._t)
+        cap = _cap(cut)
+        t = {E: c for E, c in self._t.items() if cap is None or E < cap}
         for E, c in other._t.items():
+            if cap is not None and E >= cap:
+                continue
             s = t.get(E, WRAT_ZERO) + c
             if s.is_zero():
                 t.pop(E, None)
             else:
                 t[E] = s
-        cap = _cap(cut)
-        if cap is not None:
-            t = {E: c for E, c in t.items() if E < cap}
         return _qseries(t, cut)
 
     def __neg__(self):

@@ -17,17 +17,17 @@ Two independent routes:
   into the rank-3 delta.
 """
 
-from functools import lru_cache
 from math import isqrt
 
 from .exactq import qq, qfloor, is_integral
 from .blocks import rank1_genfun
 from .geometry import (
     ChernVector, EpsRational, GeometryError, Polarization, SUITABLE, Surface,
-    filtration_qshift, walls_between,
+    filtration_qshift, piece_cutoff, walls_between,
 )
 from .hn import suitable_genfun_recursive
 from .invariants import Flavor, GenFun
+from .memo import memo
 from .series import QSeries, WRat
 
 __all__ = ["WallError", "genfun_at_polarization", "genfun_by_wall_march"]
@@ -38,10 +38,10 @@ class WallError(GeometryError):
 
 
 def _h1(ell, cutoff):
-    return rank1_genfun(Surface.hirzebruch(ell), qq(cutoff)).series
+    return rank1_genfun(Surface.hirzebruch(ell), cutoff).series
 
 
-@lru_cache(maxsize=None)
+@memo
 def _h1_squared(ell, cutoff):
     """h1^2, shared by every rank-2 window sum and wall march at the cutoff."""
     return _h1(ell, cutoff) ** 2
@@ -51,14 +51,13 @@ def _h1_squared(ell, cutoff):
 # Closed-form route
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@memo
 def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
     """h_{r,c1}(z,tau; Sigma_ell, J) for r <= 3 via the closed window sums.
 
     J must lie off every wall active below the cutoff; an exact sign tie
     raises WallError unless the internal suitable-side tiebreak is on."""
     r = int(r)
-    cutoff = qq(cutoff)
     surface = Surface.hirzebruch(ell)
     beta, alpha = (c1[0] % r, c1[1] % r)
     tag = dict(surface=surface, r=r, c1=(beta, alpha), J=J,
@@ -67,12 +66,13 @@ def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
         return GenFun(series=_h1(ell, cutoff), **tag)
     if r > 3:
         raise WallError("closed wall-crossing forms cover r <= 3 only")
-    base = suitable_genfun_recursive(r, (beta, alpha), ell, cutoff + 1).series
+    base = suitable_genfun_recursive(r, (beta, alpha), ell, cutoff).series
     if J == SUITABLE:
-        return GenFun(series=base.truncate(cutoff), **tag)
+        return GenFun(series=base, **tag)
     if J.is_boundary:
         raise WallError("polarization on wall")
-    Ebound = cutoff + qq(1, 2)
+    # window terms q^E multiply h1^2 or h1 h2 (lead -r/6): E < cutoff + r/6
+    Ebound = cutoff + qq(r, 6)
     # the displayed sums are written for the class beta C - alpha_f f
     af = (-alpha) % r
     # every window term carries the factor h1^2 (r = 2) or h1 (r = 3): the
@@ -85,7 +85,7 @@ def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
             E = qq(ell * x * x, 4) + qq(x * y, 2)
             coeff = (WRat.w_power(-X) - WRat.w_power(X)).scale(qq(s1 - s2, 4))
             window = window + QSeries({E: coeff})
-        factor = _h1_squared(ell, cutoff + 1)
+        factor = _h1_squared(ell, piece_cutoff(cutoff, 2, 1, surface))
     else:
         for x, y, s1, s2 in _window(3, beta, af, ell, J, Ebound,
                                     _tiebreak_suitable):
@@ -95,11 +95,12 @@ def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
             a = (y + 2 * af) // 3
             h2 = genfun_at_polarization(
                 2, (b % 2, (-a) % 2), ell,
-                Polarization.generic(abs(x), abs(y)), cutoff + 1,
+                Polarization.generic(abs(x), abs(y)),
+                piece_cutoff(cutoff, 3, 2, surface),
                 _tiebreak_suitable=True).series
             coeff = (WRat.w_power(-X) - WRat.w_power(X)).scale(qq(s1 - s2, 2))
             window = window + h2 * QSeries({E: coeff})
-        factor = _h1(ell, cutoff + 1)
+        factor = _h1(ell, piece_cutoff(cutoff, 3, 1, surface))
     total = base + factor * window
     return GenFun(series=total.truncate(cutoff), **tag)
 
@@ -293,7 +294,6 @@ def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
     """h_{r,c1}(Sigma_ell, J_target) by iterating the two-sided filtration
     delta across every wall between the suitable chamber and the target."""
     r = int(r)
-    cutoff = qq(cutoff)
     surface = Surface.hirzebruch(ell)
     beta, alpha = (c1[0] % r, c1[1] % r)
     tag = dict(surface=surface, r=r, c1=(beta, alpha), J=J_target,
@@ -302,17 +302,17 @@ def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
         return GenFun(series=_h1(ell, cutoff), **tag)
     if r > 3:
         raise WallError("wall marching covers r <= 3 only")
-    pad = qq(1)
-    h1 = _h1(ell, cutoff + pad)
-    h1sq = _h1_squared(ell, cutoff + pad)
+    # delta terms q^shift multiply pieces of lead -r/6: shift < cutoff + r/6
+    h1 = _h1(ell, piece_cutoff(cutoff, r, 1, surface))
+    h1sq = _h1_squared(ell, piece_cutoff(cutoff, r, 1, surface))
     h1cube = h1 * h1sq if r == 3 else None
-    bound = cutoff + pad
+    bound = cutoff + qq(r, 6)
     dummy = ChernVector.from_c2(r, (beta, alpha), 0, surface)
-    wall_list = walls_between(dummy, surface, bound + 1)
-    state2 = {key: suitable_genfun_recursive(2, key, ell, cutoff + pad).series
-              for key in [(0, 0), (0, 1), (1, 0), (1, 1)]}
-    target = suitable_genfun_recursive(r, (beta, alpha), ell,
-                                       cutoff + pad).series
+    wall_list = walls_between(dummy, surface, bound)
+    state2 = {key: suitable_genfun_recursive(
+        2, key, ell, piece_cutoff(cutoff, r, 2, surface)).series
+        for key in [(0, 0), (0, 1), (1, 0), (1, 1)]}
+    target = suitable_genfun_recursive(r, (beta, alpha), ell, cutoff).series
     for slope, omega in wall_list:
         if not _wall_is_crossed(slope, J_target):
             continue

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -226,3 +229,51 @@ def test_polarization_spellings_share_a_cache_entry(tmp_path, monkeypatch,
     assert send("p2", "1", "--polarization", "13,9") == plane
     assert len(computed) == 3
     assert len(list(tmp_path.glob("*.json"))) == 3
+
+
+def test_parser_errors_are_json_with_exit_2(capsys):
+    # argparse reads "-2,2" after --c1 as an option; --c1=-2,2 is the spelling
+    for args in (["--c1", "-2,2"], ["--c1", "0,0", "--rank", "x"]):
+        code, out, err = run_cli(
+            ["compute", "--surface", "hirzebruch:1", "--rank", "2"] + args,
+            capsys)
+        assert code == 2 and out == ""
+        assert "error" in json.loads(err)
+    code, _, _ = run_cli(["compute", "--surface", "hirzebruch:1", "--rank",
+                          "2", "--c1=-2,2", "--qorders", "1"], capsys)
+    assert code == 0
+
+
+@st.composite
+def cli_requests(draw):
+    surface = draw(st.sampled_from(
+        ["p2"] + ["hirzebruch:%d" % ell for ell in range(4)]))
+    c1 = ",".join(str(draw(st.integers(-3, 3)))
+                  for _ in range(1 if surface == "p2" else 2))
+    argv = ["compute", "--surface", surface,
+            "--rank", str(draw(st.integers(1, 5))),
+            "--qorders", str(draw(st.integers(1, 2)))]
+    argv += draw(st.sampled_from([["--c1", c1], ["--c1=" + c1]]))
+    m = draw(st.integers(-2, 30))
+    n = draw(st.one_of(st.integers(-2, 30).map(str),
+                       st.tuples(st.integers(-5, 40), st.integers(1, 7)).map(
+                           lambda t: "%d/%d" % t)))
+    polarization = draw(st.sampled_from(
+        [None, "suitable", "%d,%s" % (m, n)]))
+    if polarization is not None:
+        argv += draw(st.sampled_from([["--polarization", polarization],
+                                      ["--polarization=" + polarization]]))
+    return argv + ["--format", draw(st.sampled_from(["json", "csv", "text"]))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(cli_requests())
+def test_every_cli_input_ends_in_a_known_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as cache_dir:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--cache-dir", cache_dir])
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code:
+        assert isinstance(json.loads(err.getvalue()), dict), argv
