@@ -5,26 +5,26 @@ virtual count of the mu-semi-stable stack at the boundary polarization
 J_{1,0} = pullback of the hyperplane class.  The stack sum and the stacky
 factorials combine into a single sum over tuples of pieces with equal
 mu-slope (equal f-degree per rank) ordered by the J_{1,eps} refinement;
-equal-slope runs contribute Boltzmann factors 1/g!.
+equal-slope runs contribute Boltzmann factors 1/g!.  Those slopes lie on the
+line c1/r + Q C, so the sum is ``wallcross.line_filtrations`` along C.
 
 Step (2) divides by the blow-up factor, landing on the plane.
 
 Step (3) reverses step (1) on the plane, where equal-slope splittings are the
-only corrections (b2 = 1).
+only corrections (b2 = 1): each multiset of ranks enters with
+1/prod(multiplicity!), the sum of 1/len! over its orderings.
 """
 
-from math import factorial, isqrt
+from math import factorial
 
 from .exactq import qq
 from .blocks import blowup_factor, rank1_genfun
-from .geometry import (
-    NEAR_PULLBACK, PULLBACK_H, Surface, filtration_qshift, piece_cutoff,
-)
+from .geometry import NEAR_PULLBACK, PULLBACK_H, Surface, piece_cutoff
 from .hn import _compositions
 from .invariants import Flavor, GenFun, InvariantError
 from .memo import memo
 from .series import QSeries, WRat
-from .wallcross import _weight_of_sequence, genfun_at_polarization
+from .wallcross import genfun_at_polarization, line_filtrations
 
 __all__ = [
     "BlowupError", "gieseker_to_mu", "blowup_divide", "mu_to_gieseker",
@@ -42,76 +42,24 @@ class BlowupError(InvariantError):
 @memo
 def gieseker_to_mu(r, c1, cutoff):
     """H^mu_{r,c1}(J_{1,0}) on the blown-up plane from the J_{1,eps} chamber
-    functions: sum over tuples of pieces (r_i, x_i C + y_i f) with all
-    y_i/r_i = y/r, ordered by weakly decreasing x_i/r_i, weighted by
-    1/prod(run)!, w^(-sum r_i r_j (mu_j - mu_i).K) and the filtration
-    q-shift."""
+    functions: the filtration sum along the line c1/r + Q C, pieces of equal
+    f-degree per rank ordered by weakly decreasing C-degree per rank."""
     r = int(r)
     X, Y = int(c1[0]), int(c1[1])
     if r > 3:
         raise BlowupError("mu-stack conversion covers r <= 3 only")
-    # q-shifts (>= 0, Hodge index) multiply pieces of total lead -r/6
-    bound = cutoff + qq(r, 6)
-    # tuples with the same multiset of piece functions share their product,
-    # so the monomial weights are summed per multiset and multiplied once
-    weights = {}
-    S = isqrt(int(2 * r * bound)) + 2
-    for ranks in _compositions(r):
-        if any((ri * Y) % r for ri in ranks):
-            continue
-        ys = [ri * Y // r for ri in ranks]
-        for xs in _slope_tuples(ranks, X, S):
-            slots = [(ri, (qq(x, ri), qq(y, ri)))
-                     for ri, x, y in zip(ranks, xs, ys)]
-            shift = filtration_qshift(slots, SIGMA1)
-            if shift > bound:
-                continue
-            aut = qq(1)
-            run = 1
-            for i in range(1, len(ranks)):
-                if xs[i] * ranks[i - 1] == xs[i - 1] * ranks[i]:
-                    run += 1
-                else:
-                    aut /= factorial(run)
-                    run = 1
-            aut /= factorial(run)
-            weight = QSeries(
-                {shift: _weight_of_sequence(slots, SIGMA1).scale(aut)})
-            pieces = tuple(sorted((ri, x % ri, y % ri)
-                                  for ri, x, y in zip(ranks, xs, ys)))
-            weights[pieces] = weights.get(pieces, QSeries.zero(None)) + weight
+    # q-shifts (>= 0, Hodge index) multiply pieces of total lead -r/6; tuples
+    # with the same multiset of piece functions share their product
+    weights = line_filtrations(r, (X, Y), (1, 0), SIGMA1, cutoff + qq(r, 6))
     total = QSeries.zero(None)
     for pieces, prod in weights.items():
-        for ri, x, y in pieces:
+        for ri, ci in pieces:
             prod = prod * genfun_at_polarization(
-                ri, (x, y), 1, NEAR_PULLBACK,
+                ri, ci, 1, NEAR_PULLBACK,
                 piece_cutoff(cutoff, r, ri, SIGMA1)).series
         total = total + prod
     return GenFun(surface=SIGMA1, r=r, c1=(X, Y), J=PULLBACK_H,
                   flavor=Flavor.STACK_MU, series=total.truncate(cutoff))
-
-
-def _slope_tuples(ranks, X, S):
-    """Integer tuples (x_i) with sum X and x_i/r_i weakly decreasing, every
-    slope within S of the mean X/R, R = sum r_i (pairs further apart exceed
-    the q-shift bound that produced S).  In integers: x_i starts at
-    floor((X - S R) r_i / R) and runs while x_i R <= (X + S R) r_i, and
-    x_i/r_i <= x_(i-1)/r_(i-1) is x_i r_(i-1) <= x_(i-1) r_i."""
-    R = sum(ranks)
-    lo, hi = X - S * R, X + S * R
-
-    def rec(prefix, i, remaining_X):
-        ri = ranks[i]
-        x = lo * ri // R
-        while x * R <= hi * ri:
-            if not prefix or x * ranks[i - 1] <= prefix[-1] * ri:
-                if i + 1 < len(ranks):
-                    yield from rec(prefix + [x], i + 1, remaining_X - x)
-                elif x == remaining_X:
-                    yield tuple(prefix + [x])
-            x += 1
-
-    yield from rec([], 0, X)
 
 
 def blowup_divide(hmu, r, k, cutoff):
@@ -147,40 +95,21 @@ def mu_to_gieseker(hmu_p2, r, x, cutoff):
         raise BlowupError("step (3) applies on the plane")
     r = int(r)
     x = int(x)
+    # the orderings of a rank multiset add up to 1/prod(multiplicity!)
+    coeffs = {}
+    for ranks in _compositions(r):
+        if len(ranks) > 1 and not any((ri * x) % r for ri in ranks):
+            key = tuple(sorted(ranks, reverse=True))
+            coeffs[key] = coeffs.get(key, 0) + qq(1, factorial(len(ranks)))
     series = hmu_p2.series
-    for ranks in _multisets(r):
-        if len(ranks) < 2:
-            continue
-        if any((ri * x) % r for ri in ranks):
-            continue
-        counts = {}
-        for ri in ranks:
-            counts[ri] = counts.get(ri, 0) + 1
-        coeff = qq(1)
-        for c in counts.values():
-            coeff /= factorial(c)
-        prod = QSeries({0: WRat.from_rational(coeff)})
+    for ranks in sorted(coeffs, reverse=True):
+        prod = QSeries({0: WRat.from_rational(coeffs[ranks])})
         for ri in ranks:
             prod = prod * p2_genfun(ri, (ri * x // r) % ri,
                                     piece_cutoff(cutoff, r, ri, P2)).series
         series = series - prod
     return GenFun(surface=P2, r=r, c1=(x % r,), J=None,
                   flavor=Flavor.OMEGA_BAR, series=series.truncate(cutoff))
-
-
-def _multisets(n):
-    """Weakly decreasing rank tuples summing to n."""
-    out = []
-
-    def rec(prefix, remaining, maxpart):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(maxpart, remaining), 0, -1):
-            rec(prefix + [p], remaining - p, p)
-
-    rec([], n, n)
-    return out
 
 
 @memo

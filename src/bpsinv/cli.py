@@ -81,7 +81,10 @@ def cmd_compute(args):
         raise InputError("rank must be positive")
     if args.qorders < 1:
         raise InputError("qorders must be positive")
-    cache = ResultCache(args.cache_dir)
+    try:
+        cache = ResultCache(args.cache_dir)
+    except OSError as exc:
+        raise InputError("unusable cache directory: %s" % (exc,))
     # keyed on the parsed polarization: spellings of one J share an entry,
     # and the plane, which has none, ignores the option
     spec = {
@@ -192,7 +195,13 @@ def _suite_table1():
 
 def _suite_routes():
     from .hn import suitable_genfun_closed, suitable_genfun_recursive
+    from .wallcross import genfun_at_polarization, genfun_by_wall_march
     ok = True
+    J = Polarization.generic(13, 9)
+    for r, c1 in ((2, (1, 1)), (3, (1, 2))):
+        closed = genfun_at_polarization(r, c1, 1, J, qq(2))
+        marched = genfun_by_wall_march(r, c1, 1, J, qq(2))
+        ok = ok and closed.series.eq_to_cutoff(marched.series, qq(2))
     for a in range(4):
         closed = suitable_genfun_closed(4, a, 1, qq(2))
         rec = suitable_genfun_recursive(4, (0, (-a) % 4), 1, qq(2))

@@ -11,7 +11,7 @@ from .exactq import qq, is_integral
 
 __all__ = [
     "Surface", "ChernVector", "EpsRational", "Polarization", "GeometryError",
-    "discriminant", "filtration_qshift", "expected_dimension", "twist_reduce",
+    "discriminant", "expected_dimension", "twist_reduce",
     "walls_between", "piece_cutoff",
 ]
 
@@ -74,18 +74,6 @@ class Surface:
         return "hirzebruch:%d" % self.ell if self.rank2 else "p2"
 
 
-def _vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _vscale(k, u):
-    return tuple(qq(k) * a for a in u)
-
-
 # ---------------------------------------------------------------------------
 # Chern vectors
 # ---------------------------------------------------------------------------
@@ -131,29 +119,6 @@ def piece_cutoff(cutoff, r, ri, surface):
     cutoff: rank-s functions lead with q^(-s chi/24), so the other factors
     lead with q^(-(r - ri) chi/24) together."""
     return cutoff + qq((r - ri) * surface.chi_top, 24)
-
-
-def filtration_qshift(rank_mu_seq, surface):
-    """r*Delta(total) - sum_i r_i*Delta_i for an ordered quotient sequence,
-    i.e. the cross-term -(1/2) sum_i R_i R_{i-1}/r_i (mu(F_i)-mu(F_{i-1}))^2.
-
-    Depends only on the ranks and slopes.  Nonnegative whenever consecutive
-    slope differences pair to zero against an ample class (Hodge index)."""
-    shift = qq(0)
-    R_prev = 0
-    c1_prev = None
-    for r_i, mu_i in rank_mu_seq:
-        c1_i = _vscale(r_i, mu_i)
-        if c1_prev is not None:
-            R_i = R_prev + r_i
-            d = _vsub(_vscale(qq(1, R_i), _vadd(c1_prev, c1_i)),
-                      _vscale(qq(1, R_prev), c1_prev))
-            shift -= qq(R_i * R_prev, 2 * r_i) * surface.intersect(d, d)
-            c1_prev = _vadd(c1_prev, c1_i)
-        else:
-            c1_prev = c1_i
-        R_prev += r_i
-    return shift
 
 
 def expected_dimension(gamma, surface):

@@ -11,26 +11,33 @@ Two independent routes:
   function on its wall is the average of the two adjacent chambers.
 
 * ``genfun_by_wall_march``: iterate the two-sided filtration delta wall by
-  wall.  Rank-2 piece functions are carried along the path and updated at
-  their own walls; equal-slope runs carry Boltzmann factors 1/run!, and the
-  run containing a rank-2 piece is what transports that piece's own jump
-  into the rank-3 delta.
+  wall.  One function per class of each lower rank is carried along the
+  path and updated at each wall before the ranks above it; equal-slope runs
+  carry Boltzmann factors 1/run!, and the run containing a rank-2 piece is
+  what transports that piece's own jump into the rank-3 delta.
+
+The delta is the filtration sum along the wall's line of slopes,
+``line_filtrations``, which the mu-stack conversion of ``blowup`` shares.
 """
 
-from math import isqrt
+from itertools import product as iproduct
+from math import isqrt, lcm
 
-from .exactq import qq, qfloor, is_integral
+from .exactq import qq, qfloor
 from .blocks import rank1_genfun
 from .geometry import (
     ChernVector, EpsRational, GeometryError, Polarization, SUITABLE, Surface,
-    filtration_qshift, piece_cutoff, walls_between,
+    piece_cutoff, walls_between,
 )
-from .hn import suitable_genfun_recursive
+from .hn import _compositions, suitable_genfun_recursive
 from .invariants import Flavor, GenFun
 from .memo import memo
 from .series import QSeries, WRat
 
-__all__ = ["WallError", "genfun_at_polarization", "genfun_by_wall_march"]
+__all__ = [
+    "WallError", "genfun_at_polarization", "genfun_by_wall_march",
+    "line_filtrations",
+]
 
 
 class WallError(GeometryError):
@@ -152,131 +159,87 @@ def _scan_start(x, alpha, r, m, n):
 
 
 # ---------------------------------------------------------------------------
-# Iterated wall-by-wall route
+# Filtrations along a line of slopes, and the iterated wall-by-wall route
 # ---------------------------------------------------------------------------
 
-def _weight_of_sequence(slots, surface):
-    """w^( -sum_{i<j} r_i r_j (mu_j - mu_i).K ) for slots [(rank, mu)]."""
-    K = surface.canonical_class()
-    wexp = qq(0)
-    for i in range(len(slots)):
-        for j in range(i + 1, len(slots)):
-            d = tuple(b - a for a, b in zip(slots[i][1], slots[j][1]))
-            wexp -= qq(slots[i][0] * slots[j][0]) * surface.intersect(K, d)
-    return WRat.w_power(wexp)
+def line_filtrations(r, c1, omega, surface, bound, descending=True):
+    """The filtration sum of (r, c1) along the slope line c1/r + Q omega,
+    {sorted pieces ((r_i, c1_i mod r_i), ...): QSeries weight}.
 
-
-def _integral_class(vec):
-    return all(is_integral(v) for v in vec)
-
-
-def _wall_delta_rank2(c1, omega, surface, h1sq, bound):
-    """Series delta of h_{2,c1} across the wall with primitive direction
-    omega, from the high-slope side to the low-slope side:
-    sum_{s>0} (w^(s omega.K) - w^(-s omega.K)) q^(s^2(-omega^2)/4) h1^2,
-    given h1sq = h1^2."""
-    mw2 = -(surface.intersect(omega, omega))
-    K = surface.canonical_class()
-    wK = surface.intersect(omega, K)
-    weights = QSeries.zero(None)
-    s = 0
-    while True:
-        s += 1
-        shift = qq(s * s) * mw2 / 4
-        if shift > bound:
-            break
-        c1a = tuple(qq(c + s * o, 2) for c, o in zip(c1, omega))
-        if not _integral_class(c1a):
+    The ordered pieces are c1_i = (r_i c1 + s_i omega)/r with sum s_i = 0 and
+    slopes s_i/r_i weakly decreasing (increasing unless ``descending``).
+    Since r_i r_j (mu_j - mu_i) = (r_i s_j - r_j s_i) omega/r, a tuple weighs
+    w^(-(omega.K/r) sum_{i<j} (r_i s_j - r_j s_i)) q^shift / prod(run!) over
+    its runs of equal slope, with filtration q-shift
+    (-omega^2)/(2 r^2) sum s_i^2/r_i; shifts above bound are dropped.  omega
+    is primitive, so c1_i is integral for s_i in one residue class mod r, or
+    in none."""
+    mw2 = -int(surface.intersect(omega, omega))
+    wK = int(surface.intersect(omega, surface.canonical_class()))
+    sign = 1 if descending else -1
+    out = {}
+    for ranks in _compositions(r):
+        rhos = [next((s for s in range(r)
+                      if not any((ri * c + s * o) % r
+                                 for c, o in zip(c1, omega))), None)
+                for ri in ranks]
+        if None in rhos:
             continue
-        coeff = WRat.w_power(s * wK) - WRat.w_power(-s * wK)
-        weights = weights + QSeries({shift: coeff})
-    return h1sq * weights
+        # in integers, shift <= bound is mw2 sum s_i^2 P/r_i <= 2 r^2 P bound,
+        # so each s_i^2 <= limit r_i/P
+        P = lcm(*ranks)
+        limit = qfloor(2 * r * r * P * qq(bound) / mw2)
+        boxes = []
+        for ri, rho in zip(ranks, rhos):
+            m = isqrt(max(limit, 0) * ri // P)
+            boxes.append(range(-m + (rho + m) % r, m + 1, r))
+        n = len(ranks)
+        for head in iproduct(*boxes[:-1]):
+            ss = head + (-sum(head),)
+            used = sum(s * s * (P // ri) for ri, s in zip(ranks, ss))
+            if used > limit or ss[-1] not in boxes[-1] or any(
+                    sign * (ss[i - 1] * ranks[i] - ss[i] * ranks[i - 1]) < 0
+                    for i in range(1, n)):
+                continue
+            aut = run = 1
+            for i in range(1, n):
+                tie = ss[i - 1] * ranks[i] == ss[i] * ranks[i - 1]
+                run = run + 1 if tie else 1
+                aut *= run
+            cross = sum(ranks[i] * ss[j] - ranks[j] * ss[i]
+                        for j in range(n) for i in range(j))
+            weight = QSeries({qq(mw2 * used, 2 * r * r * P):
+                              WRat.w_power(-wK * cross // r)
+                              .scale(qq(1, aut))})
+            key = tuple(sorted(
+                (ri, tuple((ri * c + s * o) // r % ri
+                           for c, o in zip(c1, omega)))
+                for ri, s in zip(ranks, ss)))
+            out[key] = out.get(key, QSeries.zero(None)) + weight
+    return out
 
 
-def _wall_delta_rank3(c1, omega, surface, h1, h1cube, h2_before, h2_after,
-                      bound):
-    """Series delta of h_{3,c1} across one wall: the filtration sum over
-    tuples of pieces with slopes on the wall line, weakly ordered per side
-    with Boltzmann factors 1/run! on equal-slope runs, evaluated with the
-    side's piece functions; the difference of the two sides is the jump.
-    h2_before/h2_after map reduced rank-2 classes to series per side, and
-    h1cube = h1^3."""
-    mw2 = -(surface.intersect(omega, omega))
-    mu = tuple(qq(x, 3) for x in c1)
-
-    def h2_of(c1_vec, table):
-        return table[(int(c1_vec[0]) % 2, int(c1_vec[1]) % 2)]
-
-    def side_sum(sigma, h2_table):
-        """(lin, cub): the side's sum is h1 * lin + h1^3 * cub."""
-        lin = QSeries.zero(None)
-        cub = QSeries.zero(None)
-        # (1)+(2) strict pairs: c1_1 = (c1 + s omega)/3, slopes t1 = s/3,
-        # t2 = -s/6; q-shift s^2 (-omega^2)/12
-        smax = isqrt(int(12 * bound / mw2)) + 2
-        for s in range(-smax, smax + 1):
-            if s == 0:
-                continue
-            c1a = tuple(qq(c + s * o, 3) for c, o in zip(c1, omega))
-            if not _integral_class(c1a):
-                continue
-            c1b = tuple(c - a for c, a in zip(c1, c1a))
-            slots = [(1, c1a), (2, tuple(v / 2 for v in c1b))]
-            if sigma * s < 0:
-                slots.reverse()
-            shift = filtration_qshift(slots, surface)
-            if shift > bound:
-                continue
-            lin = lin + h2_of(c1b, h2_table) * QSeries(
-                {shift: _weight_of_sequence(slots, surface)})
-        # (1)+(1)+(1) strict triples: c1_i = (c1 + s_i omega)/3, sum s_i = 0
-        smax3 = isqrt(int(36 * bound / mw2)) + 6
-        for s1 in range(1, smax3 + 1):
-            for s2 in range(-smax3, s1):
-                s3 = -s1 - s2
-                if not s2 > s3:
-                    continue
-                cs = [tuple(qq(c + s * o, 3) for c, o in zip(c1, omega))
-                      for s in (s1, s2, s3)]
-                if not all(_integral_class(cv) for cv in cs):
-                    continue
-                slots = [(1, cv) for cv in cs]
-                if sigma < 0:
-                    slots.reverse()
-                shift = filtration_qshift(slots, surface)
-                if shift > bound:
-                    continue
-                cub = cub + QSeries(
-                    {shift: _weight_of_sequence(slots, surface)})
-        # (1,1)+(1): identical pair tied at t = sa/3, single at -2 sa/3;
-        # the equal-slope run carries the Boltzmann factor 1/2!
-        smax2 = isqrt(int(3 * bound / mw2)) + 2
-        for sa in range(-smax2, smax2 + 1):
-            if sa == 0:
-                continue
-            c1a = tuple(qq(c + sa * o, 3) for c, o in zip(c1, omega))
-            c1b = tuple(qq(c - 2 * sa * o, 3) for c, o in zip(c1, omega))
-            if not (_integral_class(c1a) and _integral_class(c1b)):
-                continue
-            slots = [(1, c1a), (1, c1a), (1, c1b)]
-            if sigma * sa < 0:
-                slots = [(1, c1b), (1, c1a), (1, c1a)]
-            shift = filtration_qshift(slots, surface)
-            if shift > bound:
-                continue
-            cub = cub + QSeries(
-                {shift: _weight_of_sequence(slots, surface).scale(qq(1, 2))})
-        # equal-slope (1)+(2) run at t = 0: both orders with 1/2! collapse to
-        # the full product, which jumps with the rank-2 factor
-        if _integral_class(mu):
-            c1b = tuple(2 * v for v in mu)
-            lin = lin + h2_of(c1b, h2_table)
-        return lin, cub
-
-    lin_before, cub_before = side_sum(1, h2_before)
-    lin_after, cub_after = side_sum(-1, h2_after)
-    return (h1 * (lin_before - lin_after)
-            + h1cube * (cub_before - cub_after))
+def _wall_delta(r, c1, omega, surface, bound, old, new):
+    """Jump of h_{r,c1} across the wall with primitive direction omega, from
+    its high-slope side to its low-slope side: the filtration sum over tuples
+    of length >= 2, descending with the old piece functions minus ascending
+    with the new ones.  old/new map pieces (r_i, c1_i mod r_i) to series; a
+    product whose pieces are equal on both sides is taken once."""
+    ascending = line_filtrations(r, c1, omega, surface, bound, False)
+    delta = QSeries.zero(None)
+    for pieces, weight in line_filtrations(r, c1, omega, surface,
+                                           bound).items():
+        if len(pieces) < 2:
+            continue
+        if all(old[p] == new[p] for p in pieces):
+            terms = [(weight - ascending[pieces], old)]
+        else:
+            terms = [(weight, old), (-ascending[pieces], new)]
+        for prod, table in terms:
+            for p in pieces:
+                prod = prod * table[p]
+            delta = delta + prod
+    return delta
 
 
 def _wall_is_crossed(slope, J_target):
@@ -302,30 +265,26 @@ def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
         return GenFun(series=_h1(ell, cutoff), **tag)
     if r > 3:
         raise WallError("wall marching covers r <= 3 only")
+    # one state per class of each rank below r, at the cutoff a rank-r
+    # product needs, and the target
+    states = {(1, (0, 0)): _h1(ell, piece_cutoff(cutoff, r, 1, surface))}
+    for s in range(2, r):
+        for key in iproduct(range(s), repeat=2):
+            states[(s, key)] = suitable_genfun_recursive(
+                s, key, ell, piece_cutoff(cutoff, r, s, surface)).series
+    target = (r, (beta, alpha))
+    states[target] = suitable_genfun_recursive(
+        r, (beta, alpha), ell, cutoff).series
     # delta terms q^shift multiply pieces of lead -r/6: shift < cutoff + r/6
-    h1 = _h1(ell, piece_cutoff(cutoff, r, 1, surface))
-    h1sq = _h1_squared(ell, piece_cutoff(cutoff, r, 1, surface))
-    h1cube = h1 * h1sq if r == 3 else None
     bound = cutoff + qq(r, 6)
     dummy = ChernVector.from_c2(r, (beta, alpha), 0, surface)
-    wall_list = walls_between(dummy, surface, bound)
-    state2 = {key: suitable_genfun_recursive(
-        2, key, ell, piece_cutoff(cutoff, r, 2, surface)).series
-        for key in [(0, 0), (0, 1), (1, 0), (1, 1)]}
-    target = suitable_genfun_recursive(r, (beta, alpha), ell, cutoff).series
-    for slope, omega in wall_list:
+    for slope, omega in walls_between(dummy, surface, bound):
         if not _wall_is_crossed(slope, J_target):
             continue
-        h2_before = dict(state2)
-        for key in state2:
-            state2[key] = state2[key] + _wall_delta_rank2(
-                key, omega, surface, h1sq, bound)
-        if r == 2:
-            target = target + _wall_delta_rank2(
-                (beta, alpha), omega, surface, h1sq, bound)
-        else:
-            target = target + _wall_delta_rank3(
-                (beta, alpha), omega, surface, h1, h1cube, h2_before, state2,
-                bound)
-    return GenFun(series=target.truncate(cutoff), **tag)
-
+        old = dict(states)
+        # lower ranks first: a class's new side reads their new states
+        for s, key in sorted(states):
+            if s > 1:
+                states[(s, key)] = states[(s, key)] + _wall_delta(
+                    s, key, omega, surface, bound, old, states)
+    return GenFun(series=states[target].truncate(cutoff), **tag)

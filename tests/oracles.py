@@ -2,20 +2,19 @@
 calls: the per-class wall-crossing delta, the curve stack counts, the
 equal-slope rank-2 combination, the filtration discriminant, the
 geometric-series inverse of a q-series, a q-series kept as a plain
-{rational exponent: WRat} dict, and the rational slope-tuple enumeration."""
+{rational exponent: WRat} dict, and the filtration sum along a line of
+slopes by brute force."""
 
+import itertools
 import math
 
 from bpsinv.exactq import qq
 from bpsinv.geometry import (
-    ChernVector, SUITABLE, discriminant, filtration_qshift, twist_reduce,
-    walls_between,
+    ChernVector, SUITABLE, discriminant, twist_reduce, walls_between,
 )
-from bpsinv.hn import suitable_genfun_recursive
+from bpsinv.hn import _compositions, suitable_genfun_recursive
 from bpsinv.series import NonInvertibleError, QSeries, SeriesError, WRat
-from bpsinv.wallcross import (
-    WallError, _h1, _wall_delta_rank2, _wall_delta_rank3,
-)
+from bpsinv.wallcross import WallError, _h1, _wall_delta
 
 
 # ---------------------------------------------------------------------------
@@ -158,35 +157,100 @@ class RefSeries:
 
 
 # ---------------------------------------------------------------------------
-# Slope tuples of the mu-stack conversion
+# Filtrations along a line of slopes
 # ---------------------------------------------------------------------------
 
-def slope_tuples(ranks, X, S):
-    """blowup._slope_tuples computed with rational bounds and slopes: integer
-    tuples (x_i) with sum X, x_i/r_i weakly decreasing and within S of the
-    mean, from floor((mean - S) r_i) up, in the same order."""
-    mean = qq(X, sum(ranks))
+def filtration_qshift(rank_mu_seq, surface):
+    """r*Delta(total) - sum_i r_i*Delta_i for an ordered quotient sequence,
+    i.e. the cross-term -(1/2) sum_i R_i R_{i-1}/r_i (mu(F_i)-mu(F_{i-1}))^2.
 
-    def rec(prefix, remaining_ranks, remaining_X, prev_slope):
-        if not remaining_ranks:
-            if remaining_X == 0:
-                yield tuple(prefix)
-            return
-        ri = remaining_ranks[0]
-        lo = (mean - S) * ri
-        hi = (mean + S) * ri
-        x = int(lo.numerator // lo.denominator)
-        while qq(x) <= hi:
-            s = qq(x, ri)
-            if prev_slope is None or s <= prev_slope:
-                if len(remaining_ranks) > 1:
-                    yield from rec(prefix + [x], remaining_ranks[1:],
-                                   remaining_X - x, s)
-                elif x == remaining_X:
-                    yield tuple(prefix + [x])
-            x += 1
+    Depends only on the ranks and slopes.  Nonnegative whenever consecutive
+    slope differences pair to zero against an ample class (Hodge index)."""
+    shift = qq(0)
+    R_prev = 0
+    c1_prev = None
+    for r_i, mu_i in rank_mu_seq:
+        c1_i = tuple(qq(r_i) * m for m in mu_i)
+        if c1_prev is not None:
+            R_i = R_prev + r_i
+            d = tuple((a + b) / R_i - a / R_prev
+                      for a, b in zip(c1_prev, c1_i))
+            shift -= qq(R_i * R_prev, 2 * r_i) * surface.intersect(d, d)
+            c1_prev = tuple(a + b for a, b in zip(c1_prev, c1_i))
+        else:
+            c1_prev = c1_i
+        R_prev += r_i
+    return shift
 
-    yield from rec([], list(ranks), X, None)
+
+def _weight_of_sequence(slots, surface):
+    """w^( -sum_{i<j} r_i r_j (mu_j - mu_i).K ) for slots [(rank, mu)]."""
+    K = surface.canonical_class()
+    wexp = qq(0)
+    for i in range(len(slots)):
+        for j in range(i + 1, len(slots)):
+            d = tuple(b - a for a, b in zip(slots[i][1], slots[j][1]))
+            wexp -= qq(slots[i][0] * slots[j][0]) * surface.intersect(K, d)
+    return WRat.w_power(wexp)
+
+
+def line_filtrations(r, c1, omega, surface, bound, descending=True):
+    """wallcross.line_filtrations by brute force: every ordered tuple of
+    integer classes (r_i, c1_i) with sum c1 whose slopes lie on the line
+    c1/r + Q omega, each c1_i in a box around r_i c1/r, ordered by the slope's
+    omega-coordinate, weighed by filtration_qshift, _weight_of_sequence and
+    1/run! per run of equal slopes.
+
+    On the line mu_i - mu = t_i omega, and the shift is
+    (-omega^2)/2 sum r_i t_i^2 <= bound with -omega^2 >= 1, so in the
+    coordinate k the box is |c1_i - r_i mu| = sqrt(r_i) sqrt(r_i t_i^2)
+    |omega_k| <= sqrt(2 bound r omega_k^2)."""
+    k = min((i for i, o in enumerate(omega) if o), key=lambda i: abs(omega[i]))
+    mu = tuple(qq(c, r) for c in c1)
+    half = math.isqrt(math.ceil(2 * bound * r * omega[k] ** 2)) + 1
+    out = {}
+
+    def on_line(ri, x):
+        """The class of rank ri on the line with k-th coordinate x, or None."""
+        t = (x - ri * mu[k]) / omega[k]
+        cls = tuple(ri * m + t * o for m, o in zip(mu, omega))
+        return tuple(int(v) for v in cls) if all(
+            v.denominator == 1 for v in cls) else None
+
+    def slope(ri, cls):
+        return qq(cls[k], ri) / omega[k]
+
+    for ranks in _compositions(r):
+        boxes = []
+        for ri in ranks:
+            centre = math.floor(ri * mu[k])
+            classes = [on_line(ri, x)
+                       for x in range(centre - half, centre + half + 1)]
+            boxes.append({c for c in classes if c is not None})
+        for head in itertools.product(*boxes[:-1]):
+            # the last class is what the others leave of c1
+            last = tuple(c - sum(h[j] for h in head) for j, c in enumerate(c1))
+            if last not in boxes[-1]:
+                continue
+            classes = head + (last,)
+            slopes = [slope(ri, c) for ri, c in zip(ranks, classes)]
+            steps = [b - a for a, b in zip(slopes, slopes[1:])]
+            if any(d > 0 if descending else d < 0 for d in steps):
+                continue
+            slots = [(ri, tuple(qq(v, ri) for v in c))
+                     for ri, c in zip(ranks, classes)]
+            shift = filtration_qshift(slots, surface)
+            if shift > bound:
+                continue
+            aut = 1
+            for _, run in itertools.groupby(slopes):
+                aut *= math.factorial(len(list(run)))
+            weight = QSeries({shift: _weight_of_sequence(slots, surface)
+                              .scale(qq(1, aut))})
+            key = tuple(sorted((ri, tuple(v % ri for v in c))
+                               for ri, c in zip(ranks, classes)))
+            out[key] = out.get(key, QSeries.zero(None)) + weight
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +341,10 @@ def chamber_path(gamma, J_start, J_end, surface, qshift_bound=qq(6)):
     return ChamberPath(J_start, J_end, walls)
 
 
-def wallcross_delta(gamma, J, J2, surface, tables=None, cutoff=None):
+def wallcross_delta(gamma, J, J2, surface, cutoff=None):
     """Delta Omegabar(gamma, J -> J2) for adjacent chambers; the two-sided
-    filtration sum evaluated at the single wall between them.
-
-    ``tables`` optionally maps "before"/"after" to dicts of reduced rank-2
-    classes -> series on the corresponding side of the wall (required for
-    r = 3 when a rank-2 piece function is not in the suitable chamber)."""
+    filtration sum evaluated at the single wall between them, with rank-2
+    piece functions marched from the suitable chamber to that wall."""
     if cutoff is None:
         cutoff = gamma.r * discriminant(gamma, surface) + 1
     cutoff = qq(cutoff)
@@ -293,40 +354,36 @@ def wallcross_delta(gamma, J, J2, surface, tables=None, cutoff=None):
     red, _ = twist_reduce(gamma, surface)
     if not path.walls:
         return WRat.from_rational(0)
-    slope, omega = path.walls[0]
-    forward = _slope_key(J) > _slope_key(J2)
-    h1 = _h1(surface.ell, cutoff + 1)
-    h1sq = h1 * h1
-    if gamma.r == 2:
-        dser = _wall_delta_rank2(red.c1, omega, surface, h1sq, cutoff + 1)
-    elif gamma.r == 3:
-        if tables is None:
-            before = _rank2_states_above(slope, surface, h1sq, cutoff + 1)
-            after = {key: before[key] + _wall_delta_rank2(
-                key, omega, surface, h1sq, cutoff + 1) for key in before}
-        else:
-            before, after = tables["before"], tables["after"]
-        dser = _wall_delta_rank3(red.c1, omega, surface, h1, h1sq * h1,
-                                 before, after, cutoff + 1)
-    else:
+    if gamma.r > 3:
         raise WallError("per-class crossing covers r <= 3 only")
-    if not forward:
+    slope, omega = path.walls[0]
+    bound = cutoff + 1
+    before = _states_above(slope, surface, bound)
+    after = dict(before)
+    for key in before:
+        if key[0] == 2:
+            after[key] = before[key] + _wall_delta(
+                2, key[1], omega, surface, bound, before, before)
+    dser = _wall_delta(gamma.r, red.c1, omega, surface, bound, before, after)
+    if _slope_key(J) < _slope_key(J2):
         dser = -dser
     e = red.r * discriminant(red, surface) - qq(red.r * surface.chi_top, 24)
     return dser.coeff(e)
 
 
-def _rank2_states_above(slope, surface, h1sq, bound):
-    """Rank-2 series marched from the suitable chamber down to just above the
-    given wall slope."""
+def _states_above(slope, surface, bound):
+    """h1 and the rank-2 series marched from the suitable chamber down to
+    just above the given wall slope, keyed by piece (rank, c1 mod rank)."""
     ell = surface.ell
-    states = {key: suitable_genfun_recursive(2, key, ell, bound).series
+    states = {(2, key): suitable_genfun_recursive(2, key, ell, bound).series
               for key in [(0, 0), (0, 1), (1, 0), (1, 1)]}
+    states[(1, (0, 0))] = _h1(ell, bound)
     dummy = ChernVector.from_c2(2, (0, 0), 0, surface)
     for s, omega in walls_between(dummy, surface, bound + 1):
         if s <= slope:
             continue
         for key in states:
-            states[key] = states[key] + _wall_delta_rank2(
-                key, omega, surface, h1sq, bound)
+            if key[0] == 2:
+                states[key] = states[key] + _wall_delta(
+                    2, key[1], omega, surface, bound, states, states)
     return states

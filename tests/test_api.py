@@ -1,6 +1,8 @@
 """The shipped surface: exports resolve, the memoized stage entry points
-keep their memo, and the README's library example runs as printed."""
+keep their memo, no module imports a name it never uses, and the README's
+library example runs as printed."""
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -31,6 +33,26 @@ def test_memoized_stages_keep_cache_info():
         module, name = path.split(".")
         fn = getattr(importlib.import_module("bpsinv." + module), name)
         assert callable(getattr(fn, "cache_info", None)), path
+
+
+def test_no_unused_imports():
+    # a name an import binds must be read somewhere in its module, or be
+    # re-exported through __all__
+    unused = []
+    for path in sorted(pathlib.Path(bpsinv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = [alias.asname or alias.name.split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names]
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        exported = getattr(importlib.import_module("bpsinv." + path.stem)
+                           if path.stem != "__init__" else bpsinv,
+                           "__all__", ())
+        unused += ["%s: %s" % (path.name, name) for name in bound
+                   if name not in used and name not in exported]
+    assert not unused, unused
 
 
 def test_readme_library_example(capsys):

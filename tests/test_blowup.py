@@ -1,19 +1,21 @@
+from itertools import product as iproduct
+
 import pytest
 
 from bpsinv.exactq import qq
 from bpsinv.blocks import blowup_factor, rank1_genfun
 from bpsinv.blowup import (
-    BlowupError, _slope_tuples, blowup_divide, gieseker_to_mu, mu_to_gieseker,
-    p2_genfun,
+    BlowupError, blowup_divide, gieseker_to_mu, mu_to_gieseker, p2_genfun,
 )
 from bpsinv.compute import p2_omega_genfun, p2_table
-from bpsinv.geometry import NEAR_PULLBACK, PULLBACK_H, Surface
-from bpsinv.hn import _compositions
+from bpsinv.geometry import (
+    ChernVector, NEAR_PULLBACK, PULLBACK_H, Surface, walls_between,
+)
 from bpsinv.invariants import Flavor, GenFun
 from bpsinv.series import QSeries, WRat
-from bpsinv.wallcross import genfun_at_polarization
+from bpsinv.wallcross import genfun_at_polarization, line_filtrations
 
-from oracles import slope_tuples
+from oracles import line_filtrations as brute_line_filtrations
 
 P2 = Surface.p2()
 S1 = Surface.hirzebruch(1)
@@ -30,16 +32,30 @@ def test_gcd_one_class_mu_equals_gieseker():
         assert hmu.series.eq_to_cutoff(base, qq(2))
 
 
-def test_slope_tuples_match_rational_oracle():
-    # same tuples in the same order as the rational bounds and slopes
+def test_line_filtrations_match_brute_force():
+    # the mu-stack line omega = C on Sigma_1, and the first walls of
+    # Sigma_0..Sigma_2, in both orders; keys and exact weights agree
+    cases = [(r, (X, Y), (1, 0), S1, qq(S, 2))
+             for r in (1, 2, 3) for X in range(-6, 7) for Y in range(r)
+             for S in range(1, 7)]
+    for ell in (0, 1, 2):
+        surface = Surface.hirzebruch(ell)
+        walls = walls_between(ChernVector.from_c2(3, (0, 0), 0, surface),
+                              surface, qq(3))
+        # the three walls of least -omega^2 carry the most filtrations
+        omegas = sorted((w for _, w in walls),
+                        key=lambda w: -surface.intersect(w, w))
+        for omega in omegas[:3]:
+            cases += [(r, c1, omega, surface, qq(3))
+                      for r in (2, 3) for c1 in iproduct(range(r), repeat=2)]
     seen = 0
-    for r in (1, 2, 3):
-        for ranks in _compositions(r):
-            for X in range(-6, 7):
-                for S in range(1, 7):
-                    got = list(_slope_tuples(ranks, X, S))
-                    assert got == list(slope_tuples(ranks, X, S))
-                    seen += len(got)
+    for r, c1, omega, surface, bound in cases:
+        for descending in (True, False):
+            got = line_filtrations(r, c1, omega, surface, bound, descending)
+            want = brute_line_filtrations(r, c1, omega, surface, bound,
+                                          descending)
+            assert got == want, (r, c1, omega, surface, bound, descending)
+            seen += sum(len(w.terms) for w in got.values())
     assert seen > 1000
 
 

@@ -102,6 +102,28 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys, corrupt):
     assert entry.read_text() == blob
 
 
+def test_forged_or_misfiled_cache_entry_is_recomputed(tmp_path, capsys):
+    def args(rank):
+        return ["compute", "--surface", "p2", "--rank", str(rank), "--c1",
+                "0", "--qorders", "2", "--format", "json",
+                "--cache-dir", str(tmp_path)]
+
+    cold = [run_cli(args(rank), capsys)[1] for rank in (1, 2)]
+    entries = sorted(tmp_path.glob("*.json"), key=lambda p: p.stat().st_mtime)
+    blobs = [entry.read_text() for entry in entries]
+    # an Euler number edited in place, under the entry's old digest
+    head, body = blobs[0].split("\n", 1)
+    obj = json.loads(body)
+    obj["value"]["table"]["rows"][-1]["euler"] = 999
+    entries[0].write_text(head + "\n" + dumps(obj))
+    assert run_cli(args(1), capsys)[1] == cold[0]
+    assert entries[0].read_text() == blobs[0]
+    # a valid entry filed under another request's key
+    entries[1].write_text(blobs[0])
+    assert run_cli(args(2), capsys)[1] == cold[1]
+    assert entries[1].read_text() == blobs[1]
+
+
 @pytest.mark.parametrize("polarization", ["suitable", "13,9"])
 def test_equivalent_c1_reuse_memo_entries(monkeypatch, capsys, polarization):
     # c1 matters mod r only: 2,0 and 0,2 are the class 0,0 at rank 2
@@ -231,14 +253,25 @@ def test_polarization_spellings_share_a_cache_entry(tmp_path, monkeypatch,
     assert len(list(tmp_path.glob("*.json"))) == 3
 
 
-def test_parser_errors_are_json_with_exit_2(capsys):
+def test_parser_errors_are_json_with_exit_2(capsys, tmp_path, monkeypatch):
     # argparse reads "-2,2" after --c1 as an option; --c1=-2,2 is the spelling
-    for args in (["--c1", "-2,2"], ["--c1", "0,0", "--rank", "x"]):
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    unusable = [str(a_file), "/dev/null/cache"]
+    valid = ["--c1", "0,0", "--qorders", "1"]
+    inputs = [["--c1", "-2,2"], ["--c1", "0,0", "--rank", "x"]]
+    inputs += [valid + ["--cache-dir", path] for path in unusable]
+    inputs += [valid + [("BPSINV_CACHE_DIR", path)] for path in unusable]
+    for args in inputs:
+        monkeypatch.delenv("BPSINV_CACHE_DIR", raising=False)
+        if isinstance(args[-1], tuple):
+            monkeypatch.setenv(*args.pop())
         code, out, err = run_cli(
             ["compute", "--surface", "hirzebruch:1", "--rank", "2"] + args,
             capsys)
-        assert code == 2 and out == ""
+        assert code == 2 and out == "", args
         assert "error" in json.loads(err)
+    monkeypatch.delenv("BPSINV_CACHE_DIR")
     code, _, _ = run_cli(["compute", "--surface", "hirzebruch:1", "--rank",
                           "2", "--c1=-2,2", "--qorders", "1"], capsys)
     assert code == 0

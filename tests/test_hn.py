@@ -5,9 +5,10 @@ from bpsinv.hn import (
     M, subtraction_terms, suitable_genfun_closed, suitable_genfun_recursive,
 )
 from bpsinv.series import QSeries, WRat
-from bpsinv.wallcross import _weight_of_sequence
-
-from oracles import one_minus_w as one_minus, rank2_equal_slope_combination
+from oracles import (
+    _weight_of_sequence, one_minus_w as one_minus,
+    rank2_equal_slope_combination,
+)
 
 S1 = Surface.hirzebruch(1)
 
