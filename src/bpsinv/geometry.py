@@ -6,6 +6,7 @@ Classes are integer tuples in the surface basis; slopes are rational tuples.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from .exactq import qq, is_integral
 
@@ -131,7 +132,7 @@ def expected_dimension(gamma, surface):
     return int(d)
 
 
-def twist_reduce(gamma, surface=None):
+def twist_reduce(gamma, surface):
     """Reduce c1 into the fundamental domain {0..r-1} per basis class.
 
     Returns (reduced ChernVector, twisting line-bundle class L) so that the
@@ -140,8 +141,6 @@ def twist_reduce(gamma, surface=None):
     r = gamma.r
     red = tuple(x % r for x in gamma.c1)
     L = tuple((x - y) // r for x, y in zip(gamma.c1, red))
-    if surface is None:
-        surface = Surface.hirzebruch(0) if len(gamma.c1) == 2 else Surface.p2()
     # ch2(E (x) L^-1) = ch2 - c1.L + r L^2/2, derived from the twist rule
     ch2 = gamma.ch2 - surface.intersect(gamma.c1, L) \
         + qq(r) * qq(surface.intersect(L, L), 2)
@@ -153,7 +152,8 @@ def twist_reduce(gamma, surface=None):
 # ---------------------------------------------------------------------------
 
 class EpsRational:
-    """a + b*eps with eps an infinitesimal positive; ordered lexicographically."""
+    """a + b*eps with eps an infinitesimal positive; polarizations are
+    ordered only through ``Polarization.slope``."""
 
     __slots__ = ("a", "b")
 
@@ -161,33 +161,14 @@ class EpsRational:
         self.a = qq(a)
         self.b = qq(b)
 
-    def __sub__(self, o):
-        o = _eps(o)
-        return EpsRational(self.a - o.a, self.b - o.b)
-
-    def scale(self, k):
-        return EpsRational(self.a * qq(k), self.b * qq(k))
-
-    def sign(self):
-        if self.a:
-            return 1 if self.a > 0 else -1
-        if self.b:
-            return 1 if self.b > 0 else -1
-        return 0
-
     def __eq__(self, o):
-        o = _eps(o)
-        return self.a == o.a and self.b == o.b
+        return isinstance(o, EpsRational) and self.a == o.a and self.b == o.b
 
     def __hash__(self):
         return hash((self.a, self.b))
 
     def __repr__(self):
         return "(%s + %s*eps)" % (self.a, self.b) if self.b else str(self.a)
-
-
-def _eps(x):
-    return x if isinstance(x, EpsRational) else EpsRational(x)
 
 
 @dataclass(frozen=True)
@@ -209,7 +190,17 @@ class Polarization:
 
     @property
     def is_boundary(self):
-        return self.n.sign() == 0
+        return not (self.n.a or self.n.b)
+
+    def slope(self):
+        """n/m as (t, e): the rational part t and the sign e of the eps part,
+        so J_{m,n} gives (n/m, 0) and J_{1,eps} gives (0, 1).  None for
+        J_{eps,1}, which lies above every wall."""
+        m, n = self.m, self.n
+        if not m.a:
+            return None
+        d = n.b * m.a - n.a * m.b
+        return n.a / m.a, (d > 0) - (d < 0)
 
     def __str__(self):
         return "J_{%s,%s}" % (self.m, self.n)
@@ -224,44 +215,28 @@ PULLBACK_H = Polarization(EpsRational(1), EpsRational(0))        # J_{1,0}
 # Wall enumeration
 # ---------------------------------------------------------------------------
 
-def _direction_ball(max_minus_sq, ell):
-    """Integer directions zeta = (x, y), x >= 1, y <= -1, with
-    0 < -zeta^2 = ell x^2 + 2x|y| <= max_minus_sq.  Only such directions can
-    host a wall of marginal stability (positive slope |y|/x); the minimal
-    -zeta^2 at fixed x is >= 2x, so the enumeration is finite."""
-    out = []
-    x = 1
-    while qq(ell) * x * x + 2 * x <= max_minus_sq:
-        y = -1
-        while qq(ell) * x * x - 2 * x * y <= max_minus_sq:
-            out.append((x, y))
-            y -= 1
-        x += 1
-    return out
-
-
-def _primitive(x, y):
-    from math import gcd
-    g = gcd(abs(x), abs(y))
-    return (x // g, y // g)
-
-
-def walls_between(gamma, surface, qshift_bound):
+def walls_between(r, surface, qshift_bound):
     """Walls between the suitable chamber and the pullback of the plane's
     hyperplane class (every slope is positive and finite) that can carry a
-    crossing term for gamma with q-shift below qshift_bound, sorted by
-    decreasing slope.  Returns [(slope, primitive direction)].
+    crossing term for a rank-r class with q-shift below qshift_bound, sorted
+    by decreasing slope.  Returns [(slope, primitive direction)].
 
     A two-step splitting with slope difference zeta/(rp rq) shifts q by
     (-zeta^2)/(2 r rp rq); longer filtrations shift by at least as much per
     primitive step, so -zeta_prim^2 <= 2 r rp rq qshift_bound is a superset
-    bound."""
-    r = gamma.r
-    if qshift_bound <= 0:
-        return []
+    bound.  Only integer directions zeta = (x, y), x >= 1, y <= -1 can host
+    a wall (positive slope |y|/x), and -zeta^2 = ell x^2 + 2x|y| is at least
+    2x at fixed x, so the enumeration is finite."""
     bound = max(2 * qq(r) * qq(rp * (r - rp)) * qq(qshift_bound)
                 for rp in range(1, r))
+    ell = surface.ell
     walls = {}
-    for (x, y) in _direction_ball(bound, surface.ell):
-        walls.setdefault(qq(-y, x), _primitive(x, y))
+    x = 1
+    while ell * x * x + 2 * x <= bound:
+        y = -1
+        while ell * x * x - 2 * x * y <= bound:
+            g = gcd(x, y)
+            walls.setdefault(qq(-y, x), (x // g, y // g))
+            y -= 1
+        x += 1
     return sorted(walls.items(), key=lambda t: t[0], reverse=True)

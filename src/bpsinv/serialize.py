@@ -5,7 +5,6 @@ import json
 
 from .exactq import qq
 from .geometry import SUITABLE
-from .series import QSeries, VPoly, WRat
 
 FORMAT_VERSION = 1
 
@@ -18,16 +17,8 @@ def vpoly_to_obj(p):
     return [[e, _q_str(c)] for e, c in sorted(p.items())]
 
 
-def vpoly_from_obj(obj):
-    return VPoly({int(e): qq(c) for e, c in obj})
-
-
 def wrat_to_obj(x):
     return {"num": vpoly_to_obj(x.num), "den": vpoly_to_obj(x.den)}
-
-
-def wrat_from_obj(obj):
-    return WRat(vpoly_from_obj(obj["num"]), vpoly_from_obj(obj["den"]))
 
 
 def qseries_to_obj(s):
@@ -35,11 +26,6 @@ def qseries_to_obj(s):
         "cutoff": None if s.cutoff is None else _q_str(s.cutoff),
         "terms": [[_q_str(e), wrat_to_obj(s.terms[e])] for e in s.support()],
     }
-
-
-def qseries_from_obj(obj):
-    cutoff = None if obj["cutoff"] is None else qq(obj["cutoff"])
-    return QSeries({qq(e): wrat_from_obj(c) for e, c in obj["terms"]}, cutoff)
 
 
 def surface_to_obj(s):

@@ -402,17 +402,6 @@ class WRat:
 
     # -- maps -----------------------------------------------------------------
 
-    def conjugate(self):
-        """v -> v^-1 (w -> w^-1)."""
-        if not self._p:
-            return self
-        p, n, d = self._p, self._n[::-1], self._d[::-1]
-        if n[-1] < 0:
-            n, p = tuple(-x for x in n), -p
-        if d[-1] < 0:
-            d, p = tuple(-x for x in d), -p
-        return _wrat(p, self._q, len(self._d) - len(self._n) - self._s, n, d)
-
     def substitute(self, m, multicover=False):
         """w -> w^m (plain) or w -> -(-w)^m (multicover, integer-w support
         only); m >= 1."""

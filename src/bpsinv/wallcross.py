@@ -26,8 +26,7 @@ from math import isqrt, lcm
 from .exactq import qq, qfloor
 from .blocks import rank1_genfun
 from .geometry import (
-    ChernVector, EpsRational, GeometryError, Polarization, SUITABLE, Surface,
-    piece_cutoff, walls_between,
+    GeometryError, Polarization, Surface, piece_cutoff, walls_between,
 )
 from .hn import _compositions, suitable_genfun_recursive
 from .invariants import Flavor, GenFun
@@ -46,6 +45,10 @@ class WallError(GeometryError):
 
 def _h1(ell, cutoff):
     return rank1_genfun(Surface.hirzebruch(ell), cutoff).series
+
+
+# q-exponent denominator of a rank-r window term
+_QDEN = {2: 4, 3: 12}
 
 
 @memo
@@ -74,7 +77,7 @@ def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
     if r > 3:
         raise WallError("closed wall-crossing forms cover r <= 3 only")
     base = suitable_genfun_recursive(r, (beta, alpha), ell, cutoff).series
-    if J == SUITABLE:
+    if J.slope() is None:
         return GenFun(series=base, **tag)
     if J.is_boundary:
         raise WallError("polarization on wall")
@@ -85,77 +88,64 @@ def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
     # every window term carries the factor h1^2 (r = 2) or h1 (r = 3): the
     # rest is summed first and multiplied by that factor once
     window = QSeries.zero(None)
-    if r == 2:
-        for x, y, s1, s2 in _window(2, beta, af, ell, J, Ebound,
-                                    _tiebreak_suitable):
-            X = (ell - 2) * x + 2 * y
-            E = qq(ell * x * x, 4) + qq(x * y, 2)
-            coeff = (WRat.w_power(-X) - WRat.w_power(X)).scale(qq(s1 - s2, 4))
-            window = window + QSeries({E: coeff})
-        factor = _h1_squared(ell, piece_cutoff(cutoff, 2, 1, surface))
-    else:
-        for x, y, s1, s2 in _window(3, beta, af, ell, J, Ebound,
-                                    _tiebreak_suitable):
-            X = (ell - 2) * x + 2 * y
-            E = qq(ell * x * x, 12) + qq(x * y, 6)
+    for x, y, ds in _window(r, beta, af, ell, J, Ebound, _tiebreak_suitable):
+        X = (ell - 2) * x + 2 * y
+        E = qq(ell * x * x + 2 * x * y, _QDEN[r])
+        term = QSeries({E: (WRat.w_power(-X) - WRat.w_power(X))
+                        .scale(qq(ds, 4 if r == 2 else 2))})
+        if r == 3:
             b = (x + 2 * beta) // 3
             a = (y + 2 * af) // 3
-            h2 = genfun_at_polarization(
+            term = genfun_at_polarization(
                 2, (b % 2, (-a) % 2), ell,
                 Polarization.generic(abs(x), abs(y)),
                 piece_cutoff(cutoff, 3, 2, surface),
-                _tiebreak_suitable=True).series
-            coeff = (WRat.w_power(-X) - WRat.w_power(X)).scale(qq(s1 - s2, 2))
-            window = window + h2 * QSeries({E: coeff})
+                _tiebreak_suitable=True).series * term
+        window = window + term
+    if r == 2:
+        factor = _h1_squared(ell, piece_cutoff(cutoff, 2, 1, surface))
+    else:
         factor = _h1(ell, piece_cutoff(cutoff, 3, 1, surface))
     total = base + factor * window
     return GenFun(series=total.truncate(cutoff), **tag)
 
 
 def _window(r, beta, alpha, ell, J, Ebound, tiebreak):
-    """Active lattice points (x, y) with x = beta, y = alpha mod r whose
-    target-side ordering sign sgn(x n - y m) differs from the suitable-side
-    sign sgn(x - y eps); yields (x, y, sgn1, sgn2)."""
-    m, n = J.m, J.n
-    qden = qq(4) if r == 2 else qq(12)
-    qcross = qq(2) if r == 2 else qq(6)
+    """Lattice points (x, y) with x = beta, y = alpha mod r whose target-side
+    ordering sign s1 = sgn(x n - y m) differs from the suitable-side sign
+    s2 = sgn(x), with q-shift E = (ell x^2 + 2 x y)/qden <= Ebound; yields
+    (x, y, s1 - s2).
+
+    With n/m = t + e eps and u = sgn(x) y in column |x| = k, the point is
+    active for u > k t, inactive for u < k t, and at u = k t the sign e
+    decides: inactive for e > 0, active for e < 0, and on a wall (s1 = 0)
+    for e = 0."""
+    t, e = J.slope()
+    qden = _QDEN[r]
     out = []
     for sx in (1, -1):
         k = 0
         while True:
             k += 1
-            x = sx * k
-            if (x - beta) % r:
+            if (sx * k - beta) % r:
                 continue
-            boundary = qq(k * k) * n.a / m.a
-            if qq(ell * k * k) / qden + max(boundary, qq(k)) / qcross > Ebound:
+            if qq(ell * k * k + 2 * max(k * k * t, k)) / qden > Ebound:
                 break
-            y = _scan_start(x, alpha, r, m, n)
-            while True:
-                E = qq(ell * x * x) / qden + qq(x * y) / qcross
-                if E > Ebound:
-                    break
-                s1 = (n.scale(x) - m.scale(y)).sign()
-                s2 = EpsRational(x, -y).sign()
-                if s1 == 0 and not tiebreak:
-                    raise WallError("polarization on wall")
-                # on a wall (internal rank-2 evaluations only) sgn(0) = 0:
-                # the term enters with half weight, the chamber average
-                if s1 != s2:
-                    out.append((x, y, s1, s2))
-                y += r * sx
+            kt = k * t
+            lo = -qfloor(-kt)
+            top = qfloor((qden * Ebound - ell * k * k) / (2 * k))
+            for u in range(lo + (sx * alpha - lo) % r, top + 1, r):
+                ds = -2 * sx
+                if u == kt and e >= 0:
+                    if e > 0:
+                        continue
+                    if not tiebreak:
+                        raise WallError("polarization on wall")
+                    # on a wall (internal rank-2 evaluations only) sgn(0) = 0:
+                    # the term enters with half weight, the chamber average
+                    ds = -sx
+                out.append((sx * k, sx * u, ds))
     return out
-
-
-def _scan_start(x, alpha, r, m, n):
-    """First y = alpha (mod r) safely on the inactive side of the boundary
-    x n = y m; the scan then moves in the direction of increasing q-shift."""
-    base = qfloor(qq(x) * n.a / m.a)
-    if x > 0:
-        start = base - 4 * r
-        return start + (alpha - start) % r
-    start = base + 4 * r
-    return start - (start - alpha) % r
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +205,7 @@ def line_filtrations(r, c1, omega, surface, bound, descending=True):
                 (ri, tuple((ri * c + s * o) // r % ri
                            for c, o in zip(c1, omega)))
                 for ri, s in zip(ranks, ss)))
-            out[key] = out.get(key, QSeries.zero(None)) + weight
+            out[key] = out[key] + weight if key in out else weight
     return out
 
 
@@ -243,14 +233,14 @@ def _wall_delta(r, c1, omega, surface, bound, old, new):
 
 
 def _wall_is_crossed(slope, J_target):
-    if J_target == SUITABLE:
+    """True when J_target lies below the wall of the given slope."""
+    at = J_target.slope()
+    if at is None:
         return False
-    d = J_target.n - J_target.m.scale(slope)
-    s = d.sign()
-    if s == 0:
+    if at == (slope, 0):
         raise WallError("target polarization lies on wall at slope %s"
                         % (slope,))
-    return s < 0
+    return at < (slope, 0)
 
 
 def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
@@ -277,8 +267,7 @@ def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
         r, (beta, alpha), ell, cutoff).series
     # delta terms q^shift multiply pieces of lead -r/6: shift < cutoff + r/6
     bound = cutoff + qq(r, 6)
-    dummy = ChernVector.from_c2(r, (beta, alpha), 0, surface)
-    for slope, omega in walls_between(dummy, surface, bound):
+    for slope, omega in walls_between(r, surface, bound):
         if not _wall_is_crossed(slope, J_target):
             continue
         old = dict(states)

@@ -2,19 +2,40 @@
 calls: the per-class wall-crossing delta, the curve stack counts, the
 equal-slope rank-2 combination, the filtration discriminant, the
 geometric-series inverse of a q-series, a q-series kept as a plain
-{rational exponent: WRat} dict, and the filtration sum along a line of
-slopes by brute force."""
+{rational exponent: WRat} dict, the filtration sum along a line of slopes
+and the wall-crossing sign window by brute force, w-conjugation of a WRat,
+and the parsers of the machine-readable encodings."""
 
 import itertools
 import math
 
 from bpsinv.exactq import qq
-from bpsinv.geometry import (
-    ChernVector, SUITABLE, discriminant, twist_reduce, walls_between,
-)
+from bpsinv.geometry import SUITABLE, discriminant, twist_reduce, walls_between
 from bpsinv.hn import _compositions, suitable_genfun_recursive
-from bpsinv.series import NonInvertibleError, QSeries, SeriesError, WRat
+from bpsinv.series import NonInvertibleError, QSeries, SeriesError, VPoly, WRat
 from bpsinv.wallcross import WallError, _h1, _wall_delta
+
+
+# ---------------------------------------------------------------------------
+# Conjugation and parsing
+# ---------------------------------------------------------------------------
+
+def wrat_conjugate(x):
+    """v -> v^-1 (w -> w^-1)."""
+    return WRat(x.num.conjugate(), x.den.conjugate())
+
+
+def vpoly_from_obj(obj):
+    return VPoly({int(e): qq(c) for e, c in obj})
+
+
+def wrat_from_obj(obj):
+    return WRat(vpoly_from_obj(obj["num"]), vpoly_from_obj(obj["den"]))
+
+
+def qseries_from_obj(obj):
+    cutoff = None if obj["cutoff"] is None else qq(obj["cutoff"])
+    return QSeries({qq(e): wrat_from_obj(c) for e, c in obj["terms"]}, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +275,39 @@ def line_filtrations(r, c1, omega, surface, bound, descending=True):
 
 
 # ---------------------------------------------------------------------------
+# Sign window of the closed wall-crossing sums
+# ---------------------------------------------------------------------------
+
+def window_by_scan(r, beta, alpha, ell, J, Ebound, tiebreak):
+    """wallcross._window by the per-point sign rule over a box of side
+    qden Ebound, which holds every active point: one has sgn(x) y >= 1, so
+    2|x| and 2|y| are at most 2 x y <= qden E.  A point (x, y) = (beta, alpha)
+    mod r, x != 0, with E = (ell x^2 + 2 x y)/qden <= Ebound is kept when the
+    lexicographic sign s1 of x n - y m = (x n.a - y m.a) + (x n.b - y m.b) eps
+    differs from s2 = sgn(x), as (x, y, s1 - s2); s1 = 0 raises WallError
+    unless tiebreak.  Columns x = 1, 2, ..., then -1, -2, ..., each by
+    increasing E."""
+    qden = 4 if r == 2 else 12
+    half = math.floor(qden * qq(Ebound) / 2)
+    m, n = J.m, J.n
+    out = []
+    for sx in (1, -1):
+        for x in range(sx, sx * (half + 1), sx):
+            for y in range(-sx * half, sx * (half + 1), sx):
+                if (x - beta) % r or (y - alpha) % r:
+                    continue
+                if ell * x * x + 2 * x * y > qden * Ebound:
+                    continue
+                a, b = x * n.a - y * m.a, x * n.b - y * m.b
+                s1 = (a > 0) - (a < 0) if a else (b > 0) - (b < 0)
+                if s1 == 0 and not tiebreak:
+                    raise WallError("polarization on wall")
+                if s1 != sx:
+                    out.append((x, y, s1 - sx))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Curve stack counts
 # ---------------------------------------------------------------------------
 
@@ -335,7 +389,7 @@ def chamber_path(gamma, J_start, J_end, surface, qshift_bound=qq(6)):
     if hi < lo:
         hi, lo = lo, hi
     walls = []
-    for s, prim in walls_between(gamma, surface, qshift_bound):
+    for s, prim in walls_between(gamma.r, surface, qshift_bound):
         if lo < (s, qq(0)) < hi:
             walls.append((s, prim))
     return ChamberPath(J_start, J_end, walls)
@@ -378,8 +432,7 @@ def _states_above(slope, surface, bound):
     states = {(2, key): suitable_genfun_recursive(2, key, ell, bound).series
               for key in [(0, 0), (0, 1), (1, 0), (1, 1)]}
     states[(1, (0, 0))] = _h1(ell, bound)
-    dummy = ChernVector.from_c2(2, (0, 0), 0, surface)
-    for s, omega in walls_between(dummy, surface, bound + 1):
+    for s, omega in walls_between(2, surface, bound + 1):
         if s <= slope:
             continue
         for key in states:

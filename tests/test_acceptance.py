@@ -8,7 +8,7 @@ from bpsinv.exactq import qq
 from bpsinv.blocks import fibre_product_genfun
 from bpsinv.blowup import p2_genfun
 from bpsinv.compute import p2_table, sigma_table
-from bpsinv.geometry import Polarization, SUITABLE, Surface
+from bpsinv.geometry import NEAR_PULLBACK, Polarization, SUITABLE, Surface
 from bpsinv.hn import suitable_genfun_closed, suitable_genfun_recursive
 from bpsinv.wallcross import genfun_at_polarization, genfun_by_wall_march
 
@@ -130,10 +130,11 @@ def test_criterion_5c_h20_two_routes():
 
 
 def test_criterion_5d_closed_vs_iterated_wallcrossing():
-    cut2 = qq(5) - qq(1, 3)
-    cut3 = qq(5) - qq(1, 2)
+    cut2 = qq(6) - qq(1, 3)
+    cut3 = qq(6) - qq(1, 2)
     for ell in (0, 1, 2):
-        for J in CHAMBERS:
+        # J_{1,eps} is the chamber the blow-up formula starts from
+        for J in CHAMBERS + [NEAR_PULLBACK]:
             for cls in [(0, 0), (1, 0), (0, 1), (1, 1)]:
                 closed = genfun_at_polarization(2, cls, ell, J, cut2)
                 marched = genfun_by_wall_march(2, cls, ell, J, cut2)
@@ -142,8 +143,8 @@ def test_criterion_5d_closed_vs_iterated_wallcrossing():
                 closed = genfun_at_polarization(3, cls, ell, J, cut3)
                 marched = genfun_by_wall_march(3, cls, ell, J, cut3)
                 _assert_routes_agree(closed, marched, cut3, (3, ell, cls, J))
-    _report(5, "(d) closed wall-crossing = iterated crossing, 3 chambers, "
-               "ell in {0,1,2}, 5 orders")
+    _report(5, "(d) closed wall-crossing = iterated crossing, 4 chambers, "
+               "ell in {0,1,2}, 6 orders")
 
 
 def _check_table_properties(table):

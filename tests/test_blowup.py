@@ -8,9 +8,7 @@ from bpsinv.blowup import (
     BlowupError, blowup_divide, gieseker_to_mu, mu_to_gieseker, p2_genfun,
 )
 from bpsinv.compute import p2_omega_genfun, p2_table
-from bpsinv.geometry import (
-    ChernVector, NEAR_PULLBACK, PULLBACK_H, Surface, walls_between,
-)
+from bpsinv.geometry import NEAR_PULLBACK, PULLBACK_H, Surface, walls_between
 from bpsinv.invariants import Flavor, GenFun
 from bpsinv.series import QSeries, WRat
 from bpsinv.wallcross import genfun_at_polarization, line_filtrations
@@ -40,8 +38,7 @@ def test_line_filtrations_match_brute_force():
              for S in range(1, 7)]
     for ell in (0, 1, 2):
         surface = Surface.hirzebruch(ell)
-        walls = walls_between(ChernVector.from_c2(3, (0, 0), 0, surface),
-                              surface, qq(3))
+        walls = walls_between(3, surface, qq(3))
         # the three walls of least -omega^2 carry the most filtrations
         omegas = sorted((w for _, w in walls),
                         key=lambda w: -surface.intersect(w, w))

@@ -14,9 +14,11 @@ from bpsinv.cli import main
 from bpsinv.exactq import QQ, qq
 from bpsinv.hn import suitable_genfun_recursive
 from bpsinv.invariants import InvariantError
-from bpsinv.serialize import dumps, qseries_to_obj, qseries_from_obj
+from bpsinv.serialize import dumps, qseries_to_obj
 from bpsinv.series import QSeries, VPoly, WRat
 from bpsinv.wallcross import genfun_at_polarization
+
+from oracles import qseries_from_obj
 
 
 def run_cli(args, capsys):

@@ -83,8 +83,7 @@ def test_twist_reduce_delta_invariance_random():
 
 
 def test_walls_between_orders_and_bounds():
-    g = ChernVector.from_c2(2, (0, 1), 2, S0)
-    walls = walls_between(g, S0, qq(3))
+    walls = walls_between(2, S0, qq(3))
     slopes = [s for s, _ in walls]
     assert slopes == sorted(slopes, reverse=True)
     assert all(0 < s for s in slopes)

@@ -1,3 +1,5 @@
+from itertools import product as iproduct
+
 import pytest
 
 from bpsinv.exactq import qq
@@ -7,10 +9,10 @@ from bpsinv.geometry import (
 from bpsinv.hn import suitable_genfun_recursive
 from bpsinv.series import QSeries, WRat
 from bpsinv.wallcross import (
-    WallError, genfun_at_polarization, genfun_by_wall_march,
+    WallError, _window, genfun_at_polarization, genfun_by_wall_march,
 )
 
-from oracles import chamber_path, wallcross_delta
+from oracles import chamber_path, wallcross_delta, window_by_scan
 
 S0 = Surface.hirzebruch(0)
 S1 = Surface.hirzebruch(1)
@@ -41,6 +43,35 @@ def test_window_terms_nonzero_off_suitable():
     base = suitable_genfun_recursive(2, (1, 0), 1, qq(2))
     assert base.series.is_zero()
     assert not h.series.is_zero()
+
+
+def _points_or_wall(window, args):
+    try:
+        return window(*args)
+    except WallError:
+        return "on wall"
+
+
+def test_window_matches_lattice_scan():
+    # the integer ranges read off J's slope keep exactly the points, signs
+    # and order of the per-point sign rule; J_{1,3} and J_{2,3} lie on walls
+    targets = [Polarization.generic(13, 9), Polarization.generic(9, 13),
+               Polarization.generic(21, 8), Polarization.generic(1, 3),
+               Polarization.generic(2, 3), NEAR_PULLBACK]
+    on_wall = halves = points = 0
+    for r in (2, 3):
+        for ell, (beta, alpha), J, Ebound, tiebreak in iproduct(
+                (0, 1, 2), iproduct(range(r), repeat=2), targets,
+                (qq(2, 3), qq(5, 2), qq(7, 2)), (False, True)):
+            args = (r, beta, alpha, ell, J, Ebound, tiebreak)
+            got = _points_or_wall(_window, args)
+            assert got == _points_or_wall(window_by_scan, args), args
+            if got == "on wall":
+                on_wall += 1
+            else:
+                points += len(got)
+                halves += sum(abs(ds) == 1 for _, _, ds in got)
+    assert on_wall and halves and points > 1000
 
 
 def test_two_routes_rank2():
