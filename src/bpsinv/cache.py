@@ -1,13 +1,15 @@
 """Content-addressed result cache.
 
 Keys hash the canonical JSON of (operation, parameters, cutoff, format
-version); values are serialized results.  An entry is a header line holding
-the format version, its key and the sha256 of the serialized value that
+version); values are the JSON text of results.  An entry is a header line
+holding the format version, its key and the sha256 of the body that
 follows; a read checks all three, so an edited or misfiled entry is a miss
-and is recomputed (a writer who also rewrites the digest is not caught).  Disk
-writes are atomic (write-temp-then-rename), so concurrent jobs can share a
-cache directory.  Warm reads must reserialize bit-identically to the cold
-computation."""
+and is recomputed (a writer who also rewrites the digest is not caught).  The
+body is the value text inside a fixed envelope, ``{"version":V,"value":...}``,
+and a hit returns that text as it is, with no parsing: the same bytes the
+cold computation printed.  Entries of the earlier layout, whose envelope put
+"value" first, read as misses and are rewritten.  Disk writes are atomic
+(write-temp-then-rename), so concurrent jobs can share a cache directory."""
 
 import hashlib
 import json
@@ -15,6 +17,8 @@ import os
 import tempfile
 
 from .serialize import FORMAT_VERSION, dumps
+
+_ENVELOPE = '{"version":%d,"value":' % FORMAT_VERSION
 
 
 class ResultCache:
@@ -40,13 +44,15 @@ class ResultCache:
         return {"version": FORMAT_VERSION, "key": key, "sha256": digest}
 
     def get(self, key):
+        """The value text stored under ``key``, or None on a miss."""
         if not self.directory:
             return None
         try:
             with open(self._path(key)) as fh:
                 head, body = fh.read().split("\n", 1)
-            if json.loads(head) == self._header(key, body):
-                return json.loads(body)["value"]
+            if (head == json.dumps(self._header(key, body))
+                    and body.startswith(_ENVELOPE) and body.endswith("}")):
+                return body[len(_ENVELOPE):-1]
         except (OSError, ValueError):
             # a missing, unreadable or truncated entry is a miss; the caller
             # recomputes and rewrites it
@@ -54,10 +60,11 @@ class ResultCache:
         # so is an entry filed under another key or edited after writing
         return None
 
-    def put(self, key, value):
+    def put(self, key, text):
+        """Store the value text ``text`` under ``key``."""
         if not self.directory:
             return
-        body = dumps({"version": FORMAT_VERSION, "value": value})
+        body = _ENVELOPE + text + "}"
         blob = json.dumps(self._header(key, body)) + "\n" + body
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:

@@ -27,6 +27,13 @@ from .serialize import (
 )
 
 
+# The deepest --qorders accepted.  At 40 the heaviest supported requests
+# (rank 3 on the plane, rank 4 suitable and rank 3 wall-crossed on Sigma_1)
+# take about 7 s and at most 48 MB on the Fraction backend, and the cost grows
+# about as qorders^2.5; a deeper request exits 2 at once instead.
+MAX_QORDERS = 40
+
+
 class InputError(ValueError):
     pass
 
@@ -79,8 +86,8 @@ def cmd_compute(args):
     J = _parse_polarization(args.polarization, surface)
     if args.rank < 1:
         raise InputError("rank must be positive")
-    if args.qorders < 1:
-        raise InputError("qorders must be positive")
+    if not 1 <= args.qorders <= MAX_QORDERS:
+        raise InputError("qorders must be between 1 and %d" % MAX_QORDERS)
     try:
         cache = ResultCache(args.cache_dir)
     except OSError as exc:
@@ -92,11 +99,11 @@ def cmd_compute(args):
         "polarization": polarization_to_obj(J), "qorders": args.qorders,
     }
     key = cache.key_of("compute", spec)
-    value = cache.get(key)
-    if value is None:
-        value = _run_compute(surface, args.rank, c1, J, args.qorders)
-        cache.put(key, value)
-    _emit(value, args.format)
+    text = cache.get(key)
+    if text is None:
+        text = dumps(_run_compute(surface, args.rank, c1, J, args.qorders))
+        cache.put(key, text)
+    _emit(text, args.format)
     return 0
 
 
@@ -116,10 +123,12 @@ def _run_compute(surface, r, c1, J, qorders):
     return {"genfun": genfun_to_obj(h), "table": table_to_obj(table)}
 
 
-def _emit(value, fmt):
+def _emit(text, fmt):
+    """Print a result given as its JSON text: as it is, or as csv or text."""
     if fmt == "json":
-        print(dumps(value))
+        print(text)
         return
+    value = json.loads(text)
     rows = value["table"]["rows"]
     if fmt == "csv":
         width = max((len(r["betti"]) for r in rows), default=0)
@@ -259,7 +268,8 @@ def main(argv=None):
                     help="comma list in the surface basis")
     pc.add_argument("--polarization", default=None,
                     help="'suitable' or '<m>,<n>' (Hirzebruch only)")
-    pc.add_argument("--qorders", type=int, default=4)
+    pc.add_argument("--qorders", type=int, default=4,
+                    help="q-levels above the baseline, 1..%d" % MAX_QORDERS)
     pc.add_argument("--format", choices=["json", "csv", "text"],
                     default="text")
     pc.add_argument("--cache-dir", default=None)

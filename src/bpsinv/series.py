@@ -6,14 +6,23 @@ held as a reduced pair of ints p, q > 0, a v-power s, and coprime integer
 polynomials n, d that are primitive, have a nonzero constant term and a
 positive leading coefficient.  That form is unique (Gauss's lemma in the
 unique factorisation domain Z[v]), so equality and hashing are structural,
-and all of the arithmetic runs on Python ints; the only polynomial gcd is the
-integer primitive-PRS gcd.
+and all of the arithmetic runs on Python ints; the polynomial gcd is the
+heuristic gcd ``intpoly._int_poly_gcd``, which also returns the cofactors.
 
 A q-series stores its exponents as ints scaled by 24, the common denominator
 of every exponent that occurs, and keeps its cutoff an exact rational; each
 operation compares exponents against the integer cap ceil(24 * cutoff).  So
 no rational is built, compared or hashed inside the product, sum and
 inversion loops.
+
+A product of series lifts each operand once over one denominator: every
+coefficient becomes v^s N_E(v) / (Q D(v)), with Q the lcm of the contents'
+denominators, D the lcm of the coefficient denominators and N_E an integer
+polynomial.  The numerator products N_a N_b are summed per output exponent
+in plain integer lists, with no gcd, and each nonzero sum is reduced once:
+strip the v-power, take the primitive part, one polynomial gcd with
+D_a D_b, then the content against Q_a Q_b.  The canonical form is unique,
+so the product is the one term-by-term WRat arithmetic gives, bit for bit.
 
 Everything here is exact; no floating point enters anywhere.  Values are
 immutable after construction and safe to share across threads.
@@ -23,7 +32,8 @@ from math import gcd, lcm
 
 from .exactq import qq, is_integral
 from .intpoly import (
-    _ONE, _int_poly_gcd, _pdiv, _pmul, _primitive, _spread, _twist,
+    _ONE, _canonical, _convolve, _int_poly_gcd, _lift, _pmul, _primitive,
+    _spread, _twist,
 )
 
 __all__ = ["VPoly", "WRat", "QSeries", "SeriesError", "NonInvertibleError"]
@@ -241,9 +251,7 @@ class WRat:
         else:
             gn, Ln, sn, n = _split(num)
             gd, Ld, sd, d = _split(den)
-            g = _int_poly_gcd(n, d)
-            if len(g) > 1:
-                n, d = _pdiv(n, g), _pdiv(d, g)
+            _, n, d = _int_poly_gcd(n, d)
             p, q = _cmul(gn, Ln, Ld, gd)
             if q < 0:
                 p, q = -p, -q
@@ -312,12 +320,7 @@ class WRat:
         if not other._p:
             return self
         a, b = (self, other) if self._s <= other._s else (other, self)
-        g = a._d
-        if g == b._d:
-            ea = eb = _ONE
-        else:
-            g = _int_poly_gcd(g, b._d)
-            ea, eb = _pdiv(a._d, g), _pdiv(b._d, g)
+        g, ea, eb = _int_poly_gcd(a._d, b._d)
         # a + b = (A n_a e_b + B v^k n_b e_a) / (Q v^(-s_a) g e_a e_b)
         qa, qb = a._q, b._q
         if qa == qb:
@@ -343,9 +346,7 @@ class WRat:
             lo += 1
         cN, n = _primitive(N[lo:hi])
         # n is coprime to e_a and e_b, so only a factor of g can cancel
-        h = _int_poly_gcd(n, g)
-        if len(h) > 1:
-            n, g = _pdiv(n, h), _pdiv(g, h)
+        _, n, g = _int_poly_gcd(n, g)
         h = gcd(cN, Q)
         return _wrat(cN // h, Q // h, a._s + lo, n, _pmul(_pmul(g, ea), eb))
 
@@ -367,12 +368,8 @@ class WRat:
         if not self._p or not other._p:
             return WRAT_ZERO
         n1, d1, n2, d2 = self._n, self._d, other._n, other._d
-        g = _int_poly_gcd(n1, d2)
-        if len(g) > 1:
-            n1, d2 = _pdiv(n1, g), _pdiv(d2, g)
-        g = _int_poly_gcd(n2, d1)
-        if len(g) > 1:
-            n2, d1 = _pdiv(n2, g), _pdiv(d1, g)
+        _, n1, d2 = _int_poly_gcd(n1, d2)
+        _, n2, d1 = _int_poly_gcd(n2, d1)
         p, q = _cmul(self._p, self._q, other._p, other._q)
         return _wrat(p, q, self._s + other._s, _pmul(n1, n2), _pmul(d1, d2))
 
@@ -499,6 +496,10 @@ class QSeries:
     zeros and exponents at or above the cutoff dropped); the arithmetic
     builds its valid results with ``_qseries`` unchecked.  ``terms`` is the
     rational-keyed view {e: coefficient}, built on first use.
+
+    Products run on the lifted form described in the module docstring
+    (``intpoly._lift``, ``_convolve``, ``_canonical``); sums and the
+    inversion recurrence work coefficient by coefficient in WRat.
     """
 
     __slots__ = ("_t", "cutoff", "_terms")
@@ -592,21 +593,16 @@ class QSeries:
         cut = self._mul_cut(other)
         if not self._t or not other._t:
             return _qseries({}, cut)
-        cap = _cap(cut)
+        lifted = _lift(_parts(self._t))
+        Qa, sa, Da, a = lifted
+        Qb, sb, Db, b = lifted if other is self else _lift(_parts(other._t))
+        Q, s, D = Qa * Qb, sa + sb, _pmul(Da, Db)
         t = {}
-        for Ea, ca in self._t.items():
-            for Eb, cb in other._t.items():
-                E = Ea + Eb
-                if cap is not None and E >= cap:
-                    continue
-                p = ca * cb
-                if p.is_zero():
-                    continue
-                s = t.get(E, WRAT_ZERO) + p
-                if s.is_zero():
-                    t.pop(E, None)
-                else:
-                    t[E] = s
+        for E, N in _convolve(a, b, _cap(cut)).items():
+            c = _canonical(N, Q, D)
+            if c is not None:
+                p, q, k, n, d = c
+                t[E] = _wrat(p, q, s + k, n, d)
         return _qseries(t, cut)
 
     def _mul_cut(self, other):
@@ -728,6 +724,12 @@ class QSeries:
         if len(self._t) > 6:
             bits.append("...")
         return "QSeries[%s | cutoff=%s]" % (" + ".join(bits) or "0", self.cutoff)
+
+
+def _parts(t):
+    """The canonical parts (E, p, q, s, n, d) of each coefficient of an
+    int-keyed term dict."""
+    return [(E, c._p, c._q, c._s, c._n, c._d) for E, c in t.items()]
 
 
 def _qseries(t, cutoff):

@@ -4,7 +4,8 @@ equal-slope rank-2 combination, the filtration discriminant, the
 geometric-series inverse of a q-series, a q-series kept as a plain
 {rational exponent: WRat} dict, the filtration sum along a line of slopes
 and the wall-crossing sign window by brute force, w-conjugation of a WRat,
-and the parsers of the machine-readable encodings."""
+the primitive-PRS gcd of integer polynomials, and the parsers of the
+machine-readable encodings."""
 
 import itertools
 import math
@@ -14,6 +15,36 @@ from bpsinv.geometry import SUITABLE, discriminant, twist_reduce, walls_between
 from bpsinv.hn import _compositions, suitable_genfun_recursive
 from bpsinv.series import NonInvertibleError, QSeries, SeriesError, VPoly, WRat
 from bpsinv.wallcross import WallError, _h1, _wall_delta
+
+
+# ---------------------------------------------------------------------------
+# Polynomial gcd
+# ---------------------------------------------------------------------------
+
+def prs_gcd(a, b):
+    """gcd of two integer polynomials (tuples, constant term first, primitive,
+    nonzero constant term, positive leading coefficient) by the primitive
+    polynomial remainder sequence: the Euclidean algorithm on pseudo-
+    remainders with the content removed at each step."""
+    a, b = list(a), list(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r, db = a[:], len(b) - 1
+        for top in range(len(r) - 1, db - 1, -1):
+            t = r[top]
+            if t:
+                r[:top] = [x * b[-1] for x in r[:top]]
+                for i, y in enumerate(b[:-1], top - db):
+                    r[i] -= t * y
+        r = r[:db]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return tuple(b) if b[-1] > 0 else tuple(-y for y in b)
+        c = math.gcd(*r)
+        a, b = b, [x // c for x in r]
+    return (1,)
 
 
 # ---------------------------------------------------------------------------

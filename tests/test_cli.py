@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -10,7 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bpsinv.cli import main
+from bpsinv.cli import MAX_QORDERS, main
 from bpsinv.exactq import QQ, qq
 from bpsinv.hn import suitable_genfun_recursive
 from bpsinv.invariants import InvariantError
@@ -124,6 +125,28 @@ def test_forged_or_misfiled_cache_entry_is_recomputed(tmp_path, capsys):
     entries[1].write_text(blobs[0])
     assert run_cli(args(2), capsys)[1] == cold[1]
     assert entries[1].read_text() == blobs[1]
+
+
+def test_earlier_layout_cache_entry_is_recomputed(tmp_path, capsys):
+    # an entry as the earlier layout wrote it: a header that checks, over a
+    # body whose envelope puts "value" first; its edited Euler number would
+    # show if the entry were served
+    args = ["compute", "--surface", "p2", "--rank", "1", "--c1", "0",
+            "--qorders", "2", "--format", "json", "--cache-dir", str(tmp_path)]
+    cold = run_cli(args, capsys)[1]
+    (entry,) = tmp_path.glob("*.json")
+    blob = entry.read_text()
+    head = json.loads(blob.split("\n", 1)[0])
+    value = json.loads(cold)
+    value["table"]["rows"][-1]["euler"] = 999
+    body = dumps({"version": head["version"], "value": value})
+    head["sha256"] = hashlib.sha256(body.encode()).hexdigest()
+    entry.write_text(json.dumps(head) + "\n" + body)
+    assert run_cli(args, capsys)[1] == cold
+    assert entry.read_text() == blob
+    for fmt in ("csv", "text"):
+        warm = run_cli(args[:-3] + [fmt] + args[-2:], capsys)
+        assert warm[0] == 0 and "999" not in warm[1]
 
 
 @pytest.mark.parametrize("polarization", ["suitable", "13,9"])
@@ -261,7 +284,8 @@ def test_parser_errors_are_json_with_exit_2(capsys, tmp_path, monkeypatch):
     a_file.write_text("")
     unusable = [str(a_file), "/dev/null/cache"]
     valid = ["--c1", "0,0", "--qorders", "1"]
-    inputs = [["--c1", "-2,2"], ["--c1", "0,0", "--rank", "x"]]
+    inputs = [["--c1", "-2,2"], ["--c1", "0,0", "--rank", "x"],
+              ["--c1", "0,0", "--qorders", str(MAX_QORDERS + 1)]]
     inputs += [valid + ["--cache-dir", path] for path in unusable]
     inputs += [valid + [("BPSINV_CACHE_DIR", path)] for path in unusable]
     for args in inputs:

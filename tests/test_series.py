@@ -1,14 +1,17 @@
 from math import ceil, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from bpsinv import intpoly
 from bpsinv.exactq import qq
 from bpsinv.series import (
     VPoly, WRat, QSeries, SeriesError, NonInvertibleError, WRAT_ONE, WRAT_ZERO,
 )
 
-from oracles import RefSeries, geometric_invert, one_minus_w, wrat_conjugate
+from oracles import (
+    RefSeries, geometric_invert, one_minus_w, prs_gcd, wrat_conjugate,
+)
 
 
 def w(j):
@@ -380,3 +383,117 @@ def test_qseries_against_rational_reference(data, cut, m, de):
             a.invert(arg)
         return
     _same(a.invert(arg), expect)
+
+
+# -- lifted products: coefficients over unequal denominators -----------------
+
+def _shifted(x, k, content):
+    """x v^k scaled by a rational content."""
+    return (x * WRat.w_power(qq(k, 2))).scale(content)
+
+
+@st.composite
+def lifted_operands(draw):
+    """((a, ra), (b, rb), (c, rc), E0, E1): series whose coefficients come from
+    ``true_wrat``, each with at least two distinct denominators, v-shifts
+    down to v^-4 and a rational content per term.  The two products that
+    land on E0 in a * b cancel, and so do the two terms at a's second
+    exponent E1 in a + c.  E0 lies below the cutoff of a * b, so the
+    cancellation happens inside the product's precision."""
+    step = draw(st.sampled_from([1, 8, 24]))
+    gap = qq(draw(st.integers(1, 2 * step)), step)
+
+    def exponent():
+        return qq(draw(st.integers(-step, step)), step)
+
+    def coefficient():
+        return _shifted(draw(true_wrat()), draw(st.integers(-4, 1)),
+                        draw(_rational))
+
+    e0, f0 = exponent(), exponent()
+    x0, x1, u1 = coefficient(), coefficient(), coefficient()
+    a = {e0: x0, e0 + gap: x1}
+    if draw(st.booleans()):
+        e2 = e0 + gap + qq(draw(st.integers(1, step)), step)
+        a[e2] = coefficient()
+    # x0 u1 + x1 u0 = 0 at exponent e0 + f0 + gap
+    b = {f0: -(x0 * u1) / x1, f0 + gap: u1}
+    c = {e0 + gap: -x1, e0 - qq(draw(st.integers(1, step)), step):
+         coefficient()}
+    for terms in (a, b, c):
+        assume(len({x.den for x in terms.values()}) >= 2)
+
+    def cutoff(terms):
+        if draw(st.booleans()):
+            return None
+        return max(terms) + qq(draw(st.integers(1, step)), step)
+
+    out = []
+    for terms in (a, b, c):
+        cut = cutoff(terms)
+        out.append((QSeries(terms, cut), RefSeries(terms, cut)))
+    return out + [e0 + f0 + gap, e0 + gap]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lifted_operands())
+def test_lifted_product_against_rational_reference(case):
+    (a, ra), (b, rb), (c, rc), E0, E1 = case
+    product, total = a * b, a + c
+    _same(product, ra * rb)
+    _same(b * a, ra * rb)
+    assert E0 not in product.terms
+    _same(a * a, ra * ra)
+    _same(a * c, ra * rc)
+    _same(total, ra + rc)
+    assert E1 not in total.terms
+    _same((a + c) * b, (ra + rc) * rb)
+
+
+# -- polynomial gcd: the heuristic gcd against the PRS oracle ---------------
+
+def _normal(p):
+    """p in the canonical form: primitive, positive leading coefficient."""
+    return intpoly._primitive(list(p))[1]
+
+
+@st.composite
+def int_poly(draw, max_deg):
+    """A polynomial with nonzero constant and leading terms: small random
+    coefficients or a cyclotomic-like 1 +- v^k."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, max_deg))
+        return (1,) + (0,) * (k - 1) + (draw(st.sampled_from([1, -1])),)
+    coeffs = draw(st.lists(st.integers(-30, 30), min_size=1,
+                           max_size=max_deg + 1))
+    inner = coeffs[1:-1] if len(coeffs) > 1 else []
+    ends = [draw(st.integers(1, 30)) * draw(st.sampled_from([1, -1]))
+            for _ in range(min(len(coeffs), 2))]
+    return tuple(ends[:1] + inner + ends[1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_poly(6), int_poly(8), int_poly(8), st.integers(1, 3))
+def test_gcd_against_prs_oracle_with_cofactors(g, u, w, k):
+    g = _normal(g)
+    a = _normal(intpoly._pmul(g, u))
+    b = _normal(intpoly._pmul(g, w))
+    for _ in range(k - 1):
+        b = intpoly._pmul(b, g)
+    h, qa, qb = intpoly._int_poly_gcd(a, b)
+    assert h == prs_gcd(a, b)
+    assert intpoly._pmul(h, qa) == a and intpoly._pmul(h, qb) == b
+    assert intpoly._quotient(h, g) is not None
+    assert intpoly._int_poly_gcd(b, a) == (h, qb, qa)
+
+
+def test_gcd_at_unlucky_points():
+    # (1 + v)^22 and a polynomial whose value at -1 is divisible by 3^20:
+    # at every point x = 2 mod 3 the two values share a spurious power of 3
+    a = (1, 22, 231, 1540, 7315, 26334, 74613, 170544, 319770, 497420,
+         646646, 705432, 646646, 497420, 319770, 170544, 74613, 26334, 7315,
+         1540, 231, 22, 1)
+    b = (39846084359, 28320721162, 23837893025, 11448583076, 5248836595,
+         1682286374, 501460257, 107510640, 21689886, 2965160, 405064, 30332,
+         2831, 70, 5)
+    assert intpoly._int_poly_gcd(a, b) == (prs_gcd(a, b), a, b)
