@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from .exactq import QQ, qq
 from .blowup import p2_genfun
@@ -253,7 +254,10 @@ def cmd_check(args):
     return 0 if all(r["ok"] for r in results) else 1
 
 
-def main(argv=None):
+@cache
+def _parser():
+    """The parser, built on the first call and reused: later calls pay only
+    for the parse."""
     parser = _Parser(
         prog="bpsinv",
         description="Exact BPS-invariant generating functions for sheaves on "
@@ -273,17 +277,20 @@ def main(argv=None):
     pc.add_argument("--format", choices=["json", "csv", "text"],
                     default="text")
     pc.add_argument("--cache-dir", default=None)
-    pc.set_defaults(func=cmd_compute)
 
     pk = sub.add_parser("check", help="run a verification suite")
     pk.add_argument("--suite", choices=["core", "table1", "routes", "all"],
                     default="all")
     pk.add_argument("--format", choices=["json", "text"], default="text")
-    pk.set_defaults(func=cmd_check)
+    return parser
 
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # looked up per call, so a later rebinding of either name is served
+        run = cmd_compute if args.command == "compute" else cmd_check
+        return run(args)
     except (InputError, GeometryError, InvariantError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         # a failed integrality or palindromy check is a verification failure

@@ -147,6 +147,34 @@ def test_criterion_5d_closed_vs_iterated_wallcrossing():
                "ell in {0,1,2}, 6 orders")
 
 
+# Rows past the paper's table, as computed by this code (cutoff 9, both
+# blow-up routes agreeing); they are not taken from the paper.
+DEEP_R3_ROWS = {
+    7: (36612, (1, 2, 6, 13, 29, 56, 109, 194, 338, 552, 866, 1270, 1760,
+                2266, 2736, 3091, 3321, 3392)),
+    8: (145908, (1, 2, 6, 13, 29, 57, 112, 204, 367, 626, 1044, 1664, 2568,
+                 3774, 5303, 7042, 8854, 10485, 11782, 12585, 12872)),
+    9: (528264, (1, 2, 6, 13, 29, 57, 113, 207, 377, 655, 1118, 1842, 2974,
+                 4640, 7052, 10331, 14602, 19750, 25537, 31383, 36721, 40900,
+                 43583, 44478)),
+}
+
+
+def test_deep_rank3_rows_c2_7_to_9():
+    cut = qq(9)
+    hA = p2_genfun(3, 0, cut, route_k=0)
+    hB = p2_genfun(3, 0, cut, route_k=1)
+    _assert_routes_agree(hA, hB, cut, "h_{3,0} at cutoff 9")
+    rows = {row.c2: row for row in p2_table(3, 0, cut).rows}
+    assert set(rows) == set(REFERENCE_R3_ROWS) | set(DEEP_R3_ROWS)
+    for c2, (euler, half) in {**REFERENCE_R3_ROWS, **DEEP_R3_ROWS}.items():
+        row = rows[c2]
+        assert row.euler == euler, c2
+        assert row.betti[:row.dim // 2 + 1] == half, c2
+        assert row.betti == half + half[-2::-1], c2
+    _report(1, "(deep) rank-3 plane rows c2=7..9, routes agree at cutoff 9")
+
+
 def _check_table_properties(table):
     # extract_table already enforced integrality, palindromy, nonnegativity,
     # w-span = 2*dim and vanishing on expected-empty classes; re-assert the

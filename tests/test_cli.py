@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bpsinv
+import bpsinv.cli as cli
 from bpsinv.cli import MAX_QORDERS, main
 from bpsinv.exactq import QQ, qq
 from bpsinv.hn import suitable_genfun_recursive
@@ -300,6 +303,44 @@ def test_parser_errors_are_json_with_exit_2(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("BPSINV_CACHE_DIR")
     code, _, _ = run_cli(["compute", "--surface", "hirzebruch:1", "--rank",
                           "2", "--c1=-2,2", "--qorders", "1"], capsys)
+    assert code == 0
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    argv = ["compute", "--surface", "p2", "--rank", "1", "--c1", "0",
+            "--qorders", "1", "--format", "json"]
+    outs = [run_cli(argv, capsys) for _ in range(5)]
+    assert all(out == outs[0] for out in outs) and outs[0][0] == 0
+    info = cli._parser.cache_info()
+    assert info.misses == 1 and info.hits >= 4
+
+
+def test_commands_rebound_after_the_first_call_are_the_ones_run(monkeypatch,
+                                                                 capsys):
+    run_cli(["compute", "--surface", "p2", "--rank", "1", "--c1", "0",
+             "--qorders", "1"], capsys)
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args) or 7)
+    monkeypatch.setattr(cli, "cmd_compute", lambda args: seen.append(args) or 8)
+    assert run_cli(["check", "--suite", "core"], capsys)[0] == 7
+    assert run_cli(["compute", "--surface", "p2", "--rank", "1", "--c1", "0"],
+                   capsys)[0] == 8
+    assert [(a.command, getattr(a, "suite", None)) for a in seen] == [
+        ("check", "core"), ("compute", None)]
+
+
+def test_parses_carry_no_state_between_sends(capsys, tmp_path, monkeypatch):
+    # every bad input of the parser-error test in this process, then a
+    # valid request: its bytes must be those of a fresh process
+    test_parser_errors_are_json_with_exit_2(capsys, tmp_path, monkeypatch)
+    argv = ["compute", "--surface", "hirzebruch:1", "--rank", "2",
+            "--c1", "0,1", "--qorders", "2", "--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bpsinv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    fresh = subprocess.run([sys.executable, "-m", "bpsinv.cli"] + argv,
+                           capture_output=True, env=env, timeout=120)
+    assert (code, out.encode()) == (fresh.returncode, fresh.stdout)
     assert code == 0
 
 
