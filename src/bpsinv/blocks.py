@@ -10,11 +10,11 @@ and eta with total phase +1; coefficients stay rational throughout, which the
 constructors assert implicitly by living in WRat.
 """
 
-from .exactq import qq, is_integral
+from .exactq import qq
 from .geometry import Surface
 from .invariants import GenFun, Flavor
 from .memo import memo
-from .series import QSeries, VPoly, WRat, SeriesError
+from .series import QSeries, WRat, SeriesError, _grid
 
 __all__ = [
     "eta_series", "theta_hat", "rank1_genfun", "fibre_product_genfun",
@@ -27,9 +27,10 @@ def eta_series(cutoff) -> QSeries:
     """Dedekind eta: q^(1/24) prod (1 - q^n), expanded below the cutoff."""
     if cutoff <= qq(1, 24):
         raise SeriesError("eta cutoff must exceed 1/24")
-    prod = QSeries.one(cutoff - qq(1, 24))
+    body_cut = cutoff - qq(1, 24)
+    prod = QSeries.one(body_cut)
     n = 1
-    while n < cutoff - qq(1, 24):
+    while n < body_cut:
         prod = prod * QSeries({0: 1, n: -1})
         n += 1
     return prod.shift_q(qq(1, 24))
@@ -41,11 +42,11 @@ def theta_hat(k, cutoff) -> QSeries:
     if k < 1:
         raise SeriesError("theta_hat requires k >= 1")
     body_cut = cutoff - qq(1, 8)
-    out = QSeries({0: WRat(VPoly({2 * k: 1, -2 * k: -1}))}, body_cut)
+    out = QSeries({0: WRat.w_power(k) - WRat.w_power(-k)}, body_cut)
     n = 1
     while n < body_cut:
-        for vexp in (0, 4 * k, -4 * k):
-            out = out * QSeries({0: 1, n: -WRat(VPoly({vexp: 1}))})
+        for j in (0, 2 * k, -2 * k):
+            out = out * QSeries({0: 1, n: -WRat.w_power(j)})
         n += 1
     return out.shift_q(qq(1, 8))
 
@@ -92,44 +93,40 @@ def blowup_factor(r, k, cutoff) -> QSeries:
     """B_{r,k} = eta^-r sum over (a_1..a_r), sum a_i = 0, a_i in Z + k/r, of
     q^(-sum_{i<j} a_i a_j) w^(sum_{i<j} (a_i - a_j)).
 
-    The w-exponent sum_{i<j}(a_i - a_j) = sum_i (r+1-2i) a_i is always an
-    integer, so every coefficient has integer w-support.  Truncation: the
-    quadratic form -sum_{i<j} a_i a_j = (1/2) sum a_i^2 is positive definite
-    on the sum-zero lattice, so points outside a finite ball exceed the
-    cutoff."""
+    The sum runs over the integer points b_i = r a_i = k mod r, sum b_i = 0.
+    The w-exponent sum_{i<j}(a_i - a_j) = sum_i (r+1-2i) b_i / r is always
+    an integer, so every coefficient has integer w-support.  Truncation: the
+    quadratic form -sum_{i<j} a_i a_j = sum b_i^2 / (2 r^2) is positive
+    definite on the sum-zero lattice, so points outside a finite ball exceed
+    the cutoff."""
     r, k = int(r), int(k) % int(r)
     # eta^-r at c keeps c + (r-1)/24 - r/12; the lattice sum starts at q^>=0
     eta_inv = (eta_series(cutoff + qq(r + 1, 24)) ** r).invert()
-    lead = eta_inv.leading_exponent()
-    theta_cut = cutoff - lead
-    shift = qq(k, r)
+    theta_cut = cutoff - eta_inv.leading_exponent()
+    # a point is kept when sum b_i^2 / (2 r^2) < theta_cut, i.e. below lim
+    lim = -(-2 * r * r * theta_cut.numerator // theta_cut.denominator)
     acc = {}
 
-    def rec(prefix, remaining, acc_sq, acc_sum):
-        if remaining == 1:
-            a_last = -acc_sum
-            if not is_integral(a_last - shift):
+    def rec(prefix, sq, total):
+        if len(prefix) == r - 1:
+            b = -total
+            if (b - k) % r or sq + b * b >= lim:
                 return
-            tup = prefix + (a_last,)
-            qexp = (acc_sq + a_last * a_last) / 2
-            if qexp >= theta_cut:
-                return
-            wexp = sum((r + 1 - 2 * (i + 1)) * a for i, a in enumerate(tup))
-            acc[qexp] = acc.get(qexp, WRat.from_rational(0)) \
-                + WRat.w_power(wexp)
+            E = _grid(sq + b * b, 2 * r * r)
+            wexp = sum((r - 1 - 2 * i) * x
+                       for i, x in enumerate(prefix + (b,))) // r
+            acc[E] = acc.get(E, WRat.from_rational(0)) + WRat.w_power(wexp)
             return
         m = 0
         while True:
             hit = False
-            for a in ({shift + m, shift - m} if m else {shift}):
-                if acc_sq + a * a < 2 * theta_cut:
+            for b in ({k + r * m, k - r * m} if m else {k}):
+                if sq + b * b < lim:
                     hit = True
-                    rec(prefix + (a,), remaining - 1, acc_sq + a * a,
-                        acc_sum + a)
+                    rec(prefix + (b,), sq + b * b, total + b)
             if not hit:
                 break
             m += 1
 
-    rec((), r, qq(0), qq(0))
-    lattice = QSeries(acc, theta_cut)
-    return (eta_inv * lattice).truncate(cutoff)
+    rec((), 0, 0)
+    return (eta_inv * QSeries.from_grid(acc, theta_cut)).truncate(cutoff)

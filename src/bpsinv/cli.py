@@ -30,9 +30,14 @@ from .serialize import (
 
 # The deepest --qorders accepted.  At 40 the heaviest supported requests
 # (rank 3 on the plane, rank 4 suitable and rank 3 wall-crossed on Sigma_1)
-# take about 7 s and at most 48 MB on the Fraction backend, and the cost grows
-# about as qorders^2.5; a deeper request exits 2 at once instead.
+# take about 7 s and at most 48 MB (Python 3.11), and the cost grows about
+# as qorders^2.5; a deeper request exits 2 at once instead.
 MAX_QORDERS = 40
+
+# The longest --polarization part, and the largest decimal exponent in one,
+# judged on the text before it is parsed: a part within both gives a
+# rational of at most about 200 digits, which parses and prints at once.
+MAX_POLARIZATION_PART = 100
 
 
 class InputError(ValueError):
@@ -75,6 +80,14 @@ def _parse_polarization(text, surface):
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError("--polarization must be 'suitable' or '<m>,<n>'")
+    for part in parts:
+        exp = part.lower().partition("e")[2].replace("_", "")
+        exp = exp.strip().lstrip("+-")
+        if len(part) > MAX_POLARIZATION_PART or (
+                exp.isdecimal() and int(exp) > MAX_POLARIZATION_PART):
+            raise InputError(
+                "--polarization parts are limited to %d characters and "
+                "exponents of at most %d" % ((MAX_POLARIZATION_PART,) * 2))
     try:
         return Polarization.generic(qq(parts[0]), qq(parts[1]))
     except (ValueError, GeometryError, ZeroDivisionError):

@@ -1,31 +1,14 @@
-"""Exact rational arithmetic backend.
+"""Exact rationals: the one number type of cutoffs, slopes, tables and the
+API edge.  Values on a known lattice are ints in units of that lattice."""
 
-gmpy2.mpq when available (much faster), fractions.Fraction otherwise.
-Both expose .numerator/.denominator and hash/compare identically.
-"""
-
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as QQ
+from fractions import Fraction as QQ
 
 
 def qq(a, b=1):
-    """Exact rational a/b; strings parse as exact fractions like "3/8"."""
+    """Exact rational a/b; strings parse as exact fractions like "3/8".  A
+    rational is returned as it is."""
+    if b == 1 and type(a) is QQ:
+        return a
     if isinstance(a, str):
         a = QQ(a)
     return QQ(a, b)
-
-
-def qfloor(x):
-    """Floor of a rational, as an int."""
-    return int(x.numerator // x.denominator)
-
-
-def qfrac(x):
-    """Fractional part {x} = x - floor(x), in [0, 1)."""
-    return x - qfloor(x)
-
-
-def is_integral(x) -> bool:
-    return x.denominator == 1

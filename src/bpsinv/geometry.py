@@ -8,7 +8,7 @@ Classes are integer tuples in the surface basis; slopes are rational tuples.
 from dataclasses import dataclass
 from math import gcd
 
-from .exactq import qq, is_integral
+from .exactq import qq
 
 __all__ = [
     "Surface", "ChernVector", "EpsRational", "Polarization", "GeometryError",
@@ -57,11 +57,12 @@ class Surface:
     chi_O = 1
 
     def intersect(self, u, v):
-        """Intersection pairing of two H^2 classes (rational entries allowed)."""
+        """Intersection pairing of two H^2 classes: an int for integral
+        classes, a rational for rational ones."""
         if self.rank2:
             (x1, y1), (x2, y2) = u, v
-            return -self.ell * qq(x1) * qq(x2) + qq(x1) * qq(y2) + qq(y1) * qq(x2)
-        return qq(u[0]) * qq(v[0])
+            return -self.ell * x1 * x2 + x1 * y2 + y1 * x2
+        return u[0] * v[0]
 
     def canonical_class(self):
         if self.rank2:
@@ -101,7 +102,7 @@ class ChernVector:
 
     def c2(self, surface):
         c2 = qq(surface.intersect(self.c1, self.c1), 2) - self.ch2
-        if not is_integral(c2):
+        if c2.denominator != 1:
             raise GeometryError("non-integral c2 for %s" % (self,))
         return int(c2)
 
@@ -111,8 +112,8 @@ class ChernVector:
 
 def discriminant(gamma, surface):
     """Delta = (c2 - (r-1)/(2r) c1^2) / r = mu^2/2 - ch2/r."""
-    mu = gamma.mu()
-    return qq(surface.intersect(mu, mu), 2) - gamma.ch2 / qq(gamma.r)
+    r = gamma.r
+    return qq(surface.intersect(gamma.c1, gamma.c1), 2 * r * r) - gamma.ch2 / r
 
 
 def piece_cutoff(cutoff, r, ri, surface):
@@ -124,9 +125,9 @@ def piece_cutoff(cutoff, r, ri, surface):
 
 def expected_dimension(gamma, surface):
     """2 r^2 Delta - r^2 chi(O) + 1; may be negative (expected-empty)."""
-    d = 2 * qq(gamma.r) ** 2 * discriminant(gamma, surface) \
-        - qq(gamma.r) ** 2 * surface.chi_O + 1
-    if not is_integral(d):
+    r2 = gamma.r * gamma.r
+    d = 2 * r2 * discriminant(gamma, surface) - r2 * surface.chi_O + 1
+    if d.denominator != 1:
         raise GeometryError("non-integral expected dimension: inconsistent %s"
                             % (gamma,))
     return int(d)
@@ -143,7 +144,7 @@ def twist_reduce(gamma, surface):
     L = tuple((x - y) // r for x, y in zip(gamma.c1, red))
     # ch2(E (x) L^-1) = ch2 - c1.L + r L^2/2, derived from the twist rule
     ch2 = gamma.ch2 - surface.intersect(gamma.c1, L) \
-        + qq(r) * qq(surface.intersect(L, L), 2)
+        + qq(r * surface.intersect(L, L), 2)
     return ChernVector(r, red, ch2), L
 
 
@@ -227,16 +228,16 @@ def walls_between(r, surface, qshift_bound):
     bound.  Only integer directions zeta = (x, y), x >= 1, y <= -1 can host
     a wall (positive slope |y|/x), and -zeta^2 = ell x^2 + 2x|y| is at least
     2x at fixed x, so the enumeration is finite."""
-    bound = max(2 * qq(r) * qq(rp * (r - rp)) * qq(qshift_bound)
-                for rp in range(1, r))
+    bound = max(2 * r * rp * (r - rp) for rp in range(1, r)) \
+        * qshift_bound.numerator // qshift_bound.denominator
     ell = surface.ell
-    walls = {}
+    prims = set()
     x = 1
     while ell * x * x + 2 * x <= bound:
         y = -1
         while ell * x * x - 2 * x * y <= bound:
             g = gcd(x, y)
-            walls.setdefault(qq(-y, x), (x // g, y // g))
+            prims.add((x // g, y // g))
             y -= 1
         x += 1
-    return sorted(walls.items(), key=lambda t: t[0], reverse=True)
+    return sorted(((qq(-y, x), (x, y)) for x, y in prims), reverse=True)

@@ -14,10 +14,10 @@ over rank compositions with explicit w-weights built from the sawtooth sum M.
 Both return the rational multi-cover flavor; they must agree identically.
 """
 
-from itertools import product as iproduct
-from math import factorial, gcd
+from itertools import accumulate, product as iproduct
+from math import factorial, gcd, lcm, prod
 
-from .exactq import qq, qfrac, is_integral
+from .exactq import qq
 from .blocks import fibre_product_genfun
 from .geometry import Surface, SUITABLE, GeometryError, piece_cutoff
 from .invariants import Flavor, GenFun
@@ -31,16 +31,17 @@ __all__ = [
 
 
 def M(r_list, lam):
-    """sum_{j<l} (r_j + r_{j+1}) {(r_1+...+r_j) lam}, {x} = x - floor(x)."""
+    """sum_{j<l} (r_j + r_{j+1}) {(r_1+...+r_j) lam}, {x} = x - floor(x),
+    summed as numerators over the denominator of lam."""
     if not r_list:
         raise GeometryError("M requires a nonempty rank list")
     lam = qq(lam)
-    total = qq(0)
-    partial = 0
+    n, d = lam.numerator, lam.denominator
+    total = partial = 0
     for j in range(len(r_list) - 1):
         partial += r_list[j]
-        total += qq(r_list[j] + r_list[j + 1]) * qfrac(partial * lam)
-    return total
+        total += (r_list[j] + r_list[j + 1]) * (partial * n % d)
+    return qq(total, d)
 
 
 def _compositions(n):
@@ -58,11 +59,12 @@ def _compositions(n):
 # Route (a): extended-HN subtraction
 # ---------------------------------------------------------------------------
 
-def _lattice_sum(block_ranks, phis, alpha):
+def _lattice_sum(block_ranks, phis, alpha, D):
     """Closed form of the sum over fibre-slope assignments for one shape.
 
     Blocks carry strictly decreasing slopes s_1 > ... > s_B with fractional
-    parts phis; slots within a block share the block slope.  Writing
+    parts phis / D (int numerators over a common denominator D that R
+    divides); slots within a block share the block slope.  Writing
     u_c = s_c - s_{c+1} > 0 and eliminating s_B through
     alpha = R s_B + sum_c P_c u_c, the w-weight w^(2 sum_{i<j} r_i r_j
     (s_j - s_i)) factors into geometric series with ratio w^(-2 P_c (R-P_c) R)
@@ -71,22 +73,14 @@ def _lattice_sum(block_ranks, phis, alpha):
     R_blocks = [sum(b) for b in block_ranks]
     R = sum(R_blocks)
     if B == 1:
-        s = qq(alpha, R)
-        return WRat.from_rational(1 if qfrac(s) == phis[0] else 0)
-    P = []
-    acc = 0
-    for Rb in R_blocks[:-1]:
-        acc += Rb
-        P.append(acc)
-    delta0 = []
-    for c in range(B - 1):
-        d = qfrac(phis[c] - phis[c + 1])
-        delta0.append(d if d else qq(1))
-    T = qq(alpha) - qq(R) * phis[-1] - sum(
-        (qq(P[c]) * delta0[c] for c in range(B - 1)), qq(0))
-    if not is_integral(T):
+        return WRat.from_rational(int(alpha * (D // R) % D == phis[0]))
+    P = list(accumulate(R_blocks[:-1]))
+    # D times the fractional parts {phi_c - phi_(c+1)}, with 0 read as 1
+    delta0 = [(phis[c] - phis[c + 1]) % D or D for c in range(B - 1)]
+    T = alpha * D - R * phis[-1] - sum(p * d for p, d in zip(P, delta0))
+    if T % D:
         return WRat.from_rational(0)
-    T = int(T) % R
+    T = T // D % R
     total = WRat.from_rational(0)
     geo = WRat.from_rational(1)
     for c in range(B - 1):
@@ -95,17 +89,18 @@ def _lattice_sum(block_ranks, phis, alpha):
     for rhos in iproduct(range(R), repeat=B - 1):
         if sum(P[c] * rhos[c] for c in range(B - 1)) % R != T:
             continue
-        wexp = sum((-2 * qq(P[c] * (R - P[c])) * (delta0[c] + rhos[c])
-                    for c in range(B - 1)), qq(0))
-        total = total + WRat.w_power(wexp)
+        wexp = sum(-2 * P[c] * (R - P[c]) * (delta0[c] + rhos[c] * D)
+                   for c in range(B - 1))
+        total = total + WRat.w_power(qq(wexp, D) if wexp % D else wexp // D)
     return total * geo
 
 
-def _phi_choices(block):
+def _phi_choices(block, D):
+    """Numerators over D of the fractional slopes a block can carry."""
     g = 0
     for r in block:
         g = gcd(g, r)
-    return [qq(c, g) for c in range(g)]
+    return [c * (D // g) for c in range(g)]
 
 
 @memo
@@ -118,6 +113,7 @@ def subtraction_terms(r, alpha):
     1/prod(block size)!; these are exactly the term lists written out case by
     case in low rank."""
     out = {}
+    D = lcm(*range(1, r + 1))
     for ranks in _compositions(r):
         ell = len(ranks)
         if ell < 2:
@@ -128,18 +124,15 @@ def subtraction_terms(r, alpha):
             for size in pattern:
                 blocks.append(tuple(ranks[pos:pos + size]))
                 pos += size
-            for phis in iproduct(*[_phi_choices(b) for b in blocks]):
-                lam = _lattice_sum(blocks, phis, alpha)
+            for phis in iproduct(*[_phi_choices(b, D) for b in blocks]):
+                lam = _lattice_sum(blocks, phis, alpha, D)
                 if lam.is_zero():
                     continue
-                aut = qq(1)
-                for b in blocks:
-                    aut /= factorial(len(b))
-                weight = lam.scale(aut)
+                weight = lam / prod(factorial(len(b)) for b in blocks)
                 pieces = []
                 for b, phi in zip(blocks, phis):
                     for ri in b:
-                        pieces.append((ri, int(qq(ri) * phi) % ri))
+                        pieces.append((ri, ri * phi // D % ri))
                 key = tuple(sorted(pieces))
                 out[key] = out.get(key, WRat.from_rational(0)) + weight
     return {k: v for k, v in out.items() if not v.is_zero()}

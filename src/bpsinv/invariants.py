@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from math import gcd
 
-from .exactq import qq, is_integral
+from .exactq import qq
 from .geometry import (
     ChernVector, Surface, discriminant, expected_dimension, twist_reduce,
 )
@@ -157,7 +157,7 @@ def extract_table(h: GenFun) -> InvariantTable:
         betti = []
         for i in range(dim + 1):
             b = p.coeff(-2 * dim + 4 * i)
-            if not is_integral(b) or b < 0:
+            if b.denominator != 1 or b < 0:
                 raise InvariantError(
                     "negative or non-integer Betti number at c2=%s" % (c2,))
             betti.append(int(b))

@@ -30,7 +30,7 @@ immutable after construction and safe to share across threads.
 
 from math import gcd, lcm
 
-from .exactq import qq, is_integral
+from .exactq import QQ, qq
 from .intpoly import (
     _ONE, _canonical, _convolve, _int_poly_gcd, _lift, _pmul, _primitive,
     _spread, _twist,
@@ -70,6 +70,14 @@ def _power(base, n, one):
 # Laurent polynomials in v
 # ---------------------------------------------------------------------------
 
+_QZERO = qq(0)
+
+
+def _exact(x):
+    """x as an exact number: an int or a rational as it is, else qq(x)."""
+    return x if isinstance(x, (int, QQ)) else qq(x)
+
+
 class VPoly:
     """Laurent polynomial in v with rational coefficients, v^2 = w.
 
@@ -80,13 +88,8 @@ class VPoly:
     __slots__ = ("_c", "_hash")
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                v = qq(v)
-                if v:
-                    c[int(e)] = v
-        self._c = c
+        c = {int(e): qq(v) for e, v in (coeffs or {}).items()}
+        self._c = {e: v for e, v in c.items() if v}
         self._hash = None
 
     # -- structure ---------------------------------------------------------
@@ -101,7 +104,7 @@ class VPoly:
         return self._c.items()
 
     def coeff(self, vexp):
-        return self._c.get(int(vexp), qq(0))
+        return self._c.get(int(vexp), _QZERO)
 
     @property
     def min_exp(self):
@@ -148,8 +151,6 @@ class VPoly:
 
     def scale(self, k):
         k = qq(k)
-        if not k:
-            return VPoly()
         return VPoly({e: v * k for e, v in self._c.items()})
 
     # -- maps ----------------------------------------------------------------
@@ -160,7 +161,7 @@ class VPoly:
 
     def eval_w_one(self):
         """Value at w = 1 (v = 1)."""
-        return sum(self._c.values(), qq(0))
+        return sum(self._c.values(), _QZERO)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -229,9 +230,9 @@ class WRat:
     is a unique factorisation domain, so after cancelling gcd(n, d) each of
     n and d is fixed up to its content and sign, which go into p/q.  Equal
     values therefore have equal representations, making hashing and caching
-    deterministic.  All arithmetic is on Python ints; rationals of the
-    exactq backend appear only at the edges (``from_rational``, ``scale``
-    and the views below).
+    deterministic.  All arithmetic is on Python ints; exactq rationals
+    appear only at the edges (``from_rational``, ``scale`` and the views
+    below).
 
     ``num`` and ``den`` are Laurent-polynomial views built on first use:
     den = d / lc(d), a genuine polynomial with nonzero constant term and
@@ -263,15 +264,15 @@ class WRat:
 
     @staticmethod
     def from_rational(x):
-        x = qq(x)
+        x = _exact(x)
         if not x:
             return WRAT_ZERO
         return _wrat(int(x.numerator), int(x.denominator), 0, _ONE, _ONE)
 
     @staticmethod
     def w_power(j):
-        e = qq(2) * qq(j)
-        if not is_integral(e):
+        e = 2 * _exact(j)
+        if e.denominator != 1:
             raise SeriesError("w-power %s is not a half-integer" % (j,))
         return _wrat(1, 1, int(e), _ONE, _ONE)
 
@@ -382,6 +383,8 @@ class WRat:
         return _wrat(p, q, -self._s, self._d, self._n)
 
     def __truediv__(self, other):
+        if type(other) is int and other:
+            return self._scaled((other > 0) - (other < 0), abs(other))
         return self * _coerce(other).inverse()
 
     def __pow__(self, n):
@@ -391,10 +394,14 @@ class WRat:
         return _power(self, n, WRAT_ONE)
 
     def scale(self, k):
-        k = qq(k)
-        if not k or not self._p:
+        k = _exact(k)
+        return self._scaled(int(k.numerator), int(k.denominator))
+
+    def _scaled(self, p, q):
+        """self * p/q for ints p and q > 0 with gcd(p, q) = 1."""
+        if not p or not self._p:
             return WRAT_ZERO
-        p, q = _cmul(self._p, self._q, int(k.numerator), int(k.denominator))
+        p, q = _cmul(self._p, self._q, p, q)
         return _wrat(p, q, self._s, self._n, self._d)
 
     # -- maps -----------------------------------------------------------------
@@ -479,6 +486,14 @@ def _cap(cutoff):
     return -(-_D * int(cutoff.numerator) // int(cutoff.denominator))
 
 
+def _grid(num, den):
+    """The int E = 24 num / den of q^(num/den) on the 1/24 grid."""
+    E, rem = divmod(_D * num, den)
+    if rem:
+        raise SeriesError("q-exponent %s/%s off the 1/24 grid" % (num, den))
+    return E
+
+
 class QSeries:
     """Sparse series in q with rational exponents and WRat coefficients.
 
@@ -493,9 +508,10 @@ class QSeries:
     pessimistically and never fabricates precision.
 
     The constructor checks its input (exponent denominators dividing 24;
-    zeros and exponents at or above the cutoff dropped); the arithmetic
-    builds its valid results with ``_qseries`` unchecked.  ``terms`` is the
-    rational-keyed view {e: coefficient}, built on first use.
+    zeros and exponents at or above the cutoff dropped), and ``from_grid``
+    takes int exponents E already; the arithmetic builds its valid results
+    with ``_qseries`` unchecked.  ``terms`` is the rational-keyed view
+    {e: coefficient}, built on first use.
 
     Products run on the lifted form described in the module docstring
     (``intpoly._lift``, ``_convolve``, ``_canonical``); sums and the
@@ -507,24 +523,22 @@ class QSeries:
     def __init__(self, terms=None, cutoff=None):
         cutoff = None if cutoff is None else qq(cutoff)
         t = {}
-        if terms:
-            for e, c in terms.items():
-                e = qq(e)
-                if not isinstance(c, WRat):
-                    c = _coerce(c)
-                if c.is_zero():
-                    continue
-                if cutoff is not None and e >= cutoff:
-                    continue
-                den = int(e.denominator)
-                if _D % den:
-                    raise SeriesError(
-                        "q-exponent denominator %s outside tracked bound"
-                        % (den,))
-                t[int(e.numerator) * (_D // den)] = c
+        for e, c in (terms or {}).items():
+            c, e = _coerce(c), _exact(e)
+            if c and (cutoff is None or e < cutoff):
+                t[_grid(e.numerator, e.denominator)] = c
         self._t, self.cutoff, self._terms = t, cutoff, None
 
     # -- constructors -----------------------------------------------------------
+
+    @staticmethod
+    def from_grid(t, cutoff=None):
+        """The series sum c q^(E/24) of {int E: WRat c}; zeros and exponents
+        at or above the cutoff are dropped."""
+        cutoff = None if cutoff is None else qq(cutoff)
+        cap = _cap(cutoff)
+        return _qseries({E: c for E, c in t.items()
+                         if c and (cap is None or E < cap)}, cutoff)
 
     @staticmethod
     def zero(cutoff=None):
@@ -549,8 +563,8 @@ class QSeries:
         return [qq(E, _D) for E in sorted(self._t)]
 
     def coeff(self, e):
-        E = qq(e) * _D
-        return self._t.get(int(E), WRAT_ZERO) if is_integral(E) else WRAT_ZERO
+        # an exponent off the 1/24 grid equals no int key
+        return self._t.get(_exact(e) * _D, WRAT_ZERO)
 
     def leading_exponent(self):
         if not self._t:
@@ -562,15 +576,9 @@ class QSeries:
 
     # -- arithmetic ----------------------------------------------------------------
 
-    def _merge_cut(self, other):
-        if self.cutoff is None:
-            return other.cutoff
-        if other.cutoff is None:
-            return self.cutoff
-        return min(self.cutoff, other.cutoff)
-
     def __add__(self, other):
-        cut = self._merge_cut(other)
+        cut = min((c for c in (self.cutoff, other.cutoff) if c is not None),
+                  default=None)
         cap = _cap(cut)
         t = {E: c for E, c in self._t.items() if cap is None or E < cap}
         for E, c in other._t.items():
@@ -607,16 +615,11 @@ class QSeries:
 
     def _mul_cut(self, other):
         # a factor that is exactly zero gives an exact zero product
-        if not self._t and self.cutoff is None:
+        if any(not s._t and s.cutoff is None for s in (self, other)):
             return None
-        if not other._t and other.cutoff is None:
-            return None
-        cands = []
-        if self.cutoff is not None:
-            cands.append(self.cutoff + other.leading_exponent())
-        if other.cutoff is not None:
-            cands.append(other.cutoff + self.leading_exponent())
-        return min(cands) if cands else None
+        return min((a.cutoff + b.leading_exponent() for a, b in
+                    ((self, other), (other, self)) if a.cutoff is not None),
+                   default=None)
 
     def scale(self, k):
         k = _coerce(k)
@@ -625,11 +628,9 @@ class QSeries:
         return _qseries({E: c * k for E, c in self._t.items()}, self.cutoff)
 
     def shift_q(self, de):
-        de = qq(de)
+        de = _exact(de)
         cut = None if self.cutoff is None else self.cutoff + de
-        if self._t and not is_integral(de * _D):
-            raise SeriesError("q-shift %s leaves the 1/24 exponent grid" % de)
-        dE = int(de * _D)
+        dE = _grid(de.numerator, de.denominator) if self._t else 0
         return _qseries({E + dE: c for E, c in self._t.items()}, cut)
 
     def __pow__(self, n):
@@ -645,8 +646,7 @@ class QSeries:
             raise NonInvertibleError("non-invertible zero series")
         E0 = min(self._t)
         c0 = self._t[E0]
-        if cutoff is not None:
-            cutoff = qq(cutoff)
+        cutoff = None if cutoff is None else qq(cutoff)
         if len(self._t) == 1 and self.cutoff is None:
             if cutoff is not None and -E0 >= _cap(cutoff):
                 return _qseries({}, cutoff)

@@ -23,7 +23,7 @@ The delta is the filtration sum along the wall's line of slopes,
 from itertools import product as iproduct
 from math import isqrt, lcm
 
-from .exactq import qq, qfloor
+from .exactq import qq
 from .blocks import rank1_genfun
 from .geometry import (
     GeometryError, Polarization, Surface, piece_cutoff, walls_between,
@@ -31,7 +31,7 @@ from .geometry import (
 from .hn import _compositions, suitable_genfun_recursive
 from .invariants import Flavor, GenFun
 from .memo import memo
-from .series import QSeries, WRat
+from .series import QSeries, WRat, _grid
 
 __all__ = [
     "WallError", "genfun_at_polarization", "genfun_by_wall_march",
@@ -88,18 +88,20 @@ def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
     # every window term carries the factor h1^2 (r = 2) or h1 (r = 3): the
     # rest is summed first and multiplied by that factor once
     window = QSeries.zero(None)
+    cut2 = piece_cutoff(cutoff, 3, 2, surface)
     for x, y, ds in _window(r, beta, af, ell, J, Ebound, _tiebreak_suitable):
         X = (ell - 2) * x + 2 * y
-        E = qq(ell * x * x + 2 * x * y, _QDEN[r])
-        term = QSeries({E: (WRat.w_power(-X) - WRat.w_power(X))
-                        .scale(qq(ds, 4 if r == 2 else 2))})
+        # the weight ds/4 (r = 2) or ds/2 (r = 3) is one over an int
+        coeff = (WRat.w_power(-X) - WRat.w_power(X)) \
+            / ((4 if r == 2 else 2) // ds)
+        term = QSeries.from_grid(
+            {_grid(ell * x * x + 2 * x * y, _QDEN[r]): coeff})
         if r == 3:
             b = (x + 2 * beta) // 3
             a = (y + 2 * af) // 3
             term = genfun_at_polarization(
                 2, (b % 2, (-a) % 2), ell,
-                Polarization.generic(abs(x), abs(y)),
-                piece_cutoff(cutoff, 3, 2, surface),
+                Polarization.generic(abs(x), abs(y)), cut2,
                 _tiebreak_suitable=True).series * term
         window = window + term
     if r == 2:
@@ -121,7 +123,10 @@ def _window(r, beta, alpha, ell, J, Ebound, tiebreak):
     decides: inactive for e > 0, active for e < 0, and on a wall (s1 = 0)
     for e = 0."""
     t, e = J.slope()
+    tn, td = t.numerator, t.denominator
     qden = _QDEN[r]
+    # the int bound on qden E, floored once
+    lim = qden * Ebound.numerator // Ebound.denominator
     out = []
     for sx in (1, -1):
         k = 0
@@ -129,14 +134,15 @@ def _window(r, beta, alpha, ell, J, Ebound, tiebreak):
             k += 1
             if (sx * k - beta) % r:
                 continue
-            if qq(ell * k * k + 2 * max(k * k * t, k)) / qden > Ebound:
+            # u >= ceil(k t) and u >= 1 bound qden E below, increasingly in k
+            lo = -(-k * tn // td)
+            if ell * k * k + 2 * k * max(lo, 1) > lim:
                 break
-            kt = k * t
-            lo = -qfloor(-kt)
-            top = qfloor((qden * Ebound - ell * k * k) / (2 * k))
+            on = lo if k * tn % td == 0 else None  # u = k t, if an int
+            top = (lim - ell * k * k) // (2 * k)
             for u in range(lo + (sx * alpha - lo) % r, top + 1, r):
                 ds = -2 * sx
-                if u == kt and e >= 0:
+                if u == on and e >= 0:
                     if e > 0:
                         continue
                     if not tiebreak:
@@ -178,7 +184,7 @@ def line_filtrations(r, c1, omega, surface, bound, descending=True):
         # in integers, shift <= bound is mw2 sum s_i^2 P/r_i <= 2 r^2 P bound,
         # so each s_i^2 <= limit r_i/P
         P = lcm(*ranks)
-        limit = qfloor(2 * r * r * P * qq(bound) / mw2)
+        limit = 2 * r * r * P * bound.numerator // (mw2 * bound.denominator)
         boxes = []
         for ri, rho in zip(ranks, rhos):
             m = isqrt(max(limit, 0) * ri // P)
@@ -198,9 +204,9 @@ def line_filtrations(r, c1, omega, surface, bound, descending=True):
                 aut *= run
             cross = sum(ranks[i] * ss[j] - ranks[j] * ss[i]
                         for j in range(n) for i in range(j))
-            weight = QSeries({qq(mw2 * used, 2 * r * r * P):
-                              WRat.w_power(-wK * cross // r)
-                              .scale(qq(1, aut))})
+            weight = QSeries.from_grid(
+                {_grid(mw2 * used, 2 * r * r * P):
+                 WRat.w_power(-wK * cross // r) / aut})
             key = tuple(sorted(
                 (ri, tuple((ri * c + s * o) // r % ri
                            for c, o in zip(c1, omega)))

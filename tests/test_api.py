@@ -1,5 +1,6 @@
 """The shipped surface: exports resolve, the memoized stage entry points
-keep their memo, no module imports a name it never uses, and the README's
+keep their memo, no module imports a name it never uses or from outside the
+standard library, int and rational cutoffs are one key, and the README's
 library example runs as printed."""
 
 import ast
@@ -7,8 +8,14 @@ import importlib
 import pathlib
 import pkgutil
 import re
+import sys
 
 import bpsinv
+from bpsinv import clear_caches, p2_table, sigma_table
+from bpsinv.blowup import p2_genfun
+from bpsinv.exactq import qq
+from bpsinv.geometry import SUITABLE
+from bpsinv.hn import suitable_genfun_recursive
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -53,6 +60,35 @@ def test_no_unused_imports():
         unused += ["%s: %s" % (path.name, name) for name in bound
                    if name not in used and name not in exported]
     assert not unused, unused
+
+
+def test_imports_are_stdlib_or_relative():
+    # no runtime dependency: every import is the standard library's or the
+    # package's own
+    foreign = []
+    for path in sorted(pathlib.Path(bpsinv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                continue
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [a.name for a in node.names]
+                     if isinstance(node, ast.Import) else [])
+            foreign += ["%s: %s" % (path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not foreign, foreign
+
+
+def test_int_and_rational_cutoffs_share_results_and_memo_entries():
+    # a cutoff is an exact rational at the API edge; an int is the same key
+    cases = ((lambda c: p2_table(3, 0, c), p2_genfun, 6),
+             (lambda c: sigma_table(2, (0, 1), 1, SUITABLE, c),
+              suitable_genfun_recursive, 3))
+    for table, stage, c in cases:
+        clear_caches()
+        want = table(c)
+        misses = stage.cache_info().misses
+        assert table(qq(c)) == want
+        assert stage.cache_info().misses == misses, stage.__name__
 
 
 def test_readme_library_example(capsys):

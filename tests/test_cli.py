@@ -68,6 +68,11 @@ def test_invalid_inputs_exit_2(capsys):
                     "--c1", "0"], capsys)[0] == 2
     assert run_cli(["compute", "--surface", "hirzebruch:1", "--rank", "2",
                     "--c1", "0,0", "--polarization", "0,1"], capsys)[0] == 2
+    # parts too large to print, or to parse in reasonable time
+    for pol in ("1,1e5000", "1e-5000,1", "1,1e400000"):
+        assert run_cli(["compute", "--surface", "hirzebruch:1", "--rank", "2",
+                        "--c1", "0,1", "--polarization", pol],
+                       capsys)[0] == 2, pol
 
 
 def test_check_core_suite(capsys):
@@ -233,7 +238,7 @@ def test_check_reports_seconds_and_backend(monkeypatch, capsys):
     code, out, _ = run_cli(["check", "--format", "json"], capsys)
     assert code == 0
     obj = json.loads(out)
-    assert obj["backend"] == QQ.__name__ in ("Fraction", "mpq")
+    assert obj["backend"] == QQ.__name__ == "Fraction"
     assert [r["name"] for r in obj["results"]] == ["core", "routes"]
     for r in obj["results"]:
         assert r["ok"] is True

@@ -56,6 +56,31 @@ def test_wrat_field_ops():
     assert x.inverse() == WRat.from_rational(-1) * w(1) / one_minus_w(2)
 
 
+def test_wrat_division_by_an_int_and_int_arguments():
+    x = WRat(VPoly({1: 3, -2: qq(2, 5)})) / WRat(VPoly({0: 1, 2: 2}))
+    for n in (1, -1, 2, -3, 4, 6):
+        assert x / n == x.scale(qq(1, n)) == x * WRat.from_rational(qq(1, n))
+    assert (x - x) / 3 == WRAT_ZERO
+    assert x.scale(-2) == x.scale(qq(-2)) and w(3) == w(qq(3))
+    assert WRat.from_rational(4) == WRat.from_rational(qq(4))
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+
+
+def test_qseries_from_int_exponents():
+    x = w(1) - w(-1)
+    # E in 24ths; zeros and exponents at or above the cutoff are dropped
+    s = QSeries.from_grid({-3: x, 5: x - x, 47: x, 48: x}, qq(2))
+    assert s == QSeries({qq(-1, 8): x, qq(47, 24): x}, qq(2))
+    assert QSeries({1: x, 2: x}) == QSeries.from_grid({24: x, 48: x})
+    assert s.coeff(qq(-1, 8)) == x and s.coeff(-3) == WRAT_ZERO
+    assert s.coeff(qq(1, 5)).is_zero()
+    with pytest.raises(SeriesError):
+        QSeries({qq(1, 5): 1})
+    with pytest.raises(SeriesError):
+        s.shift_q(qq(1, 7))
+
+
 def test_wrat_multicover_substitution():
     # 1/(w - w^-1) -> -1/(w^2 - w^-2) at m=2 and +1/(w^3 - w^-3) at m=3
     inv = (w(1) - w(-1)).inverse()
