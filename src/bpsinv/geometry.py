@@ -5,7 +5,7 @@ C^2 = -ell, f^2 = 0, C.f = 1) and the projective plane (basis H, H^2 = 1).
 Classes are integer tuples in the surface basis; slopes are rational tuples.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .exactq import qq
@@ -182,12 +182,24 @@ class Polarization:
 
     m: EpsRational
     n: EpsRational
+    # read by every window and wall test, so computed once; not part of
+    # equality or hashing, which stay those of (m, n)
+    _slope: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m, n = self.m, self.n
+        slope = None
+        if m.a:
+            d = n.b * m.a - n.a * m.b
+            slope = n.a / m.a, (d > 0) - (d < 0)
+        object.__setattr__(self, "_slope", slope)
 
     @staticmethod
     def generic(m, n):
-        if qq(m) <= 0 or qq(n) <= 0:
+        J = Polarization(EpsRational(m), EpsRational(n))
+        if J.m.a <= 0 or J.n.a <= 0:
             raise GeometryError("J_{m,n} requires m, n > 0")
-        return Polarization(EpsRational(m), EpsRational(n))
+        return J
 
     @property
     def is_boundary(self):
@@ -197,11 +209,7 @@ class Polarization:
         """n/m as (t, e): the rational part t and the sign e of the eps part,
         so J_{m,n} gives (n/m, 0) and J_{1,eps} gives (0, 1).  None for
         J_{eps,1}, which lies above every wall."""
-        m, n = self.m, self.n
-        if not m.a:
-            return None
-        d = n.b * m.a - n.a * m.b
-        return n.a / m.a, (d > 0) - (d < 0)
+        return self._slope
 
     def __str__(self):
         return "J_{%s,%s}" % (self.m, self.n)

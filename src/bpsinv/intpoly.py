@@ -3,16 +3,20 @@ tuples of Python ints, constant term first, primitive (coefficient gcd 1),
 with a nonzero constant term and a positive leading coefficient.  Products
 and exact quotients of such polynomials keep this form (Gauss's lemma).
 
-The lifted q-series product runs here too: ``_lift`` brings the
-coefficients of one series over a single denominator, ``_convolve`` sums the
-numerator products per output exponent with no gcd, and ``_canonical``
-reduces each sum back to the parts of a canonical WRat.
+The lifted form of a q-series lives here too: every coefficient as
+v^s N_E(v) / (Q D(v)) over one int Q > 0, one v-power s and one denominator
+D, with N_E an integer polynomial kept as the (index, value) pairs of its
+nonzero entries.  ``_lift`` builds it from canonical coefficients,
+``_product`` and ``_sum`` combine two of them with integer arithmetic only
+(the sum takes one gcd of the two Ds), and ``_canonical`` reduces one N_E
+back to the parts of a canonical WRat.
 
 A module apart from series.py, the package's largest: a process importing
 the package without a bytecode cache parses each module whole, and the
 largest one sets the parser's share of its peak memory.
 """
 
+from itertools import compress
 from math import gcd, lcm
 
 _ONE = (1,)
@@ -151,14 +155,16 @@ def _lift(coeffs):
     return Q, s, D, lifted
 
 
-def _convolve(a, b, cap):
-    """{E: N} with N the integer list of the sum of N_a N_b over the pairs of
-    lifted terms with E_a + E_b = E below the int cap (None: no cap); no gcd
-    is taken."""
-    size = max(t[-1][0] for _, t in a) + max(t[-1][0] for _, t in b) + 1
+def _product(a, b, cap):
+    """The lifted form of the product of two lifted forms below the int cap
+    (None: no cap), over Q_a Q_b and D_a D_b: the products N_a N_b are
+    summed per E = E_a + E_b, and no gcd is taken."""
+    Qa, sa, Da, ta = a
+    Qb, sb, Db, tb = b
+    size = sum(max(N[-1][0] for _, N in t) for t in (ta, tb)) + 1
     acc = {}
-    for Ea, na in a:
-        for Eb, nb in b:
+    for Ea, na in ta:
+        for Eb, nb in tb:
             E = Ea + Eb
             if cap is not None and E >= cap:
                 break
@@ -168,22 +174,58 @@ def _convolve(a, b, cap):
             for i, x in na:
                 for j, y in nb:
                     out[i + j] += x * y
-    return acc
+    terms = [(E, _pairs(acc[E])) for E in sorted(acc)]
+    return Qa * Qb, sa + sb, _pmul(Da, Db), [t for t in terms if t[1]]
+
+
+def _sum(a, b, cap):
+    """The lifted form of the sum of two lifted forms below the int cap (None:
+    no cap), over Q = lcm(Q_a, Q_b) and D = lcm(D_a, D_b): one gcd.  A term
+    of one operand only is rescaled, not rebuilt."""
+    Qa, sa, Da, ta = a
+    Qb, sb, Db, tb = b
+    Q, s = lcm(Qa, Qb), min(sa, sb)
+    _, ea, eb = _int_poly_gcd(Da, Db)
+    # D = D_a e_b = D_b e_a: a's numerators take the factor (Q/Q_a) v^(sa-s) e_b
+    out = {}
+    for Qx, sx, e, terms in ((Qa, sa, eb, ta), (Qb, sb, ea, tb)):
+        f = [(j, Q // Qx * y) for j, y in enumerate(e, sx - s) if y]
+        for E, N in terms:
+            if cap is not None and E >= cap:
+                break
+            out[E] = _muladd(out.get(E), N, f)
+    return Q, s, _pmul(Da, eb), [(E, out[E]) for E in sorted(out) if out[E]]
+
+
+def _muladd(M, N, f):
+    """M + N f for polynomials given as (index, value) pairs, M None for 0."""
+    if M is None and len(f) == 1:
+        j, y = f[0]
+        return N if j == 0 and y == 1 else [(i + j, x * y) for i, x in N]
+    out = [0] * (max(M[-1][0] if M else 0, N[-1][0] + f[-1][0]) + 1)
+    for i, x in M or ():
+        out[i] += x
+    for i, x in N:
+        for j, y in f:
+            out[i + j] += x * y
+    return _pairs(out)
+
+
+def _pairs(L):
+    """The (index, value) pairs of the nonzero entries of an integer list;
+    compress skips the zeros, most entries, without a Python step each."""
+    return [(i, L[i]) for i in compress(range(len(L)), L)]
 
 
 def _canonical(N, Q, D):
     """Canonical parts (p, q, k, n, d) of v^k (p/q) n/d = N(v) / (Q D(v)) for
-    an integer list N and a denominator D of the form above, or None when N
-    is zero."""
-    hi = len(N)
-    while hi and not N[hi - 1]:
-        hi -= 1
-    if not hi:
-        return None
-    lo = 0
-    while not N[lo]:
-        lo += 1
-    c, n = _primitive(N[lo:hi])
+    a nonzero N given as (index, value) pairs by increasing index and a
+    denominator D of the form above."""
+    lo = N[0][0]
+    dense = [0] * (N[-1][0] - lo + 1)
+    for i, x in N:
+        dense[i - lo] = x
+    c, n = _primitive(dense)
     _, n, d = _int_poly_gcd(n, D)
     g = gcd(c, Q)
     return c // g, Q // g, lo, n, d

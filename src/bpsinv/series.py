@@ -15,25 +15,34 @@ operation compares exponents against the integer cap ceil(24 * cutoff).  So
 no rational is built, compared or hashed inside the product, sum and
 inversion loops.
 
-A product of series lifts each operand once over one denominator: every
-coefficient becomes v^s N_E(v) / (Q D(v)), with Q the lcm of the contents'
-denominators, D the lcm of the coefficient denominators and N_E an integer
-polynomial.  The numerator products N_a N_b are summed per output exponent
-in plain integer lists, with no gcd, and each nonzero sum is reduced once:
-strip the v-power, take the primitive part, one polynomial gcd with
-D_a D_b, then the content against Q_a Q_b.  The canonical form is unique,
-so the product is the one term-by-term WRat arithmetic gives, bit for bit.
+A series is held in one of two forms at a time.  The canonical form maps
+each exponent to its canonical WRat.  The lifted form (``intpoly``) puts
+every coefficient over one denominator, v^s N_E(v) / (Q D(v)), with Q a
+positive int, D an integer polynomial and N_E an integer polynomial.
+Products and sums return the lifted form: a product convolves the
+numerators over Q_a Q_b and D_a D_b, and a sum brings both operands over
+lcm(Q_a, Q_b) and lcm(D_a, D_b), with one polynomial gcd, and adds
+integers.  Neither reduces a coefficient.  Truncation, q-shifts and
+negation act on the lifted form as it is.  Every other reader (``terms``,
+``coeff``, equality, hashing, inversion, scaling, substitution) goes
+through one accessor that reduces each coefficient once (strip the
+v-power, take the primitive part, one polynomial gcd with D, then the
+content against Q) and then drops the lifted form.  The canonical form is
+unique, so what a reader sees is the series term-by-term WRat arithmetic
+gives, bit for bit.  A lift taken from a canonical operand is used by the
+one operation and not kept, so a series never holds both forms.
 
 Everything here is exact; no floating point enters anywhere.  Values are
-immutable after construction and safe to share across threads.
+immutable after construction (reading a lifted series changes its form,
+never its value) and safe to share across threads.
 """
 
 from math import gcd, lcm
 
 from .exactq import QQ, qq
 from .intpoly import (
-    _ONE, _canonical, _convolve, _int_poly_gcd, _lift, _pmul, _primitive,
-    _spread, _twist,
+    _ONE, _canonical, _int_poly_gcd, _lift, _pmul, _primitive, _product,
+    _spread, _sum, _twist,
 )
 
 __all__ = ["VPoly", "WRat", "QSeries", "SeriesError", "NonInvertibleError"]
@@ -510,15 +519,19 @@ class QSeries:
     The constructor checks its input (exponent denominators dividing 24;
     zeros and exponents at or above the cutoff dropped), and ``from_grid``
     takes int exponents E already; the arithmetic builds its valid results
-    with ``_qseries`` unchecked.  ``terms`` is the rational-keyed view
+    with ``_qseries`` or ``_from_lifted`` unchecked.  ``terms`` is the rational-keyed view
     {e: coefficient}, built on first use.
 
-    Products run on the lifted form described in the module docstring
-    (``intpoly._lift``, ``_convolve``, ``_canonical``); sums and the
-    inversion recurrence work coefficient by coefficient in WRat.
+    A series holds either its canonical terms ``_t`` {int E: WRat} or the
+    lifted form ``_lifted`` of the module docstring, never both.  Products
+    and sums build the lifted form (``intpoly._product``, ``_sum``);
+    ``truncate``, ``shift_q`` and negation keep it; every other reader calls
+    ``_canon``, which reduces each coefficient once and drops the lift.  The
+    inversion recurrence works coefficient by coefficient in WRat on the
+    canonical terms.
     """
 
-    __slots__ = ("_t", "cutoff", "_terms")
+    __slots__ = ("_t", "_lifted", "cutoff", "_terms")
 
     def __init__(self, terms=None, cutoff=None):
         cutoff = None if cutoff is None else qq(cutoff)
@@ -527,7 +540,7 @@ class QSeries:
             c, e = _coerce(c), _exact(e)
             if c and (cutoff is None or e < cutoff):
                 t[_grid(e.numerator, e.denominator)] = c
-        self._t, self.cutoff, self._terms = t, cutoff, None
+        self._t, self._lifted, self.cutoff, self._terms = t, None, cutoff, None
 
     # -- constructors -----------------------------------------------------------
 
@@ -550,48 +563,75 @@ class QSeries:
 
     # -- structure ---------------------------------------------------------------
 
+    def _canon(self):
+        """The canonical terms {int E: WRat}, reduced from the lifted form on
+        first use, which is then dropped."""
+        lifted = self._lifted
+        if lifted is None:
+            return self._t
+        Q, s, D, lterms = lifted
+        t = {}
+        for E, N in lterms:
+            p, q, k, n, d = _canonical(N, Q, D)
+            t[E] = _wrat(p, q, s + k, n, d)
+        # the terms are in place before the lifted form goes, so a reader
+        # that finds no lifted form finds them
+        self._t, self._lifted = t, None
+        return t
+
+    def _lift_form(self):
+        """The lifted form (Q, s, D, terms) of a nonzero series; one taken
+        from canonical terms is used by the caller and not kept."""
+        lifted = self._lifted
+        return _lift(_parts(self._t)) if lifted is None else lifted
+
     @property
     def terms(self):
         if self._terms is None:
-            self._terms = {qq(E, _D): c for E, c in self._t.items()}
+            self._terms = {qq(E, _D): c for E, c in self._canon().items()}
         return self._terms
 
     def is_zero(self):
-        return not self._t
+        return self._lifted is None and not self._t
 
     def support(self):
-        return [qq(E, _D) for E in sorted(self._t)]
+        return [qq(E, _D) for E in sorted(self._canon())]
 
     def coeff(self, e):
         # an exponent off the 1/24 grid equals no int key
-        return self._t.get(_exact(e) * _D, WRAT_ZERO)
+        return self._canon().get(_exact(e) * _D, WRAT_ZERO)
 
     def leading_exponent(self):
+        lifted = self._lifted
+        if lifted is not None:
+            return qq(lifted[3][0][0], _D)
         if not self._t:
             return self.cutoff
         return qq(min(self._t), _D)
 
     def leading_coeff(self):
-        return self._t[min(self._t)]
+        t = self._canon()
+        return t[min(t)]
 
     # -- arithmetic ----------------------------------------------------------------
 
     def __add__(self, other):
         cut = min((c for c in (self.cutoff, other.cutoff) if c is not None),
                   default=None)
-        cap = _cap(cut)
-        t = {E: c for E, c in self._t.items() if cap is None or E < cap}
-        for E, c in other._t.items():
-            if cap is not None and E >= cap:
-                continue
-            s = t.get(E, WRAT_ZERO) + c
-            if s.is_zero():
-                t.pop(E, None)
-            else:
-                t[E] = s
-        return _qseries(t, cut)
+        if other.is_zero():
+            return self.truncate(cut)
+        if self.is_zero():
+            return other.truncate(cut)
+        return _from_lifted(
+            _sum(self._lift_form(), other._lift_form(), _cap(cut)), cut)
 
     def __neg__(self):
+        lifted = self._lifted
+        if lifted is not None:
+            Q, s, D, lterms = lifted
+            return _from_lifted(
+                (Q, s, D, [(E, [(i, -x) for i, x in N]) for E, N in lterms]),
+                self.cutoff)
         return _qseries({E: -c for E, c in self._t.items()}, self.cutoff)
 
     def __sub__(self, other):
@@ -599,23 +639,15 @@ class QSeries:
 
     def __mul__(self, other):
         cut = self._mul_cut(other)
-        if not self._t or not other._t:
+        if self.is_zero() or other.is_zero():
             return _qseries({}, cut)
-        lifted = _lift(_parts(self._t))
-        Qa, sa, Da, a = lifted
-        Qb, sb, Db, b = lifted if other is self else _lift(_parts(other._t))
-        Q, s, D = Qa * Qb, sa + sb, _pmul(Da, Db)
-        t = {}
-        for E, N in _convolve(a, b, _cap(cut)).items():
-            c = _canonical(N, Q, D)
-            if c is not None:
-                p, q, k, n, d = c
-                t[E] = _wrat(p, q, s + k, n, d)
-        return _qseries(t, cut)
+        a = self._lift_form()
+        b = a if other is self else other._lift_form()
+        return _from_lifted(_product(a, b, _cap(cut)), cut)
 
     def _mul_cut(self, other):
         # a factor that is exactly zero gives an exact zero product
-        if any(not s._t and s.cutoff is None for s in (self, other)):
+        if any(s.is_zero() and s.cutoff is None for s in (self, other)):
             return None
         return min((a.cutoff + b.leading_exponent() for a, b in
                     ((self, other), (other, self)) if a.cutoff is not None),
@@ -625,12 +657,20 @@ class QSeries:
         k = _coerce(k)
         if k.is_zero():
             return _qseries({}, self.cutoff)
-        return _qseries({E: c * k for E, c in self._t.items()}, self.cutoff)
+        return _qseries({E: c * k for E, c in self._canon().items()},
+                        self.cutoff)
 
     def shift_q(self, de):
         de = _exact(de)
         cut = None if self.cutoff is None else self.cutoff + de
-        dE = _grid(de.numerator, de.denominator) if self._t else 0
+        if self.is_zero():
+            return _qseries({}, cut)
+        dE = _grid(de.numerator, de.denominator)
+        lifted = self._lifted
+        if lifted is not None:
+            Q, s, D, lterms = lifted
+            return _from_lifted((Q, s, D, [(E + dE, N) for E, N in lterms]),
+                                cut)
         return _qseries({E + dE: c for E, c in self._t.items()}, cut)
 
     def __pow__(self, n):
@@ -642,12 +682,13 @@ class QSeries:
     def invert(self, cutoff=None):
         """Multiplicative inverse up to the cutoff; the leading exponent is
         negated.  A zero series is not invertible."""
-        if not self._t:
+        t = self._canon()
+        if not t:
             raise NonInvertibleError("non-invertible zero series")
-        E0 = min(self._t)
-        c0 = self._t[E0]
+        E0 = min(t)
+        c0 = t[E0]
         cutoff = None if cutoff is None else qq(cutoff)
-        if len(self._t) == 1 and self.cutoff is None:
+        if len(t) == 1 and self.cutoff is None:
             if cutoff is not None and -E0 >= _cap(cutoff):
                 return _qseries({}, cutoff)
             return _qseries({-E0: c0.inverse()}, cutoff)
@@ -665,8 +706,7 @@ class QSeries:
         # b = 1/(1 + u) solves b_0 = 1, b_e = -sum_f u_f b_(e-f) below the
         # precision tcut + e0, i.e. for integer exponents e < P.
         P = _cap(tcut) + E0
-        nu = sorted((E - E0, -(c * inv0))
-                    for E, c in self._t.items() if E != E0)
+        nu = sorted((E - E0, -(c * inv0)) for E, c in t.items() if E != E0)
         b = {0: WRAT_ONE} if P > 0 else {}
         for e in range(1, P):
             acc = WRAT_ZERO
@@ -686,6 +726,11 @@ class QSeries:
         cutoff = qq(cutoff)
         cut = cutoff if self.cutoff is None else min(self.cutoff, cutoff)
         cap = _cap(cut)
+        lifted = self._lifted
+        if lifted is not None:
+            Q, s, D, lterms = lifted
+            return _from_lifted((Q, s, D, [t for t in lterms if t[0] < cap]),
+                                cut)
         return _qseries({E: c for E, c in self._t.items() if E < cap}, cut)
 
     # -- maps -------------------------------------------------------------------
@@ -696,9 +741,8 @@ class QSeries:
         if m < 1:
             raise SeriesError("substitution requires m >= 1")
         cut = None if self.cutoff is None else self.cutoff * m
-        return _qseries(
-            {E * m: c.substitute(m, multicover) for E, c in self._t.items()},
-            cut)
+        return _qseries({E * m: c.substitute(m, multicover)
+                         for E, c in self._canon().items()}, cut)
 
     # -- comparisons ---------------------------------------------------------------
 
@@ -707,21 +751,22 @@ class QSeries:
         cuts = [qq(c) for c in (self.cutoff, other.cutoff, cutoff)
                 if c is not None]
         cap = _cap(min(cuts)) if cuts else None
-        return all(self._t.get(E, WRAT_ZERO) == other._t.get(E, WRAT_ZERO)
-                   for E in set(self._t) | set(other._t)
-                   if cap is None or E < cap)
+        a, b = self._canon(), other._canon()
+        return all(a.get(E, WRAT_ZERO) == b.get(E, WRAT_ZERO)
+                   for E in set(a) | set(b) if cap is None or E < cap)
 
     def __eq__(self, other):
-        return (isinstance(other, QSeries) and self._t == other._t
-                and self.cutoff == other.cutoff)
+        return self is other or (
+            isinstance(other, QSeries) and self.cutoff == other.cutoff
+            and self._canon() == other._canon())
 
     def __hash__(self):
-        return hash((frozenset(self._t.items()), self.cutoff))
+        return hash((frozenset(self._canon().items()), self.cutoff))
 
     def __repr__(self):
-        bits = ["q^(%s)*%r" % (qq(E, _D), self._t[E])
-                for E in sorted(self._t)[:6]]
-        if len(self._t) > 6:
+        t = self._canon()
+        bits = ["q^(%s)*%r" % (qq(E, _D), t[E]) for E in sorted(t)[:6]]
+        if len(t) > 6:
             bits.append("...")
         return "QSeries[%s | cutoff=%s]" % (" + ".join(bits) or "0", self.cutoff)
 
@@ -736,5 +781,16 @@ def _qseries(t, cutoff):
     """A QSeries from an int-keyed dict of nonzero WRats, every key below the
     cap of the rational (or None) cutoff, taken as given."""
     s = object.__new__(QSeries)
-    s._t, s.cutoff, s._terms = t, cutoff, None
+    s._t, s._lifted, s.cutoff, s._terms = t, None, cutoff, None
+    return s
+
+
+def _from_lifted(lifted, cutoff):
+    """A QSeries held in the lifted form (Q, s, D, terms) of intpoly, every
+    term nonzero and below the cap of the cutoff, taken as given; with no
+    terms it is the canonical zero."""
+    if not lifted[3]:
+        return _qseries({}, cutoff)
+    s = object.__new__(QSeries)
+    s._t, s._lifted, s.cutoff, s._terms = None, lifted, cutoff, None
     return s

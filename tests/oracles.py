@@ -135,6 +135,12 @@ class RefSeries:
             out[e] = out.get(e, WRat.from_rational(0)) + c
         return RefSeries(out, min(cuts) if cuts else None)
 
+    def __neg__(self):
+        return RefSeries({e: -c for e, c in self.terms.items()}, self.cutoff)
+
+    def __sub__(self, other):
+        return self + (-other)
+
     def __mul__(self, other):
         if ((not self.terms and self.cutoff is None)
                 or (not other.terms and other.cutoff is None)):

@@ -2,6 +2,8 @@
 cutoff it was asked for, and a shallower result served from a deeper memo
 entry equals a cold computation."""
 
+import gc
+
 import pytest
 
 from bpsinv import clear_caches
@@ -12,6 +14,8 @@ from bpsinv.blocks import (
 from bpsinv.blowup import gieseker_to_mu, p2_genfun
 from bpsinv.geometry import NEAR_PULLBACK, Polarization, Surface
 from bpsinv.hn import suitable_genfun_closed, suitable_genfun_recursive
+from bpsinv.compute import p2_table
+from bpsinv.series import QSeries
 from bpsinv.wallcross import _h1_squared, genfun_at_polarization
 
 # on the 1/24 grid, and off it
@@ -87,3 +91,16 @@ def test_keyword_and_positional_spellings_share_an_entry():
                                    cutoff=c, _tiebreak_suitable=False)
     assert again is first
     assert genfun_at_polarization.cache_info().misses == misses
+
+
+def test_no_series_keeps_a_lift_beside_its_terms():
+    """A lifted form taken from canonical terms is used and dropped, and
+    reading a lifted result drops its lift: after a cold plane run, no live
+    series (memo entries, their operands, the served results) holds both."""
+    clear_caches()
+    p2_genfun(3, 0, 7)
+    assert p2_table(3, 0, 7).rows
+    live = [s for s in gc.get_objects() if isinstance(s, QSeries)]
+    assert live
+    assert not [s for s in live
+                if s._t is not None and s._lifted is not None]

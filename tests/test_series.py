@@ -386,8 +386,7 @@ def test_qseries_against_rational_reference(data, cut, m, de):
     b, rb = data.draw(grid_series(cut))
     _same(a, ra)
     _same(a + b, ra + rb)
-    _same(a - b, ra + RefSeries({e: -c for e, c in rb.terms.items()},
-                                rb.cutoff))
+    _same(a - b, ra - rb)
     _same(a * b, ra * rb)
     _same(a.truncate(cut), ra.truncate(cut) if cut is not None else ra)
     _same(a.shift_q(de), ra.shift_q(de))
@@ -473,6 +472,70 @@ def test_lifted_product_against_rational_reference(case):
     _same(total, ra + rc)
     assert E1 not in total.terms
     _same((a + c) * b, (ra + rc) * rb)
+
+
+def _is_lifted(x):
+    """True when x holds the lifted form (a nonzero product or sum not yet
+    read); a canonical zero holds no lift."""
+    return x._lifted is not None or x.is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifted_operands(), st.data())
+def test_lifted_chains_against_rational_reference(case, data):
+    """Chains of 3-5 products, sums and differences whose other operand is
+    canonical (a, b, c) or an earlier lifted result, with squaring,
+    negation, truncation and q-shifts of lifted results in between.  No
+    result is read until the chain ends, so every step runs on the forms
+    the steps before it left."""
+    (a, ra), (b, rb), (c, rc), _, _ = case
+    x, rx = a * b, ra * rb
+    done = [(a, ra), (b, rb), (c, rc), (x, rx)]
+    for step in data.draw(st.lists(st.sampled_from(
+            ["*", "+", "-", "square", "neg", "truncate", "shift"]),
+            min_size=3, max_size=5)):
+        # products build a lift and the other steps keep one, except that a
+        # sum with a zero operand is the other operand in its own form
+        lifted = step in ("*", "square") or _is_lifted(x)
+        if step in ("*", "+", "-"):
+            y, ry = data.draw(st.sampled_from(done))
+            if step != "*":
+                lifted = lifted and _is_lifted(y) or not (
+                    x.is_zero() or y.is_zero())
+            if step == "*":
+                x, rx = x * y, rx * ry
+            elif step == "+":
+                x, rx = x + y, rx + ry
+            else:
+                x, rx = x - y, rx - ry
+        elif step == "square":
+            x, rx = x * x, rx * rx
+        elif step == "neg":
+            x, rx = -x, -rx
+        elif step == "truncate":
+            lead = x.leading_exponent()
+            if lead is None:
+                continue
+            cut = lead + qq(data.draw(st.integers(0, 48)), 24)
+            x, rx = x.truncate(cut), rx.truncate(cut)
+        else:
+            de = qq(data.draw(st.integers(-24, 24)), 24)
+            x, rx = x.shift_q(de), rx.shift_q(de)
+        assert _is_lifted(x) or not lifted, step
+        done.append((x, rx))
+    x, rx = x * c, rx * rc
+    # the same value over other denominators, built canonically: equal and
+    # of equal hash while x and its twin are lifted, and their difference
+    # cancels to zero
+    canonical = QSeries(rx.terms, rx.cutoff)
+    twin = x.shift_q(0)
+    zero = x - canonical
+    assert _is_lifted(x) and _is_lifted(twin)
+    assert hash(x) == hash(canonical)
+    assert twin == canonical
+    assert zero.is_zero() and zero.cutoff == rx.cutoff
+    for got, ref in done + [(x, rx)]:
+        _same(got, ref)
 
 
 # -- polynomial gcd: the heuristic gcd against the PRS oracle ---------------
