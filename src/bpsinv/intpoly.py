@@ -5,8 +5,8 @@ and exact quotients of such polynomials keep this form (Gauss's lemma).
 
 The lifted form of a q-series lives here too: every coefficient as
 v^s N_E(v) / (Q D(v)) over one int Q > 0, one v-power s and one denominator
-D, with N_E an integer polynomial kept as the (index, value) pairs of its
-nonzero entries.  ``_lift`` builds it from canonical coefficients,
+D, with N_E an integer polynomial kept as the tuples (indices, values) of
+its nonzero entries.  ``_lift`` builds it from canonical coefficients,
 ``_product`` and ``_sum`` combine two of them with integer arithmetic only
 (the sum takes one gcd of the two Ds), and ``_canonical`` reduces one N_E
 back to the parts of a canonical WRat.
@@ -136,7 +136,7 @@ def _lift(coeffs):
     (Q, s, D, lifted): Q is the lcm of the q, s the least v-power, D the lcm
     of the d, and lifted lists (E, N_E) by increasing E, where each
     coefficient is v^s N_E(v) / (Q D(v)) and N_E is an integer polynomial
-    given as the (index, value) pairs of its nonzero entries."""
+    given as the tuples (indices, values) of its nonzero entries."""
     Q, s, D = 1, min(c[3] for c in coeffs), _ONE
     for _, _, q, _, _, d in coeffs:
         Q = lcm(Q, q)
@@ -149,8 +149,7 @@ def _lift(coeffs):
         if f is None:
             f = cofactor[d] = _quotient(D, d)
         k = p * (Q // q)
-        lifted.append((E, [(i, k * x) for i, x in
-                           enumerate(_pmul(n, f), sE - s) if x]))
+        lifted.append((E, _nonzero([k * x for x in _pmul(n, f)], sE - s)))
     lifted.sort()
     return Q, s, D, lifted
 
@@ -161,9 +160,12 @@ def _product(a, b, cap):
     summed per E = E_a + E_b, and no gcd is taken."""
     Qa, sa, Da, ta = a
     Qb, sb, Db, tb = b
-    size = sum(max(N[-1][0] for _, N in t) for t in (ta, tb)) + 1
+    size = sum(max(N[0][-1] for _, N in t) for t in (ta, tb)) + 1
+    # (index, value) pairs for the loops, built once per operand term
+    tb = [(Eb, list(zip(*nb))) for Eb, nb in tb]
     acc = {}
     for Ea, na in ta:
+        na = list(zip(*na))
         for Eb, nb in tb:
             E = Ea + Eb
             if cap is not None and E >= cap:
@@ -174,8 +176,8 @@ def _product(a, b, cap):
             for i, x in na:
                 for j, y in nb:
                     out[i + j] += x * y
-    terms = [(E, _pairs(acc[E])) for E in sorted(acc)]
-    return Qa * Qb, sa + sb, _pmul(Da, Db), [t for t in terms if t[1]]
+    terms = [(E, _nonzero(acc[E])) for E in sorted(acc)]
+    return Qa * Qb, sa + sb, _pmul(Da, Db), [t for t in terms if t[1][0]]
 
 
 def _sum(a, b, cap):
@@ -194,36 +196,43 @@ def _sum(a, b, cap):
             if cap is not None and E >= cap:
                 break
             out[E] = _muladd(out.get(E), N, f)
-    return Q, s, _pmul(Da, eb), [(E, out[E]) for E in sorted(out) if out[E]]
+    return (Q, s, _pmul(Da, eb),
+            [(E, out[E]) for E in sorted(out) if out[E][0]])
 
 
 def _muladd(M, N, f):
-    """M + N f for polynomials given as (index, value) pairs, M None for 0."""
+    """M + N f for polynomials M (None for 0) and N given as (indices,
+    values) and f as (index, value) pairs."""
+    idx, val = N
     if M is None and len(f) == 1:
-        j, y = f[0]
-        return N if j == 0 and y == 1 else [(i + j, x * y) for i, x in N]
-    out = [0] * (max(M[-1][0] if M else 0, N[-1][0] + f[-1][0]) + 1)
-    for i, x in M or ():
-        out[i] += x
-    for i, x in N:
+        (j, y), = f
+        return (idx if j == 0 else tuple(i + j for i in idx),
+                val if y == 1 else tuple(x * y for x in val))
+    out = [0] * (max(idx[-1] + f[-1][0], -1 if M is None else M[0][-1]) + 1)
+    if M is not None:
+        for i, x in zip(*M):
+            out[i] += x
+    for i, x in zip(idx, val):
         for j, y in f:
             out[i + j] += x * y
-    return _pairs(out)
+    return _nonzero(out)
 
 
-def _pairs(L):
-    """The (index, value) pairs of the nonzero entries of an integer list;
-    compress skips the zeros, most entries, without a Python step each."""
-    return [(i, L[i]) for i in compress(range(len(L)), L)]
+def _nonzero(L, lo=0):
+    """(indices, values) of the nonzero entries of an integer list, indices
+    counted from lo; compress and filter skip the zeros, most entries,
+    without a Python step each."""
+    return tuple(compress(range(lo, lo + len(L)), L)), tuple(filter(None, L))
 
 
 def _canonical(N, Q, D):
     """Canonical parts (p, q, k, n, d) of v^k (p/q) n/d = N(v) / (Q D(v)) for
-    a nonzero N given as (index, value) pairs by increasing index and a
-    denominator D of the form above."""
-    lo = N[0][0]
-    dense = [0] * (N[-1][0] - lo + 1)
-    for i, x in N:
+    a nonzero N given as (indices, values) and a denominator D of the form
+    above."""
+    idx, val = N
+    lo = idx[0]
+    dense = [0] * (idx[-1] - lo + 1)
+    for i, x in zip(idx, val):
         dense[i - lo] = x
     c, n = _primitive(dense)
     _, n, d = _int_poly_gcd(n, D)

@@ -630,7 +630,8 @@ class QSeries:
         if lifted is not None:
             Q, s, D, lterms = lifted
             return _from_lifted(
-                (Q, s, D, [(E, [(i, -x) for i, x in N]) for E, N in lterms]),
+                (Q, s, D, [(E, (idx, tuple(-x for x in val)))
+                           for E, (idx, val) in lterms]),
                 self.cutoff)
         return _qseries({E: -c for E, c in self._t.items()}, self.cutoff)
 
