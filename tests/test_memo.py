@@ -12,9 +12,9 @@ from bpsinv.blocks import (
     blowup_factor, eta_series, fibre_product_genfun, rank1_genfun, theta_hat,
 )
 from bpsinv.blowup import gieseker_to_mu, p2_genfun
+from bpsinv.compute import p2_table
 from bpsinv.geometry import NEAR_PULLBACK, Polarization, Surface
 from bpsinv.hn import suitable_genfun_closed, suitable_genfun_recursive
-from bpsinv.compute import p2_table
 from bpsinv.series import QSeries
 from bpsinv.wallcross import _h1_squared, genfun_at_polarization
 
