@@ -10,6 +10,8 @@ and eta with total phase +1; coefficients stay rational throughout, which the
 constructors assert implicitly by living in WRat.
 """
 
+from math import gcd, isqrt
+
 from .exactq import qq
 from .geometry import Surface
 from .invariants import GenFun, Flavor
@@ -24,31 +26,30 @@ __all__ = [
 
 @memo
 def eta_series(cutoff) -> QSeries:
-    """Dedekind eta: q^(1/24) prod (1 - q^n), expanded below the cutoff."""
+    """Dedekind eta, q^(1/24) prod (1 - q^n), by Euler's pentagonal sum over
+    m > 0 prime to 6 of chi_12(m) q^(m^2/24), chi_12(m) = +1 for m = +-1 and
+    -1 for m = +-5 mod 12."""
+    cutoff = qq(cutoff)
     if cutoff <= qq(1, 24):
         raise SeriesError("eta cutoff must exceed 1/24")
-    body_cut = cutoff - qq(1, 24)
-    prod = QSeries.one(body_cut)
-    n = 1
-    while n < body_cut:
-        prod = prod * QSeries({0: 1, n: -1})
-        n += 1
-    return prod.shift_q(qq(1, 24))
+    top = isqrt(24 * cutoff.numerator // cutoff.denominator)
+    return QSeries.from_grid(
+        {m * m: WRat.from_rational(1 if m % 12 in (1, 11) else -1)
+         for m in range(1, top + 1) if gcd(m, 6) == 1}, cutoff)
 
 
 @memo
 def theta_hat(k, cutoff) -> QSeries:
+    """Jacobi's triple product as its sum over odd m > 0 of
+    (-1)^((m-1)/2) q^(m^2/8) (w^(km) - w^(-km))."""
     k = int(k)
     if k < 1:
         raise SeriesError("theta_hat requires k >= 1")
-    body_cut = cutoff - qq(1, 8)
-    out = QSeries({0: WRat.w_power(k) - WRat.w_power(-k)}, body_cut)
-    n = 1
-    while n < body_cut:
-        for j in (0, 2 * k, -2 * k):
-            out = out * QSeries({0: 1, n: -WRat.w_power(j)})
-        n += 1
-    return out.shift_q(qq(1, 8))
+    cutoff = qq(cutoff)
+    top = isqrt(max(8 * cutoff.numerator // cutoff.denominator, 0))
+    return QSeries.from_grid(
+        {3 * m * m: (WRat.w_power(k * m) - WRat.w_power(-k * m)).scale(
+            (-1) ** (m // 2)) for m in range(1, top + 1, 2)}, cutoff)
 
 
 @memo

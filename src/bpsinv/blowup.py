@@ -13,6 +13,9 @@ Step (2) divides by the blow-up factor, landing on the plane.
 Step (3) reverses step (1) on the plane, where equal-slope splittings are the
 only corrections (b2 = 1): each multiset of ranks enters with
 1/prod(multiplicity!), the sum of 1/len! over its orderings.
+
+Every step is written for any rank; above rank 3 the chamber functions come
+from the wall march.  The CLI accepts r <= 3 on the plane.
 """
 
 from math import factorial
@@ -20,10 +23,9 @@ from math import factorial
 from .exactq import qq
 from .blocks import blowup_factor, rank1_genfun
 from .geometry import NEAR_PULLBACK, PULLBACK_H, Surface, piece_cutoff
-from .hn import _compositions
+from .hn import _compositions, _product_sum
 from .invariants import Flavor, GenFun, InvariantError
 from .memo import memo
-from .series import QSeries, WRat
 from .wallcross import genfun_at_polarization, line_filtrations
 
 __all__ = [
@@ -46,18 +48,12 @@ def gieseker_to_mu(r, c1, cutoff):
     f-degree per rank ordered by weakly decreasing C-degree per rank."""
     r = int(r)
     X, Y = int(c1[0]), int(c1[1])
-    if r > 3:
-        raise BlowupError("mu-stack conversion covers r <= 3 only")
     # q-shifts (>= 0, Hodge index) multiply pieces of total lead -r/6; tuples
     # with the same multiset of piece functions share their product
     weights = line_filtrations(r, (X, Y), (1, 0), SIGMA1, cutoff + qq(r, 6))
-    total = QSeries.zero(None)
-    for pieces, prod in weights.items():
-        for ri, ci in pieces:
-            prod = prod * genfun_at_polarization(
-                ri, ci, 1, NEAR_PULLBACK,
-                piece_cutoff(cutoff, r, ri, SIGMA1)).series
-        total = total + prod
+    total = _product_sum(weights, lambda p: genfun_at_polarization(
+        p[0], p[1], 1, NEAR_PULLBACK,
+        piece_cutoff(cutoff, r, p[0], SIGMA1)).series)
     return GenFun(surface=SIGMA1, r=r, c1=(X, Y), J=PULLBACK_H,
                   flavor=Flavor.STACK_MU, series=total.truncate(cutoff))
 
@@ -101,13 +97,10 @@ def mu_to_gieseker(hmu_p2, r, x, cutoff):
         if len(ranks) > 1 and not any((ri * x) % r for ri in ranks):
             key = tuple(sorted(ranks, reverse=True))
             coeffs[key] = coeffs.get(key, 0) + qq(1, factorial(len(ranks)))
-    series = hmu_p2.series
-    for ranks in sorted(coeffs, reverse=True):
-        prod = QSeries({0: WRat.from_rational(coeffs[ranks])})
-        for ri in ranks:
-            prod = prod * p2_genfun(ri, (ri * x // r) % ri,
-                                    piece_cutoff(cutoff, r, ri, P2)).series
-        series = series - prod
+    series = hmu_p2.series - _product_sum(
+        {ranks: coeffs[ranks] for ranks in sorted(coeffs, reverse=True)},
+        lambda ri: p2_genfun(ri, (ri * x // r) % ri,
+                             piece_cutoff(cutoff, r, ri, P2)).series)
     return GenFun(surface=P2, r=r, c1=(x % r,), J=None,
                   flavor=Flavor.OMEGA_BAR, series=series.truncate(cutoff))
 
@@ -125,8 +118,6 @@ def p2_genfun(r, x, cutoff, route_k=None):
         return GenFun(surface=P2, r=1, c1=(0,), J=None,
                       flavor=Flavor.OMEGA_BAR,
                       series=rank1_genfun(P2, cutoff).series)
-    if r > 3:
-        raise BlowupError("plane pipeline covers r <= 3 only")
     k = (x - 1) % r if route_k is None else int(route_k) % r
     c1_sigma = (x - k, x)
     hmu = gieseker_to_mu(r, c1_sigma, cutoff + _lead_of_B(r, k))

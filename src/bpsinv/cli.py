@@ -235,7 +235,10 @@ def _suite_routes():
     hA = p2_genfun(2, 0, qq(3), route_k=0)
     hB = p2_genfun(2, 0, qq(3), route_k=1)
     ok = ok and hA.series.eq_to_cutoff(hB.series, qq(3))
-    return ok
+    # rank 4 on the plane runs the general-rank march: four routes
+    hs = [p2_genfun(4, 1, qq(3), route_k=k).series for k in range(4)]
+    return ok and all(h.cutoff >= 3 and h.eq_to_cutoff(hs[0], qq(3))
+                      for h in hs)
 
 
 SUITES = {"core": _suite_core, "table1": _suite_table1, "routes": _suite_routes}

@@ -21,8 +21,9 @@ def default_cutoff(r, surface, qorders):
 
 def sigma_genfun(r, c1, ell, J, cutoff):
     """Rational-invariant generating function on Sigma_ell at J; the suitable
-    chamber supports r <= 4, generic polarizations r <= 3.  The result
-    depends on c1 mod r only, and so do the memo keys."""
+    chamber supports r <= 4, generic polarizations r <= 3 (above that only
+    the wall march exists there, with no second route to check it).  The
+    result depends on c1 mod r only, and so do the memo keys."""
     c1 = tuple(c % r for c in c1)
     if J == SUITABLE:
         return suitable_genfun_recursive(r, c1, ell, qq(cutoff))

@@ -55,6 +55,18 @@ def _compositions(n):
     return out
 
 
+def _product_sum(weights, piece):
+    """The sum over {pieces: weight} of weight * prod piece(p), each product
+    taken left to right from the weight, which is a QSeries or a scalar."""
+    total = QSeries.zero(None)
+    for pieces, weight in weights.items():
+        prod = weight if isinstance(weight, QSeries) else QSeries({0: weight})
+        for p in pieces:
+            prod = prod * piece(p)
+        total = total + prod
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Route (a): extended-HN subtraction
 # ---------------------------------------------------------------------------
@@ -154,13 +166,11 @@ def suitable_genfun_recursive(r, c1, ell, cutoff):
                flavor=Flavor.OMEGA_BAR)
     if beta != 0:
         return GenFun(series=QSeries.zero(cutoff), **tag)
-    total = fibre_product_genfun(r, (0, alpha), ell, cutoff).series
-    for pieces, weight in subtraction_terms(r, alpha).items():
-        prod = QSeries({0: weight})
-        for (ri, ai) in pieces:
-            prod = prod * suitable_genfun_recursive(
-                ri, (0, ai), ell, piece_cutoff(cutoff, r, ri, surface)).series
-        total = total - prod
+    total = fibre_product_genfun(r, (0, alpha), ell, cutoff).series \
+        - _product_sum(subtraction_terms(r, alpha),
+                       lambda p: suitable_genfun_recursive(
+                           p[0], (0, p[1]), ell,
+                           piece_cutoff(cutoff, r, p[0], surface)).series)
     return GenFun(series=total.truncate(cutoff), **tag)
 
 
@@ -172,18 +182,16 @@ def _inner_tower(R, lam, ell, cutoff):
     """sum over compositions rho of R of w^(2 M(rho, lam)) /
     prod_j (1 - w^(2(rho_j + rho_{j+1}))) * prod_j H_{rho_j, 0}."""
     surface = Surface.hirzebruch(ell)
-    out = QSeries.zero(cutoff)
+    weights = {}
     for rho in _compositions(R):
         weight = WRat.w_power(2 * M(rho, lam))
         for a, b in zip(rho, rho[1:]):
             weight = weight / (WRat.from_rational(1)
                                - WRat.w_power(2 * (a + b)))
-        prod = QSeries({0: weight})
-        for rj in rho:
-            prod = prod * fibre_product_genfun(
-                rj, (0, 0), ell, piece_cutoff(cutoff, R, rj, surface)).series
-        out = out + prod
-    return out
+        weights[rho] = weight
+    return _product_sum(weights, lambda rj: fibre_product_genfun(
+        rj, (0, 0), ell, piece_cutoff(cutoff, R, rj, surface)).series
+    ).truncate(cutoff)
 
 
 @memo
@@ -195,16 +203,11 @@ def suitable_genfun_closed(r, a, ell, cutoff):
     a = int(a) % r
     surface = Surface.hirzebruch(ell)
     lam = qq(a, r)
-    total = QSeries.zero(cutoff)
-    for ranks in _compositions(r):
-        if any((ri * a) % r for ri in ranks):
-            continue
-        m = len(ranks)
-        prod = QSeries({0: WRat.from_rational(qq((-1) ** (m - 1), m))})
-        for ri in ranks:
-            prod = prod * _inner_tower(
-                ri, lam, ell, piece_cutoff(cutoff, r, ri, surface))
-        total = total + prod
+    signs = {ranks: qq((-1) ** (len(ranks) - 1), len(ranks))
+             for ranks in _compositions(r)
+             if not any((ri * a) % r for ri in ranks)}
+    total = _product_sum(signs, lambda ri: _inner_tower(
+        ri, lam, ell, piece_cutoff(cutoff, r, ri, surface)))
     alpha = (-a) % r
     return GenFun(surface=surface, r=r, c1=(0, alpha), J=SUITABLE,
                   flavor=Flavor.OMEGA_BAR, series=total.truncate(cutoff))

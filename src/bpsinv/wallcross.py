@@ -1,7 +1,7 @@
 """Moving generating functions through the ample cone of a Hirzebruch
 surface.
 
-Two independent routes:
+Two independent routes up to rank 3; above it, the march alone:
 
 * ``genfun_at_polarization``: the explicit closed forms for rank 2 and 3, a
   sum over the sign window of lattice points between the target chamber and
@@ -28,7 +28,7 @@ from .blocks import rank1_genfun
 from .geometry import (
     GeometryError, Polarization, Surface, piece_cutoff, walls_between,
 )
-from .hn import _compositions, suitable_genfun_recursive
+from .hn import _compositions, _product_sum, suitable_genfun_recursive
 from .invariants import Flavor, GenFun
 from .memo import memo
 from .series import QSeries, WRat, _grid
@@ -63,7 +63,7 @@ def _h1_squared(ell, cutoff):
 
 @memo
 def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
-    """h_{r,c1}(z,tau; Sigma_ell, J) for r <= 3 via the closed window sums.
+    """h_{r,c1}(z,tau; Sigma_ell, J) by the window sums (r <= 3) or the march.
 
     J must lie off every wall active below the cutoff; an exact sign tie
     raises WallError unless the internal suitable-side tiebreak is on."""
@@ -74,13 +74,13 @@ def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
                flavor=Flavor.OMEGA_BAR)
     if r == 1:
         return GenFun(series=_h1(ell, cutoff), **tag)
-    if r > 3:
-        raise WallError("closed wall-crossing forms cover r <= 3 only")
     base = suitable_genfun_recursive(r, (beta, alpha), ell, cutoff).series
     if J.slope() is None:
         return GenFun(series=base, **tag)
     if J.is_boundary:
         raise WallError("polarization on wall")
+    if r > 3:
+        return genfun_by_wall_march(r, (beta, alpha), ell, J, cutoff)
     # window terms q^E multiply h1^2 or h1 h2 (lead -r/6): E < cutoff + r/6
     Ebound = cutoff + qq(r, 6)
     # the displayed sums are written for the class beta C - alpha_f f
@@ -222,20 +222,18 @@ def _wall_delta(r, c1, omega, surface, bound, old, new):
     with the new ones.  old/new map pieces (r_i, c1_i mod r_i) to series; a
     product whose pieces are equal on both sides is taken once."""
     ascending = line_filtrations(r, c1, omega, surface, bound, False)
-    delta = QSeries.zero(None)
+    from_old, from_new = {}, {}
     for pieces, weight in line_filtrations(r, c1, omega, surface,
                                            bound).items():
         if len(pieces) < 2:
             continue
         if all(old[p] == new[p] for p in pieces):
-            terms = [(weight - ascending[pieces], old)]
+            from_old[pieces] = weight - ascending[pieces]
         else:
-            terms = [(weight, old), (-ascending[pieces], new)]
-        for prod, table in terms:
-            for p in pieces:
-                prod = prod * table[p]
-            delta = delta + prod
-    return delta
+            from_old[pieces] = weight
+            from_new[pieces] = -ascending[pieces]
+    return _product_sum(from_old, old.__getitem__) \
+        + _product_sum(from_new, new.__getitem__)
 
 
 def _wall_is_crossed(slope, J_target):
@@ -259,8 +257,6 @@ def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
                flavor=Flavor.OMEGA_BAR)
     if r == 1:
         return GenFun(series=_h1(ell, cutoff), **tag)
-    if r > 3:
-        raise WallError("wall marching covers r <= 3 only")
     # one state per class of each rank below r, at the cutoff a rank-r
     # product needs, and the target
     states = {(1, (0, 0)): _h1(ell, piece_cutoff(cutoff, r, 1, surface))}

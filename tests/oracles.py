@@ -1,11 +1,11 @@
 """Independent checks of pipeline output that the pipeline itself never
-calls: the per-class wall-crossing delta, the curve stack counts, the
-equal-slope rank-2 combination, the filtration discriminant, the
-geometric-series inverse of a q-series, a q-series kept as a plain
-{rational exponent: WRat} dict, the filtration sum along a line of slopes
-and the wall-crossing sign window by brute force, w-conjugation of a WRat,
-the primitive-PRS gcd of integer polynomials, and the parsers of the
-machine-readable encodings."""
+calls: the per-class wall-crossing delta, theta_hat and eta as truncated
+products, the curve stack counts, the equal-slope rank-2 combination, the
+filtration discriminant, the geometric-series inverse of a q-series, a
+q-series kept as a plain {rational exponent: WRat} dict, the filtration sum
+along a line of slopes and the wall-crossing sign window by brute force,
+w-conjugation of a WRat, the primitive-PRS gcd of integer polynomials, and
+the parsers of the machine-readable encodings."""
 
 import itertools
 import math
@@ -342,6 +342,37 @@ def window_by_scan(r, beta, alpha, ell, J, Ebound, tiebreak):
                 if s1 != sx:
                     out.append((x, y, s1 - sx))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Theta and eta as truncated products
+# ---------------------------------------------------------------------------
+
+def eta_product(cutoff):
+    """Dedekind eta, q^(1/24) prod (1 - q^n), by multiplying out the factors
+    below the cutoff."""
+    if cutoff <= qq(1, 24):
+        raise SeriesError("eta cutoff must exceed 1/24")
+    body_cut = cutoff - qq(1, 24)
+    prod = QSeries.one(body_cut)
+    n = 1
+    while n < body_cut:
+        prod = prod * QSeries({0: 1, n: -1})
+        n += 1
+    return prod.shift_q(qq(1, 24))
+
+
+def theta_hat_product(k, cutoff):
+    """q^(1/8) (w^k - w^-k) prod_{n>=1} (1-q^n)(1-w^{2k}q^n)(1-w^{-2k}q^n),
+    by multiplying out the factors below the cutoff."""
+    body_cut = cutoff - qq(1, 8)
+    out = QSeries({0: WRat.w_power(k) - WRat.w_power(-k)}, body_cut)
+    n = 1
+    while n < body_cut:
+        for j in (0, 2 * k, -2 * k):
+            out = out * QSeries({0: 1, n: -WRat.w_power(j)})
+        n += 1
+    return out.shift_q(qq(1, 8))
 
 
 # ---------------------------------------------------------------------------

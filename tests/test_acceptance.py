@@ -175,6 +175,29 @@ def test_deep_rank3_rows_c2_7_to_9():
     _report(1, "(deep) rank-3 plane rows c2=7..9, routes agree at cutoff 9")
 
 
+def test_rank4_plane_four_routes():
+    # rank 4 has four exceptional-class residues k, so four blow-up routes
+    # through the general-rank wall march and filtration sums
+    cut = qq(3)
+    for x in range(3):
+        hs = [p2_genfun(4, x, cut, route_k=k) for k in range(4)]
+        for k in range(1, 4):
+            _assert_routes_agree(hs[0], hs[k], cut, (x, k))
+    _report(5, "(e) rank-4 plane routes k = 0..3 agree, x = 0, 1, 2")
+
+
+# Rank-4 rows for c1 = H, as computed by this code (all four routes agreeing
+# at cutoff 3, and through c2 = 10 on a longer run); not taken from the paper.
+R4_H_ROWS = {3: 13, 4: 246, 5: 2565, 6: 19446}
+
+
+def test_rank4_plane_rows_c2_3_to_6():
+    rows = {row.c2: row for row in p2_table(4, 1, qq(6)).rows}
+    assert {c2: rows[c2].euler for c2 in R4_H_ROWS} == R4_H_ROWS
+    assert rows[3].betti == (1, 1, 3, 3, 3, 1, 1)
+    _report(1, "(rank 4) plane rows c1 = H, c2 = 3..6")
+
+
 def _check_table_properties(table):
     # extract_table already enforced integrality, palindromy, nonnegativity,
     # w-span = 2*dim and vanishing on expected-empty classes; re-assert the

@@ -5,7 +5,10 @@ from bpsinv.blocks import (
 from bpsinv.geometry import Surface
 from bpsinv.series import QSeries, VPoly, WRat
 
-from oracles import one_minus_w, total_set_curve, wrat_conjugate
+from oracles import (
+    eta_product, one_minus_w, theta_hat_product, total_set_curve,
+    wrat_conjugate,
+)
 
 P2 = Surface.p2()
 S1 = Surface.hirzebruch(1)
@@ -40,6 +43,15 @@ def test_eta_pentagonal():
     assert eta.coeff(5 + qq(1, 24)) == WRat.from_rational(1)
     assert eta.coeff(2 + qq(1, 24)) == WRat.from_rational(-1)
     assert eta.coeff(3 + qq(1, 24)).is_zero()
+
+
+def test_theta_and_eta_sums_match_their_products():
+    # the off-grid 7/5 and 2 + 1/48 check the cutoff a result carries; 7/5
+    # after 3/2 is served from the memo by truncation
+    for cut in (qq(3, 2), qq(7, 5), 2 + qq(1, 48), qq(6)):
+        assert eta_series(cut) == eta_product(cut), cut
+        for k in range(1, 5):
+            assert theta_hat(k, cut) == theta_hat_product(k, cut), (k, cut)
 
 
 def test_theta_hat_leading_and_next():

@@ -33,9 +33,12 @@ def test_suitable_chamber_reproduces_base():
 
 
 def test_on_wall_polarization_rejected():
-    # J_{1,1} is on the slope-1 wall for (2, C+f)-type classes on Sigma_0
-    with pytest.raises(WallError):
-        genfun_at_polarization(2, (1, 1), 0, Polarization.generic(1, 1), qq(3))
+    # J_{1,1} is on the slope-1 wall for (2, C+f)-type classes on Sigma_0;
+    # the march that serves rank 4 rejects it too
+    for r in (2, 4):
+        with pytest.raises(WallError):
+            genfun_at_polarization(r, (1, 1), 0, Polarization.generic(1, 1),
+                                   qq(3))
 
 
 def test_window_terms_nonzero_off_suitable():
