@@ -217,9 +217,20 @@ def _suite_table1():
 
 
 def _suite_routes():
+    from itertools import product as iproduct
     from .hn import suitable_genfun_closed, suitable_genfun_recursive
-    from .wallcross import genfun_at_polarization, genfun_by_wall_march
+    from .wallcross import (_mirror, genfun_at_polarization,
+                            genfun_by_wall_march, line_filtrations)
     ok = True
+    # walking along -omega mirrors the walk along omega (on each surface,
+    # the three walls of least -omega^2 are among these directions)
+    omegas = ((1, -1), (1, -2), (1, -3), (2, -1))
+    for ell, (x, y), r in iproduct(range(3), omegas, (2, 3, 4)):
+        surface = Surface.hirzebruch(ell)
+        for c1 in iproduct(range(r), repeat=2):
+            down = line_filtrations(r, c1, (x, y), surface, qq(3))
+            ok = ok and line_filtrations(r, c1, (-x, -y), surface, qq(3)) \
+                == {k: _mirror(w) for k, w in down.items()}
     J = Polarization.generic(13, 9)
     for r, c1 in ((2, (1, 1)), (3, (1, 2))):
         closed = genfun_at_polarization(r, c1, 1, J, qq(2))
@@ -229,12 +240,9 @@ def _suite_routes():
         closed = suitable_genfun_closed(4, a, 1, qq(2))
         rec = suitable_genfun_recursive(4, (0, (-a) % 4), 1, qq(2))
         ok = ok and closed.series.eq_to_cutoff(rec.series, qq(2))
-    hA = p2_genfun(3, 1, qq(2), route_k=0)
-    hB = p2_genfun(3, 1, qq(2), route_k=1)
-    ok = ok and hA.series.eq_to_cutoff(hB.series, qq(2))
-    hA = p2_genfun(2, 0, qq(3), route_k=0)
-    hB = p2_genfun(2, 0, qq(3), route_k=1)
-    ok = ok and hA.series.eq_to_cutoff(hB.series, qq(3))
+    for r, x, cut in ((3, 1, qq(2)), (2, 0, qq(3))):
+        hA, hB = (p2_genfun(r, x, cut, route_k=k).series for k in (0, 1))
+        ok = ok and hA.eq_to_cutoff(hB, cut)
     # rank 4 on the plane runs the general-rank march: four routes
     hs = [p2_genfun(4, 1, qq(3), route_k=k).series for k in range(4)]
     return ok and all(h.cutoff >= 3 and h.eq_to_cutoff(hs[0], qq(3))

@@ -14,6 +14,7 @@ over rank compositions with explicit w-weights built from the sawtooth sum M.
 Both return the rational multi-cover flavor; they must agree identically.
 """
 
+from functools import cache
 from itertools import accumulate, product as iproduct
 from math import factorial, gcd, lcm, prod
 
@@ -44,15 +45,12 @@ def M(r_list, lam):
     return qq(total, d)
 
 
+@cache
 def _compositions(n):
-    """Ordered compositions of n."""
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            out.append((first,) + rest)
-    return out
+    """Ordered compositions of n, as a tuple."""
+    return ((),) if n == 0 else tuple(
+        (first,) + rest for first in range(1, n + 1)
+        for rest in _compositions(n - first))
 
 
 def _product_sum(weights, piece):

@@ -17,7 +17,8 @@ Two independent routes up to rank 3; above it, the march alone:
   what transports that piece's own jump into the rank-3 delta.
 
 The delta is the filtration sum along the wall's line of slopes,
-``line_filtrations``, which the mu-stack conversion of ``blowup`` shares.
+``line_filtrations``, which the mu-stack conversion of ``blowup`` shares,
+walked once: the wall's ascending side is its w -> 1/w mirror.
 """
 
 from itertools import product as iproduct
@@ -158,43 +159,41 @@ def _window(r, beta, alpha, ell, J, Ebound, tiebreak):
 # Filtrations along a line of slopes, and the iterated wall-by-wall route
 # ---------------------------------------------------------------------------
 
-def line_filtrations(r, c1, omega, surface, bound, descending=True):
+def line_filtrations(r, c1, omega, surface, bound):
     """The filtration sum of (r, c1) along the slope line c1/r + Q omega,
     {sorted pieces ((r_i, c1_i mod r_i), ...): QSeries weight}.
 
     The ordered pieces are c1_i = (r_i c1 + s_i omega)/r with sum s_i = 0 and
-    slopes s_i/r_i weakly decreasing (increasing unless ``descending``).
-    Since r_i r_j (mu_j - mu_i) = (r_i s_j - r_j s_i) omega/r, a tuple weighs
+    slopes s_i/r_i weakly decreasing.  Since r_i r_j (mu_j - mu_i) =
+    (r_i s_j - r_j s_i) omega/r, a tuple weighs
     w^(-(omega.K/r) sum_{i<j} (r_i s_j - r_j s_i)) q^shift / prod(run!) over
     its runs of equal slope, with filtration q-shift
-    (-omega^2)/(2 r^2) sum s_i^2/r_i; shifts above bound are dropped.  omega
-    is primitive, so c1_i is integral for s_i in one residue class mod r, or
-    in none."""
+    (-omega^2)/(2 r^2) sum s_i^2/r_i; shifts above bound are dropped.  The
+    reversed tuple, of the walk along -omega, flips only the w-exponent's
+    sign, so that walk is the ``_mirror`` of this one.  omega is primitive,
+    so c1_i is integral for s_i in one residue class mod r, or in none."""
     mw2 = -int(surface.intersect(omega, omega))
     wK = int(surface.intersect(omega, surface.canonical_class()))
-    sign = 1 if descending else -1
+    rhos = {ri: s for ri in range(1, r + 1) for s in range(r)
+            if not any((ri * c + s * o) % r for c, o in zip(c1, omega))}
     out = {}
     for ranks in _compositions(r):
-        rhos = [next((s for s in range(r)
-                      if not any((ri * c + s * o) % r
-                                 for c, o in zip(c1, omega))), None)
-                for ri in ranks]
-        if None in rhos:
+        if not rhos.keys() >= set(ranks):
             continue
         # in integers, shift <= bound is mw2 sum s_i^2 P/r_i <= 2 r^2 P bound,
         # so each s_i^2 <= limit r_i/P
         P = lcm(*ranks)
         limit = 2 * r * r * P * bound.numerator // (mw2 * bound.denominator)
         boxes = []
-        for ri, rho in zip(ranks, rhos):
+        for ri in ranks:
             m = isqrt(max(limit, 0) * ri // P)
-            boxes.append(range(-m + (rho + m) % r, m + 1, r))
+            boxes.append(range(-m + (rhos[ri] + m) % r, m + 1, r))
         n = len(ranks)
         for head in iproduct(*boxes[:-1]):
             ss = head + (-sum(head),)
             used = sum(s * s * (P // ri) for ri, s in zip(ranks, ss))
             if used > limit or ss[-1] not in boxes[-1] or any(
-                    sign * (ss[i - 1] * ranks[i] - ss[i] * ranks[i - 1]) < 0
+                    ss[i - 1] * ranks[i] < ss[i] * ranks[i - 1]
                     for i in range(1, n)):
                 continue
             aut = run = 1
@@ -215,23 +214,28 @@ def line_filtrations(r, c1, omega, surface, bound, descending=True):
     return out
 
 
+def _mirror(weight):
+    """weight under w -> 1/w."""
+    return QSeries({e: WRat(c.num.conjugate(), c.den.conjugate())
+                    for e, c in weight.terms.items()}, weight.cutoff)
+
+
 def _wall_delta(r, c1, omega, surface, bound, old, new):
     """Jump of h_{r,c1} across the wall with primitive direction omega, from
     its high-slope side to its low-slope side: the filtration sum over tuples
     of length >= 2, descending with the old piece functions minus ascending
-    with the new ones.  old/new map pieces (r_i, c1_i mod r_i) to series; a
-    product whose pieces are equal on both sides is taken once."""
-    ascending = line_filtrations(r, c1, omega, surface, bound, False)
+    (mirrored) with the new ones.  old/new map pieces (r_i, c1_i mod r_i) to
+    series; a product whose pieces are equal on both sides is taken once."""
     from_old, from_new = {}, {}
     for pieces, weight in line_filtrations(r, c1, omega, surface,
                                            bound).items():
         if len(pieces) < 2:
             continue
         if all(old[p] == new[p] for p in pieces):
-            from_old[pieces] = weight - ascending[pieces]
+            from_old[pieces] = weight - _mirror(weight)
         else:
             from_old[pieces] = weight
-            from_new[pieces] = -ascending[pieces]
+            from_new[pieces] = -_mirror(weight)
     return _product_sum(from_old, old.__getitem__) \
         + _product_sum(from_new, new.__getitem__)
 

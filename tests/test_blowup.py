@@ -11,7 +11,9 @@ from bpsinv.compute import p2_omega_genfun, p2_table
 from bpsinv.geometry import NEAR_PULLBACK, PULLBACK_H, Surface, walls_between
 from bpsinv.invariants import Flavor, GenFun
 from bpsinv.series import QSeries, WRat
-from bpsinv.wallcross import genfun_at_polarization, line_filtrations
+from bpsinv.wallcross import (
+    _mirror, genfun_at_polarization, line_filtrations,
+)
 
 from oracles import line_filtrations as brute_line_filtrations
 
@@ -32,10 +34,13 @@ def test_gcd_one_class_mu_equals_gieseker():
 
 def test_line_filtrations_match_brute_force():
     # the mu-stack line omega = C on Sigma_1, and the first walls of
-    # Sigma_0..Sigma_2, in both orders; keys and exact weights agree
+    # Sigma_0..Sigma_2; keys and exact weights agree with the descending
+    # oracle, and their mirrors with the ascending one
     cases = [(r, (X, Y), (1, 0), S1, qq(S, 2))
              for r in (1, 2, 3) for X in range(-6, 7) for Y in range(r)
              for S in range(1, 7)]
+    cases += [(4, (X, Y), (1, 0), S1, qq(3))
+              for X in (-3, 1, 2) for Y in (0, 1)]
     for ell in (0, 1, 2):
         surface = Surface.hirzebruch(ell)
         walls = walls_between(3, surface, qq(3))
@@ -45,14 +50,17 @@ def test_line_filtrations_match_brute_force():
         for omega in omegas[:3]:
             cases += [(r, c1, omega, surface, qq(3))
                       for r in (2, 3) for c1 in iproduct(range(r), repeat=2)]
+            cases += [(4, c1, omega, surface, qq(3))
+                      for c1 in ((0, 0), (2, 1))]
     seen = 0
-    for r, c1, omega, surface, bound in cases:
-        for descending in (True, False):
-            got = line_filtrations(r, c1, omega, surface, bound, descending)
-            want = brute_line_filtrations(r, c1, omega, surface, bound,
-                                          descending)
-            assert got == want, (r, c1, omega, surface, bound, descending)
-            seen += sum(len(w.terms) for w in got.values())
+    for case in cases:
+        got = line_filtrations(*case)
+        assert got == brute_line_filtrations(*case, descending=True), case
+        mirrored = {pieces: _mirror(w) for pieces, w in got.items()}
+        assert mirrored == brute_line_filtrations(*case, descending=False), \
+            case
+        # terms compared: the walk's and its mirror's
+        seen += 2 * sum(len(w.terms) for w in got.values())
     assert seen > 1000
 
 
