@@ -10,6 +10,7 @@ and eta with total phase +1; coefficients stay rational throughout, which the
 constructors assert implicitly by living in WRat.
 """
 
+from itertools import product as iproduct
 from math import gcd, isqrt
 
 from .exactq import qq
@@ -104,30 +105,16 @@ def blowup_factor(r, k, cutoff) -> QSeries:
     # eta^-r at c keeps c + (r-1)/24 - r/12; the lattice sum starts at q^>=0
     eta_inv = (eta_series(cutoff + qq(r + 1, 24)) ** r).invert()
     theta_cut = cutoff - eta_inv.leading_exponent()
-    # a point is kept when sum b_i^2 / (2 r^2) < theta_cut, i.e. below lim
+    # a point is kept when sum b_i^2 / (2 r^2) < theta_cut, i.e. below lim;
+    # the last b_i is fixed by the sum, which also puts it in the class k
     lim = -(-2 * r * r * theta_cut.numerator // theta_cut.denominator)
+    m = isqrt(max(lim - 1, 0))
     acc = {}
-
-    def rec(prefix, sq, total):
-        if len(prefix) == r - 1:
-            b = -total
-            if (b - k) % r or sq + b * b >= lim:
-                return
-            E = _grid(sq + b * b, 2 * r * r)
-            wexp = sum((r - 1 - 2 * i) * x
-                       for i, x in enumerate(prefix + (b,))) // r
+    for head in iproduct(range(-m + (k + m) % r, m + 1, r), repeat=r - 1):
+        b = head + (-sum(head),)
+        sq = sum(x * x for x in b)
+        if sq < lim:
+            E = _grid(sq, 2 * r * r)
+            wexp = sum((r - 1 - 2 * i) * x for i, x in enumerate(b)) // r
             acc[E] = acc.get(E, WRat.from_rational(0)) + WRat.w_power(wexp)
-            return
-        m = 0
-        while True:
-            hit = False
-            for b in ({k + r * m, k - r * m} if m else {k}):
-                if sq + b * b < lim:
-                    hit = True
-                    rec(prefix + (b,), sq + b * b, total + b)
-            if not hit:
-                break
-            m += 1
-
-    rec((), 0, 0)
     return (eta_inv * QSeries.from_grid(acc, theta_cut)).truncate(cutoff)

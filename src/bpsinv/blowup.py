@@ -14,8 +14,9 @@ Step (3) reverses step (1) on the plane, where equal-slope splittings are the
 only corrections (b2 = 1): each multiset of ranks enters with
 1/prod(multiplicity!), the sum of 1/len! over its orderings.
 
-Every step is written for any rank; above rank 3 the chamber functions come
-from the wall march.  The CLI accepts r <= 3 on the plane.
+Every step is written for any rank, but q-exponents stay on the 1/24 grid
+only up to rank 4 (rank 5 raises SeriesError); above rank 3 the chamber
+functions come from the wall march.  The CLI accepts r <= 3 on the plane.
 """
 
 from math import factorial
@@ -48,9 +49,10 @@ def gieseker_to_mu(r, c1, cutoff):
     f-degree per rank ordered by weakly decreasing C-degree per rank."""
     r = int(r)
     X, Y = int(c1[0]), int(c1[1])
-    # q-shifts (>= 0, Hodge index) multiply pieces of total lead -r/6; tuples
-    # with the same multiset of piece functions share their product
-    weights = line_filtrations(r, (X, Y), (1, 0), SIGMA1, cutoff + qq(r, 6))
+    # q-shifts (>= 0, Hodge index) are the rank-0 factor of a rank-r product;
+    # tuples with the same multiset of piece functions share their product
+    weights = line_filtrations(r, (X, Y), (1, 0), SIGMA1,
+                               piece_cutoff(cutoff, r, 0, SIGMA1))
     total = _product_sum(weights, lambda p: genfun_at_polarization(
         p[0], p[1], 1, NEAR_PULLBACK,
         piece_cutoff(cutoff, r, p[0], SIGMA1)).series)
@@ -65,9 +67,10 @@ def blowup_divide(hmu, r, k, cutoff):
         raise BlowupError("blow-up division needs a STACK_MU input")
     r = int(r)
     k = int(k) % r
-    # hmu (lead -r/6) / B keeps B's cutoff - 2 lead(B) - r/6, and hmu's
-    # cutoff - lead(B), which is the caller's to supply
-    B = blowup_factor(r, k, cutoff + 2 * _lead_of_B(r, k) + qq(r, 6))
+    # B^-1 keeps B's cutoff - 2 lead(B) and is the rank-0 factor of a rank-r
+    # product; hmu's cutoff - lead(B) is the caller's to supply
+    B = blowup_factor(r, k, piece_cutoff(cutoff, r, 0, SIGMA1)
+                      + 2 * _lead_of_B(r, k))
     quotient = hmu.series * B.invert()
     for c in quotient.terms.values():
         if not c.is_even_support():

@@ -117,9 +117,9 @@ def discriminant(gamma, surface):
 
 
 def piece_cutoff(cutoff, r, ri, surface):
-    """The cutoff a rank-ri factor needs in a rank-r product wanted below
-    cutoff: rank-s functions lead with q^(-s chi/24), so the other factors
-    lead with q^(-(r - ri) chi/24) together."""
+    """The cutoff a rank-ri factor (ri = 0 for a weight) needs in a rank-r
+    product wanted below cutoff: rank-s functions lead with q^(-s chi/24),
+    so the other factors lead with q^(-(r - ri) chi/24) together."""
     return cutoff + qq((r - ri) * surface.chi_top, 24)
 
 

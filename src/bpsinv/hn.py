@@ -176,6 +176,7 @@ def suitable_genfun_recursive(r, c1, ell, cutoff):
 # Route (b): solved recursion
 # ---------------------------------------------------------------------------
 
+@memo
 def _inner_tower(R, lam, ell, cutoff):
     """sum over compositions rho of R of w^(2 M(rho, lam)) /
     prod_j (1 - w^(2(rho_j + rho_{j+1}))) * prod_j H_{rho_j, 0}."""

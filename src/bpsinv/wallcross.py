@@ -12,9 +12,9 @@ Two independent routes up to rank 3; above it, the march alone:
 
 * ``genfun_by_wall_march``: iterate the two-sided filtration delta wall by
   wall.  One function per class of each lower rank is carried along the
-  path and updated at each wall before the ranks above it; equal-slope runs
-  carry Boltzmann factors 1/run!, and the run containing a rank-2 piece is
-  what transports that piece's own jump into the rank-3 delta.
+  path and updated, before the ranks above it, at the walls its rank lists;
+  equal-slope runs carry Boltzmann factors 1/run!, and the run containing a
+  rank-2 piece carries that piece's own jump into the rank-3 delta.
 
 The delta is the filtration sum along the wall's line of slopes,
 ``line_filtrations``, which the mu-stack conversion of ``blowup`` shares,
@@ -24,7 +24,6 @@ walked once: the wall's ascending side is its w -> 1/w mirror.
 from itertools import product as iproduct
 from math import isqrt, lcm
 
-from .exactq import qq
 from .blocks import rank1_genfun
 from .geometry import (
     GeometryError, Polarization, Surface, piece_cutoff, walls_between,
@@ -54,7 +53,7 @@ _QDEN = {2: 4, 3: 12}
 
 @memo
 def _h1_squared(ell, cutoff):
-    """h1^2, shared by every rank-2 window sum and wall march at the cutoff."""
+    """h1^2, shared by every rank-2 window sum at the cutoff."""
     return _h1(ell, cutoff) ** 2
 
 
@@ -82,8 +81,8 @@ def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
         raise WallError("polarization on wall")
     if r > 3:
         return genfun_by_wall_march(r, (beta, alpha), ell, J, cutoff)
-    # window terms q^E multiply h1^2 or h1 h2 (lead -r/6): E < cutoff + r/6
-    Ebound = cutoff + qq(r, 6)
+    # window terms q^E are the rank-0 factor of a rank-r product
+    Ebound = piece_cutoff(cutoff, r, 0, surface)
     # the displayed sums are written for the class beta C - alpha_f f
     af = (-alpha) % r
     # every window term carries the factor h1^2 (r = 2) or h1 (r = 3): the
@@ -271,15 +270,19 @@ def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
     target = (r, (beta, alpha))
     states[target] = suitable_genfun_recursive(
         r, (beta, alpha), ell, cutoff).series
-    # delta terms q^shift multiply pieces of lead -r/6: shift < cutoff + r/6
-    bound = cutoff + qq(r, 6)
+    # delta terms q^shift are the rank-0 factor of a rank-r product
+    bound = piece_cutoff(cutoff, r, 0, surface)
+    # a rank-s class jumps only at the walls listed for rank s, which hold
+    # those of every lower rank
+    jumps = {s: {omega for _, omega in walls_between(s, surface, bound)}
+             for s in range(2, r + 1)}
     for slope, omega in walls_between(r, surface, bound):
         if not _wall_is_crossed(slope, J_target):
             continue
         old = dict(states)
         # lower ranks first: a class's new side reads their new states
         for s, key in sorted(states):
-            if s > 1:
+            if s > 1 and omega in jumps[s]:
                 states[(s, key)] = states[(s, key)] + _wall_delta(
                     s, key, omega, surface, bound, old, states)
     return GenFun(series=states[target].truncate(cutoff), **tag)

@@ -375,6 +375,26 @@ def theta_hat_product(k, cutoff):
     return out.shift_q(qq(1, 8))
 
 
+def blowup_factor(r, k, cutoff):
+    """B_{r,k} = eta^-r sum q^(-sum_{i<j} a_i a_j) w^(sum_{i<j} (a_i - a_j))
+    over a_i in Z + k/r with sum a_i = 0: every point of a cube that holds
+    the ball -sum_{i<j} a_i a_j = sum a_i^2 / 2 < cutoff + 1, with eta^-r
+    from the multiplied-out product."""
+    top = math.isqrt(2 * math.ceil(cutoff) + 2) + 1
+    terms = {}
+    for a in itertools.product(
+            [qq(b, r) for b in range(-r * top, r * top + 1) if b % r == k],
+            repeat=r):
+        e = -sum(a[i] * a[j] for j in range(r) for i in range(j))
+        if sum(a) or e >= cutoff + 1:
+            continue
+        w = sum(a[i] - a[j] for j in range(r) for i in range(j))
+        assert w.denominator == 1
+        terms[e] = terms.get(e, WRat.from_rational(0)) + WRat.w_power(int(w))
+    eta_inv = (eta_product(cutoff + 1) ** r).invert()
+    return eta_inv * QSeries(terms, cutoff + 1)
+
+
 # ---------------------------------------------------------------------------
 # Curve stack counts
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from bpsinv.geometry import Surface
 from bpsinv.series import QSeries, VPoly, WRat
 
 from oracles import (
-    eta_product, one_minus_w, theta_hat_product, total_set_curve,
-    wrat_conjugate,
+    blowup_factor as brute_blowup_factor, eta_product, one_minus_w,
+    theta_hat_product, total_set_curve, wrat_conjugate,
 )
 
 P2 = Surface.p2()
@@ -134,6 +134,18 @@ def test_blowup_factor_palindromic():
         b = blowup_factor(r, k, qq(2))
         for c in b.terms.values():
             assert wrat_conjugate(c) == c
+
+
+def test_blowup_factor_matches_cube_enumeration():
+    # the sum-zero box walk against every point of a cube, eta^-r against
+    # the multiplied-out product
+    for r in (1, 2, 3, 4):
+        for k in range(r):
+            for c in (qq(7, 5), qq(3)):
+                got = blowup_factor(r, k, c)
+                want = brute_blowup_factor(r, k, c)
+                assert got.cutoff == c and want.cutoff >= c
+                assert got.eq_to_cutoff(want, c), (r, k, c)
 
 
 def test_blowup_inverse_roundtrip():

@@ -10,7 +10,7 @@ from bpsinv.blowup import (
 from bpsinv.compute import p2_omega_genfun, p2_table
 from bpsinv.geometry import NEAR_PULLBACK, PULLBACK_H, Surface, walls_between
 from bpsinv.invariants import Flavor, GenFun
-from bpsinv.series import QSeries, WRat
+from bpsinv.series import QSeries, SeriesError, WRat
 from bpsinv.wallcross import (
     _mirror, genfun_at_polarization, line_filtrations,
 )
@@ -188,6 +188,13 @@ def test_h30_p2_routes_agree():
     hC = p2_genfun(3, 0, qq(2), route_k=1)
     assert hA.series.eq_to_cutoff(hB.series, qq(2))
     assert hA.series.eq_to_cutoff(hC.series, qq(2))
+
+
+def test_rank5_plane_leaves_the_q_grid():
+    # q-exponents stay on the 1/24 grid up to rank 4; a rank-5 filtration
+    # shift of the march does not, and the kernel refuses it
+    with pytest.raises(SeriesError, match="295/200 off the 1/24 grid"):
+        p2_genfun(5, 1, 1)
 
 
 def test_p2_rank1_table():

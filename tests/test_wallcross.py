@@ -3,13 +3,16 @@ from itertools import product as iproduct
 import pytest
 
 from bpsinv.exactq import qq
+from bpsinv import wallcross
 from bpsinv.geometry import (
     ChernVector, Polarization, SUITABLE, NEAR_PULLBACK, Surface,
+    walls_between,
 )
 from bpsinv.hn import suitable_genfun_recursive
 from bpsinv.series import QSeries, WRat
 from bpsinv.wallcross import (
-    WallError, _window, genfun_at_polarization, genfun_by_wall_march,
+    WallError, _mirror, _window, genfun_at_polarization, genfun_by_wall_march,
+    line_filtrations,
 )
 
 from oracles import chamber_path, wallcross_delta, window_by_scan
@@ -101,6 +104,39 @@ def test_two_routes_rank3():
                                                qq(3, 2))
                 assert closed.series.eq_to_cutoff(marched.series, qq(3, 2)), \
                     (ell, beta, alpha, J)
+
+
+def test_each_rank_jumps_only_at_the_walls_it_lists(monkeypatch):
+    # the walls listed for rank s hold those of every lower rank, and along a
+    # wall listed for a higher rank only, a class of rank s has no filtration
+    # of length >= 2 within the bound but equal-slope ones: their weights are
+    # their own mirrors, so with pieces unchanged their jump is zero
+    for ell, bound in iproduct((0, 1, 2), (qq(3), qq(13, 3))):
+        surface = Surface.hirzebruch(ell)
+        walls = {r: set(walls_between(r, surface, bound)) for r in (2, 3, 4)}
+        for s in (2, 3):
+            for r in range(s + 1, 5):
+                assert walls[s] <= walls[r], (ell, bound, s, r)
+            for _, omega in walls[4] - walls[s]:
+                for c1 in iproduct(range(s), repeat=2):
+                    for pieces, weight in line_filtrations(
+                            s, c1, omega, surface, bound).items():
+                        assert len(pieces) < 2 or weight == _mirror(weight), \
+                            (ell, bound, s, c1, omega, pieces)
+    # so the march walks each class of rank s at exactly the crossed walls
+    # listed for rank s: below every wall at J_{1,eps}, all of them
+    walked = set()
+    walk = wallcross.line_filtrations
+
+    def recording(s, c1, omega, surface, bound):
+        walked.add((s, omega))
+        return walk(s, c1, omega, surface, bound)
+
+    monkeypatch.setattr(wallcross, "line_filtrations", recording)
+    # rank-4 delta shifts are bounded by cutoff + 4/6 = 3
+    genfun_by_wall_march(4, (1, 1), 1, NEAR_PULLBACK, qq(7, 3))
+    assert walked == {(s, omega) for s in (2, 3, 4)
+                      for _, omega in walls_between(s, S1, qq(3))}
 
 
 def test_chamber_path_p2_empty():
