@@ -12,7 +12,6 @@ cold computation printed.  Entries of the earlier layout, whose envelope put
 (write-temp-then-rename), so concurrent jobs can share a cache directory."""
 
 import hashlib
-import json
 import os
 import tempfile
 
@@ -26,7 +25,7 @@ class ResultCache:
         if directory is None:
             directory = os.environ.get("BPSINV_CACHE_DIR") or None
         self.directory = directory
-        if directory:
+        if directory and not os.path.isdir(directory):
             os.makedirs(directory, exist_ok=True)
 
     @staticmethod
@@ -40,8 +39,11 @@ class ResultCache:
 
     @staticmethod
     def _header(key, body):
+        """The header line: the text ``json.dumps`` gives for the version,
+        the key and the body's digest, since keys are hex digests."""
         digest = hashlib.sha256(body.encode()).hexdigest()
-        return {"version": FORMAT_VERSION, "key": key, "sha256": digest}
+        return '{"version": %d, "key": "%s", "sha256": "%s"}' % (
+            FORMAT_VERSION, key, digest)
 
     def get(self, key):
         """The value text stored under ``key``, or None on a miss."""
@@ -50,7 +52,7 @@ class ResultCache:
         try:
             with open(self._path(key)) as fh:
                 head, body = fh.read().split("\n", 1)
-            if (head == json.dumps(self._header(key, body))
+            if (head == self._header(key, body)
                     and body.startswith(_ENVELOPE) and body.endswith("}")):
                 return body[len(_ENVELOPE):-1]
         except (OSError, ValueError):
@@ -65,7 +67,7 @@ class ResultCache:
         if not self.directory:
             return
         body = _ENVELOPE + text + "}"
-        blob = json.dumps(self._header(key, body)) + "\n" + body
+        blob = self._header(key, body) + "\n" + body
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

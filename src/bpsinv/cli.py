@@ -280,8 +280,8 @@ def cmd_check(args):
 
 @cache
 def _parser():
-    """The parser, built on the first call and reused: later calls pay only
-    for the parse."""
+    """The parser and its commands' subparsers by name, built on the first
+    call and reused: later calls pay only for the parse."""
     parser = _Parser(
         prog="bpsinv",
         description="Exact BPS-invariant generating functions for sheaves on "
@@ -306,12 +306,19 @@ def _parser():
     pk.add_argument("--suite", choices=["core", "table1", "routes", "all"],
                     default="all")
     pk.add_argument("--format", choices=["json", "text"], default="text")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        parser, commands = _parser()
+        if argv and argv[0] in commands:
+            # what the top parser would do, without its second pass over argv
+            args = commands[argv[0]].parse_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = parser.parse_args(argv)
         # looked up per call, so a later rebinding of either name is served
         run = cmd_compute if args.command == "compute" else cmd_check
         return run(args)

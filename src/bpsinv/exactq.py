@@ -11,4 +11,6 @@ def qq(a, b=1):
         return a
     if isinstance(a, str):
         a = QQ(a)
+        if b == 1:
+            return a
     return QQ(a, b)

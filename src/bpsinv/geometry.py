@@ -235,8 +235,9 @@ def walls_between(r, surface, qshift_bound):
     primitive step, so -zeta_prim^2 <= 2 r rp rq qshift_bound is a superset
     bound.  Only integer directions zeta = (x, y), x >= 1, y <= -1 can host
     a wall (positive slope |y|/x), and -zeta^2 = ell x^2 + 2x|y| is at least
-    2x at fixed x, so the enumeration is finite."""
-    bound = max(2 * r * rp * (r - rp) for rp in range(1, r)) \
+    2x at fixed x, so the enumeration is finite.  A rank-1 class has no
+    splittings and so no walls."""
+    bound = max((2 * r * rp * (r - rp) for rp in range(1, r)), default=0) \
         * qshift_bound.numerator // qshift_bound.denominator
     ell = surface.ell
     prims = set()

@@ -4,8 +4,9 @@ products, the curve stack counts, the equal-slope rank-2 combination, the
 filtration discriminant, the geometric-series inverse of a q-series, a
 q-series kept as a plain {rational exponent: WRat} dict, the filtration sum
 along a line of slopes and the wall-crossing sign window by brute force,
-w-conjugation of a WRat, the primitive-PRS gcd of integer polynomials, and
-the parsers of the machine-readable encodings."""
+w-conjugation of a WRat, the primitive-PRS gcd of integer polynomials, the
+parsers of the machine-readable encodings, and the Betti numbers of
+Kronecker moduli."""
 
 import itertools
 import math
@@ -528,3 +529,78 @@ def _states_above(slope, surface, bound):
                 states[key] = states[key] + _wall_delta(
                     2, key[1], omega, surface, bound, states, states)
     return states
+
+
+# ---------------------------------------------------------------------------
+# Kronecker moduli
+# ---------------------------------------------------------------------------
+
+def _interpolate(points):
+    """Coefficients, constant first, of the polynomial of degree below
+    len(points) through the (x, y) points, by Lagrange's formula."""
+    coeffs = [qq(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, denom = [qq(1)], qq(1)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = [lo - xj * hi for lo, hi in
+                         zip([qq(0)] + basis, basis + [qq(0)])]
+                denom *= xi - xj
+        for k, c in enumerate(basis):
+            coeffs[k] += yi * c / denom
+    return coeffs
+
+
+def kronecker_betti(a, b, arrows=3):
+    """Betti numbers (b_0, b_2, ..., b_2dim) of N(arrows; a, b), the moduli
+    of stable representations of the Kronecker quiver with dimension vector
+    (a, b), a and b coprime, by Reineke's Harder-Narasimhan recursion
+    (Invent. Math. 152, 2003).  The stack volume A_d = q^-<d,d> /
+    prod_i prod_{j <= d_i} (1 - q^-j), with <d,e> = d1 e1 + d2 e2 -
+    arrows d1 e2, is the sum over HN types (d^1, ..., d^s) of strictly
+    decreasing slope d1/(d1 + d2) of q^-sum_{k<l}<d^l,d^k> prod A^ss_{d^k};
+    (q - 1) A^ss_d counts the points of N.  The count is taken at dim + 2
+    integers q, interpolated through dim + 1 of them and checked at the
+    last, so a count that is no polynomial of degree dim fails."""
+    def euler(d, e):
+        return d[0] * e[0] + d[1] * e[1] - arrows * d[0] * e[1]
+
+    def slope(d):
+        return qq(d[0], d[0] + d[1])
+
+    def sub(d, e):
+        return (d[0] - e[0], d[1] - e[1])
+
+    def parts(d):  # the nonzero e <= d, each after every e' <= e
+        return [e for e in itertools.product(range(d[0] + 1), range(d[1] + 1))
+                if any(e)]
+
+    def points(q):
+        ss, tails = {}, {}
+
+        def tail(d, top):  # the HN types of d with every slope below top
+            if not any(d):
+                return 1
+            if (d, top) not in tails:
+                tails[d, top] = sum(head(d, e) for e in parts(d)
+                                    if slope(e) < top)
+            return tails[d, top]
+
+        def head(d, e):  # the HN types of d whose first piece is e
+            return ss[e] * q ** -euler(sub(d, e), e) * tail(sub(d, e), slope(e))
+
+        for d in parts((a, b)):
+            volume = q ** -euler(d, d)
+            for n in d:
+                for j in range(1, n + 1):
+                    volume /= 1 - q ** -j
+            ss[d] = volume - sum(head(d, e) for e in parts(d) if e != d)
+        return (q - 1) * ss[a, b]
+
+    dim = 1 - euler((a, b), (a, b))
+    pts = [(q, points(q)) for q in map(qq, range(2, dim + 4))]
+    coeffs = _interpolate(pts[:-1])
+    q, count = pts[-1]
+    assert sum(c * q ** i for i, c in enumerate(coeffs)) == count
+    assert all(c.denominator == 1 for c in coeffs)
+    return tuple(int(c) for c in coeffs)

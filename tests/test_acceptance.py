@@ -2,6 +2,7 @@
 
 Run with -s to see one PASS line per criterion."""
 
+import functools
 import time
 
 from bpsinv.exactq import qq
@@ -12,7 +13,7 @@ from bpsinv.geometry import NEAR_PULLBACK, Polarization, SUITABLE, Surface
 from bpsinv.hn import suitable_genfun_closed, suitable_genfun_recursive
 from bpsinv.wallcross import genfun_at_polarization, genfun_by_wall_march
 
-from oracles import total_set_curve
+from oracles import kronecker_betti, total_set_curve
 
 REFERENCE_R3_ROWS = {
     3: (18, (1, 1, 2, 2, 2, 2)),
@@ -191,11 +192,29 @@ def test_rank4_plane_four_routes():
 R4_H_ROWS = {3: 13, 4: 246, 5: 2565, 6: 19446}
 
 
+@functools.cache
+def _r4_table():
+    return p2_table(4, 1, qq(6))
+
+
 def test_rank4_plane_rows_c2_3_to_6():
-    rows = {row.c2: row for row in p2_table(4, 1, qq(6)).rows}
+    rows = {row.c2: row for row in _r4_table().rows}
     assert {c2: rows[c2].euler for c2 in R4_H_ROWS} == R4_H_ROWS
     assert rows[3].betti == (1, 1, 3, 3, 3, 1, 1)
     _report(1, "(rank 4) plane rows c1 = H, c2 = 3..6")
+
+
+def test_height_zero_rows_are_kronecker_moduli():
+    # On the plane, the moduli space of c1 = H and the least c2 = r - 1 is
+    # that of Kronecker modules N(3; r - 2, r - 1) (Drezet, Math. Ann. 1988),
+    # so its Betti row comes from outside the pipeline
+    tables = {2: p2_table(2, 1, qq(2)), 3: p2_table(3, 1, qq(2)),
+              4: _r4_table()}
+    for r, table in tables.items():
+        (row,) = [row for row in table.rows if row.c2 == r - 1]
+        assert row.betti == kronecker_betti(r - 2, r - 1), r
+    _report(1, "(height zero) plane rows c1 = H, c2 = r - 1, r = 2..4, "
+               "are Kronecker moduli")
 
 
 def _check_table_properties(table):

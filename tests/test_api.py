@@ -1,7 +1,8 @@
 """The shipped surface: exports resolve, the memoized stage entry points
 keep their memo, no module imports a name it never uses or from outside the
-standard library, int and rational cutoffs are one key, and the README's
-library example runs as printed."""
+standard library, int and rational cutoffs are one key, strings parse to
+the rationals they spell, and the README's library example runs as
+printed."""
 
 import ast
 import importlib
@@ -13,7 +14,7 @@ import sys
 import bpsinv
 from bpsinv import clear_caches, p2_table, sigma_table
 from bpsinv.blowup import p2_genfun
-from bpsinv.exactq import qq
+from bpsinv.exactq import QQ, qq
 from bpsinv.geometry import SUITABLE
 from bpsinv.hn import suitable_genfun_recursive
 
@@ -89,6 +90,16 @@ def test_int_and_rational_cutoffs_share_results_and_memo_entries():
         misses = stage.cache_info().misses
         assert table(qq(c)) == want
         assert stage.cache_info().misses == misses, stage.__name__
+
+
+def test_qq_parses_a_string_to_the_rational_it_spells():
+    # one parse for b == 1; QQ(QQ(a), b) is the two-step parse it replaced
+    cases = [(("3/8",), QQ(3, 8)), (("3/8", 2), QQ(3, 16)),
+             (("-2",), QQ(-2)), ((" 13 ",), QQ(13))]
+    for args, want in cases:
+        got = qq(*args)
+        assert got == want == QQ(QQ(args[0]), *args[1:]), args
+        assert type(got) is QQ, args
 
 
 def test_readme_library_example(capsys):

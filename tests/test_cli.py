@@ -382,3 +382,88 @@ def test_every_cli_input_ends_in_a_known_exit(argv):
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code:
         assert isinstance(json.loads(err.getvalue()), dict), argv
+
+
+# the argv of the parser parity test: help, usage and every kind of parser
+# error, besides valid requests
+PARITY_ARGV = [
+    ["--help"], ["-h"], ["compute", "--help"], ["check", "-h"], [], ["bogus"],
+    ["compute"], ["check"],
+    ["compute", "--surface", "p2", "--c1", "0"],
+    ["compute", "--surf", "p2", "--rank", "3", "--c1", "0"],
+    ["compute", "--surface", "p2", "--rank", "3", "--c1", "0", "extra"],
+    ["check", "--suite", "nope"],
+    ["compute", "--surface", "hirzebruch:1", "--rank", "2", "--c1=-2,2"],
+    ["compute", "--surface", "hirzebruch:1", "--rank", "2", "--c1", "-2,2"],
+    ["compute", "--surface", "p2", "--rank", "x", "--c1", "0"],
+    ["compute", "--surface", "p2", "--rank", "1", "--c1", "0",
+     "--format", "xml"],
+    ["compute", "--surface", "p2", "--surface", "hirzebruch:1", "--rank", "2",
+     "--c1", "0,1", "--qorders", "1", "--qorders", "3"],
+    ["compute", "--surface", "hirzebruch:1", "--rank", "2", "--c1", "0,1",
+     "--polarization", "13,9", "--format", "csv", "--cache-dir", "d"],
+    ["check", "--format", "json", "--suite", "core"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
+def test_main_parses_as_the_top_parser_does(monkeypatch, capsys, argv):
+    # main hands argv that starts with a command straight to that command's
+    # subparser; the nested route through the top parser is the reference
+    seen = []
+    monkeypatch.setattr(cli, "cmd_compute", lambda args: seen.append(args) or 0)
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args) or 0)
+
+    def nested(argv):
+        try:
+            args = cli._parser()[0].parse_args(argv)
+            return (cli.cmd_compute if args.command == "compute"
+                    else cli.cmd_check)(args)
+        except cli.InputError as exc:
+            print(json.dumps({"error": str(exc)}), file=sys.stderr)
+            return 2
+
+    results = []
+    for route in (main, nested):
+        try:
+            code = route(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out = capsys.readouterr()
+        results.append((code, out.out, out.err, [vars(a) for a in seen]))
+        seen.clear()
+    assert results[0] == results[1]
+
+
+def test_cache_reads_entries_of_the_json_dumps_header(tmp_path, monkeypatch,
+                                                      capsys):
+    # the header line is the json.dumps text of a dict; entries written that
+    # way are hits, served as they are and never rewritten
+    from bpsinv.cache import ResultCache
+    from bpsinv.serialize import FORMAT_VERSION
+
+    def header(key, body):
+        return json.dumps({"version": FORMAT_VERSION, "key": key,
+                           "sha256": hashlib.sha256(body.encode()).hexdigest()})
+
+    keys = [ResultCache.key_of("compute", {"rank": r}) for r in range(3)]
+    for key, body in zip(keys + ["0" * 64], ["", "{}", "x\ny", "é"]):
+        assert ResultCache._header(key, body) == header(key, body)
+    args = ["compute", "--surface", "p2", "--rank", "2", "--c1", "0",
+            "--qorders", "2", "--format", "json", "--cache-dir", str(tmp_path)]
+    cold = run_cli(args, capsys)[1]
+    (entry,) = tmp_path.glob("*.json")
+    key = entry.name[:-len(".json")]
+    body = '{"version":%d,"value":%s}' % (FORMAT_VERSION, cold[:-1])
+    entry.write_text(header(key, body) + "\n" + body)
+    stamp = entry.stat().st_mtime_ns
+    assert ResultCache(str(tmp_path)).get(key) == cold[:-1]
+    monkeypatch.setattr(cli, "_run_compute",
+                        lambda *args: pytest.fail("a hit was recomputed"))
+    for fmt in ("json", "csv", "text"):
+        code, out, err = run_cli(args[:-3] + [fmt] + args[-2:], capsys)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert out == cold
+    assert entry.stat().st_mtime_ns == stamp
+    assert entry.read_text() == header(key, body) + "\n" + body

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -89,6 +90,22 @@ def test_walls_between_orders_and_bounds():
     assert all(0 < s for s in slopes)
     # on Sigma_0 a (1,-1) split of (2,f,2) costs -zeta^2/(2*2*1*1) = 1/2 <= 3
     assert qq(1, 1) in slopes
+
+
+def test_walls_between_rank1_is_empty_and_higher_ranks_unchanged():
+    # a rank-1 class has no splittings, so no walls, at any bound
+    for ell in range(3):
+        for bound in (qq(3), qq(13, 3), qq(40)):
+            assert walls_between(1, Surface.hirzebruch(ell), bound) == []
+    # ranks 2-4 as the enumeration gave before rank 1 was allowed
+    counts = {(qq(3), 0): [13, 47, 153], (qq(3), 1): [6, 26, 86],
+              (qq(3), 2): [6, 23, 76], (qq(13, 3), 0): [17, 73, 233],
+              (qq(13, 3), 1): [11, 41, 130], (qq(13, 3), 2): [8, 36, 116]}
+    walls = [walls_between(r, Surface.hirzebruch(ell), bound)
+             for bound, ell in counts for r in (2, 3, 4)]
+    assert [len(w) for w in walls] == sum(counts.values(), [])
+    assert hashlib.sha256(repr(walls).encode()).hexdigest() == \
+        "4cb9744882715365066b474969860edd5c72fadb95f8aeef1ce9ca48e16b3b0d"
 
 
 def test_polarization_validation():
