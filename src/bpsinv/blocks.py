@@ -35,7 +35,7 @@ def eta_series(cutoff) -> QSeries:
         raise SeriesError("eta cutoff must exceed 1/24")
     top = isqrt(24 * cutoff.numerator // cutoff.denominator)
     return QSeries.from_grid(
-        {m * m: WRat.from_rational(1 if m % 12 in (1, 11) else -1)
+        {_grid(m * m, 24): WRat.from_rational(1 if m % 12 in (1, 11) else -1)
          for m in range(1, top + 1) if gcd(m, 6) == 1}, cutoff)
 
 
@@ -49,7 +49,7 @@ def theta_hat(k, cutoff) -> QSeries:
     cutoff = qq(cutoff)
     top = isqrt(max(8 * cutoff.numerator // cutoff.denominator, 0))
     return QSeries.from_grid(
-        {3 * m * m: (WRat.w_power(k * m) - WRat.w_power(-k * m)).scale(
+        {_grid(m * m, 8): (WRat.w_power(k * m) - WRat.w_power(-k * m)).scale(
             (-1) ** (m // 2)) for m in range(1, top + 1, 2)}, cutoff)
 
 

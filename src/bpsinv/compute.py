@@ -1,11 +1,12 @@
 """Top-level dispatch: generating functions and tables per surface, class
-and polarization."""
+and polarization.  The integer flavors hand a dispatcher to
+``invariants.omega_genfun``, which asks it for (r, c1) and each (r/m, c1/m)."""
 
 from .exactq import qq
 from .blowup import p2_genfun
 from .geometry import SUITABLE
 from .hn import suitable_genfun_recursive
-from .invariants import _class_divisors, extract_table, omegabar_to_omega
+from .invariants import extract_table, omega_genfun
 from .wallcross import WallError, genfun_at_polarization
 
 __all__ = [
@@ -32,20 +33,9 @@ def sigma_genfun(r, c1, ell, J, cutoff):
     return genfun_at_polarization(r, c1, ell, J, qq(cutoff))
 
 
-def _omega_genfun(genfun, r, c1):
-    """Integer BPS flavor of genfun(r, c1): invert the multi-cover sum, with
-    each lower class (r/m, c1/m) taken from the same recursion."""
-    h = genfun(r, c1)
-    lower = {}
-    for m in _class_divisors(r, c1):
-        low = _omega_genfun(genfun, r // m, tuple(x // m for x in c1))
-        lower[(low.r, low.c1)] = low
-    return omegabar_to_omega(h, lower)
-
-
 def sigma_omega_genfun(r, c1, ell, J, cutoff):
     """Integer BPS flavor on Sigma_ell at J."""
-    return _omega_genfun(
+    return omega_genfun(
         lambda r, c1: sigma_genfun(r, c1, ell, J, cutoff), r, tuple(c1))
 
 
@@ -55,7 +45,7 @@ def sigma_table(r, c1, ell, J, cutoff):
 
 def p2_omega_genfun(r, x, cutoff):
     """Integer BPS flavor on the plane."""
-    return _omega_genfun(lambda r, c1: p2_genfun(r, c1[0], cutoff), r, (x,))
+    return omega_genfun(lambda r, c1: p2_genfun(r, c1[0], cutoff), r, (x,))
 
 
 def p2_table(r, x, cutoff):

@@ -11,7 +11,7 @@ from math import gcd
 from .exactq import qq
 
 __all__ = [
-    "Surface", "ChernVector", "EpsRational", "Polarization", "GeometryError",
+    "Surface", "ChernVector", "Polarization", "GeometryError",
     "discriminant", "expected_dimension", "twist_reduce",
     "walls_between", "piece_cutoff",
 ]
@@ -152,58 +152,37 @@ def twist_reduce(gamma, surface):
 # Polarizations (with exact infinitesimal parts)
 # ---------------------------------------------------------------------------
 
-class EpsRational:
-    """a + b*eps with eps an infinitesimal positive; polarizations are
-    ordered only through ``Polarization.slope``."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a = qq(a)
-        self.b = qq(b)
-
-    def __eq__(self, o):
-        return isinstance(o, EpsRational) and self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        return "(%s + %s*eps)" % (self.a, self.b) if self.b else str(self.a)
-
-
 @dataclass(frozen=True)
 class Polarization:
-    """J_{m,n} = m(C + ell f) + n f with exact (possibly infinitesimal) m, n.
+    """J_{m,n} = m(C + ell f) + n f with exact m, n, and e the sign of an
+    infinitesimal eps added to n; m = 0 stands for m = eps.
 
-    J_{eps,1} is the suitable chamber near the fibre; J_{1,eps} is the
-    chamber adjacent to the pullback J_{1,0} of the hyperplane class of the
-    plane; J_{1,0} itself is a boundary point used only for mu-stability."""
+    SUITABLE = J_{eps,1} is the suitable chamber near the fibre;
+    NEAR_PULLBACK = J_{1,eps} is the chamber next to PULLBACK_H = J_{1,0},
+    the pullback of the plane's hyperplane class, a boundary point used
+    only for mu-stability."""
 
-    m: EpsRational
-    n: EpsRational
+    m: object
+    n: object
+    e: int = 0
     # read by every window and wall test, so computed once; not part of
-    # equality or hashing, which stay those of (m, n)
+    # equality or hashing, which stay those of (m, n, e)
     _slope: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m, n = self.m, self.n
-        slope = None
-        if m.a:
-            d = n.b * m.a - n.a * m.b
-            slope = n.a / m.a, (d > 0) - (d < 0)
+        slope = (qq(self.n) / self.m, self.e) if self.m else None
         object.__setattr__(self, "_slope", slope)
 
     @staticmethod
     def generic(m, n):
-        J = Polarization(EpsRational(m), EpsRational(n))
-        if J.m.a <= 0 or J.n.a <= 0:
+        J = Polarization(qq(m), qq(n))
+        if J.m <= 0 or J.n <= 0:
             raise GeometryError("J_{m,n} requires m, n > 0")
         return J
 
     @property
     def is_boundary(self):
-        return not (self.n.a or self.n.b)
+        return not (self.n or self.e)
 
     def slope(self):
         """n/m as (t, e): the rational part t and the sign e of the eps part,
@@ -211,13 +190,10 @@ class Polarization:
         J_{eps,1}, which lies above every wall."""
         return self._slope
 
-    def __str__(self):
-        return "J_{%s,%s}" % (self.m, self.n)
 
-
-SUITABLE = Polarization(EpsRational(0, 1), EpsRational(1))       # J_{eps,1}
-NEAR_PULLBACK = Polarization(EpsRational(1), EpsRational(0, 1))  # J_{1,eps}
-PULLBACK_H = Polarization(EpsRational(1), EpsRational(0))        # J_{1,0}
+SUITABLE = Polarization(0, 1)          # J_{eps,1}
+NEAR_PULLBACK = Polarization(1, 0, 1)  # J_{1,eps}
+PULLBACK_H = Polarization(1, 0)        # J_{1,0}
 
 
 # ---------------------------------------------------------------------------

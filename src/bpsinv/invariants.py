@@ -2,7 +2,8 @@
 
 Flavors: OMEGA_BAR is the rational multi-cover invariant carried by all
 modular generating functions; OMEGA is the integer refined invariant obtained
-by inverting the multi-cover sum; STACK / STACK_MU are virtual counts of the
+by inverting the multi-cover sum (``omega_genfun``, one recursion over the
+classes (r/m, c1/m)); STACK / STACK_MU are virtual counts of the
 Gieseker / mu semi-stable stacks (stacky coefficients, never tabulated
 directly)."""
 
@@ -11,14 +12,12 @@ from enum import Enum
 from math import gcd
 
 from .exactq import qq
-from .geometry import (
-    ChernVector, Surface, discriminant, expected_dimension, twist_reduce,
-)
+from .geometry import ChernVector, Surface, discriminant, expected_dimension
 from .series import QSeries, VPoly, WRat
 
 __all__ = [
     "Flavor", "GenFun", "InvariantTable", "TableRow", "InvariantError",
-    "omegabar_to_omega", "extract_table",
+    "omega_genfun", "extract_table",
 ]
 
 
@@ -70,32 +69,20 @@ def _class_divisors(r, c1):
     return [m for m in range(2, g + 1) if g % m == 0]
 
 
-def omegabar_to_omega(h: GenFun, lower) -> GenFun:
-    """Invert the multi-cover sum: subtract (1/m) * (lower Omega series at
-    q -> q^m, w -> -(-w)^m) for every m > 1 dividing (r, c1).
-
-    ``lower`` maps (r', c1'-tuple) to OMEGA-flavor GenFuns on the same
-    surface and polarization.  The exponent bookkeeping is exact because the
-    discriminant is invariant under scaling the whole Chern vector."""
+def omega_genfun(genfun, r, c1) -> GenFun:
+    """Integer BPS flavor of the OMEGA_BAR series genfun(r, c1): invert the
+    multi-cover sum by subtracting (1/m) * Omega(r/m, c1/m) at q -> q^m,
+    w -> -(-w)^m for every m > 1 dividing (r, c1), each lower Omega from
+    this same recursion on ``genfun``.  The exponent bookkeeping is exact
+    because the discriminant is invariant under scaling the Chern vector."""
+    h = genfun(r, c1)
     if h.flavor != Flavor.OMEGA_BAR:
-        raise InvariantError("omegabar_to_omega requires an OMEGA_BAR input")
+        raise InvariantError("omega_genfun requires OMEGA_BAR inputs")
     series = h.series
-    for m in _class_divisors(h.r, h.c1):
-        key = (h.r // m, tuple(x // m for x in h.c1))
-        red = _reduced_key(key, h.surface)
-        if red not in lower:
-            raise InvariantError("missing lower-rank Omega input %s" % (red,))
-        low = lower[red]
-        if low.flavor != Flavor.OMEGA:
-            raise InvariantError("lower inputs must be OMEGA flavor")
+    for m in _class_divisors(r, c1):
+        low = omega_genfun(genfun, r // m, tuple(x // m for x in c1))
         series = series - low.series.substitute(m, multicover=True).scale(qq(1, m))
     return replace(h, flavor=Flavor.OMEGA, series=series)
-
-
-def _reduced_key(key, surface):
-    r, c1 = key
-    red, _ = twist_reduce(ChernVector(r, c1, 0), surface)
-    return (r, red.c1)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,7 @@ def polarization_to_obj(J):
         return None
     if J == SUITABLE:
         return "suitable"
-    return {"m": [_q_str(J.m.a), _q_str(J.m.b)],
-            "n": [_q_str(J.n.a), _q_str(J.n.b)]}
+    return {"m": [_q_str(J.m), "0"], "n": [_q_str(J.n), _q_str(J.e)]}
 
 
 def genfun_to_obj(h):

@@ -499,7 +499,8 @@ def _grid(num, den):
     """The int E = 24 num / den of q^(num/den) on the 1/24 grid."""
     E, rem = divmod(_D * num, den)
     if rem:
-        raise SeriesError("q-exponent %s/%s off the 1/24 grid" % (num, den))
+        raise SeriesError("q-exponent %s/%s off the 1/%d grid"
+                          % (num, den, _D))
     return E
 
 

@@ -12,7 +12,7 @@ import itertools
 import math
 
 from bpsinv.exactq import qq
-from bpsinv.geometry import SUITABLE, discriminant, twist_reduce, walls_between
+from bpsinv.geometry import discriminant, twist_reduce, walls_between
 from bpsinv.hn import _compositions, suitable_genfun_recursive
 from bpsinv.series import NonInvertibleError, QSeries, SeriesError, VPoly, WRat
 from bpsinv.wallcross import WallError, _h1, _wall_delta
@@ -321,13 +321,13 @@ def window_by_scan(r, beta, alpha, ell, J, Ebound, tiebreak):
     qden Ebound, which holds every active point: one has sgn(x) y >= 1, so
     2|x| and 2|y| are at most 2 x y <= qden E.  A point (x, y) = (beta, alpha)
     mod r, x != 0, with E = (ell x^2 + 2 x y)/qden <= Ebound is kept when the
-    lexicographic sign s1 of x n - y m = (x n.a - y m.a) + (x n.b - y m.b) eps
+    lexicographic sign s1 of x (n + e eps) - y m = (x n - y m) + x e eps
     differs from s2 = sgn(x), as (x, y, s1 - s2); s1 = 0 raises WallError
     unless tiebreak.  Columns x = 1, 2, ..., then -1, -2, ..., each by
     increasing E."""
     qden = 4 if r == 2 else 12
     half = math.floor(qden * qq(Ebound) / 2)
-    m, n = J.m, J.n
+    m, n, e = J.m, J.n, J.e
     out = []
     for sx in (1, -1):
         for x in range(sx, sx * (half + 1), sx):
@@ -336,7 +336,7 @@ def window_by_scan(r, beta, alpha, ell, J, Ebound, tiebreak):
                     continue
                 if ell * x * x + 2 * x * y > qden * Ebound:
                     continue
-                a, b = x * n.a - y * m.a, x * n.b - y * m.b
+                a, b = x * n - y * m, x * e
                 s1 = (a > 0) - (a < 0) if a else (b > 0) - (b < 0)
                 if s1 == 0 and not tiebreak:
                     raise WallError("polarization on wall")
@@ -460,11 +460,11 @@ class ChamberPath:
 
 
 def _slope_key(J):
-    """(rational, eps) part of n/m; the suitable chamber sits above every
-    wall slope."""
-    if J == SUITABLE or J.m.a == 0:
+    """(rational, eps) part of n/m; the suitable chamber, m = eps, sits
+    above every wall slope."""
+    if J.m == 0:
         return (math.inf, qq(0))
-    return (J.n.a / J.m.a, J.n.b / J.m.a)
+    return (qq(J.n) / J.m, qq(J.e) / J.m)
 
 
 def chamber_path(gamma, J_start, J_end, surface, qshift_bound=qq(6)):

@@ -16,9 +16,10 @@ import bpsinv
 import bpsinv.cli as cli
 from bpsinv.cli import MAX_QORDERS, main
 from bpsinv.exactq import QQ, qq
+from bpsinv.geometry import NEAR_PULLBACK, PULLBACK_H, SUITABLE, Polarization
 from bpsinv.hn import suitable_genfun_recursive
 from bpsinv.invariants import InvariantError
-from bpsinv.serialize import dumps, qseries_to_obj
+from bpsinv.serialize import dumps, polarization_to_obj, qseries_to_obj
 from bpsinv.series import QSeries, VPoly, WRat
 from bpsinv.wallcross import genfun_at_polarization
 
@@ -284,6 +285,25 @@ def test_polarization_spellings_share_a_cache_entry(tmp_path, monkeypatch,
     assert send("p2", "1", "--polarization", "13,9") == plane
     assert len(computed) == 3
     assert len(list(tmp_path.glob("*.json"))) == 3
+
+
+def test_polarization_encoding_and_cache_key_are_pinned(tmp_path, capsys):
+    # stored entries stay hits only while these bytes and this key hold
+    objs = [dumps(polarization_to_obj(J)) for J in (
+        SUITABLE, NEAR_PULLBACK, PULLBACK_H, Polarization.generic(13, 9),
+        Polarization.generic("26/2", 9))]
+    assert objs == ['"suitable"', '{"m":["1","0"],"n":["0","1"]}',
+                    '{"m":["1","0"],"n":["0","0"]}',
+                    '{"m":["13","0"],"n":["9","0"]}',
+                    '{"m":["13","0"],"n":["9","0"]}']
+    code, _, _ = run_cli(
+        ["compute", "--surface", "hirzebruch:1", "--rank", "2", "--c1", "1,1",
+         "--polarization", "13,9", "--qorders", "2",
+         "--cache-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert [p.name for p in tmp_path.glob("*.json")] == [
+        "596b458880fced84d1e6af1ead58b8d3af8bdbf897138b30171f74bf60f089c7"
+        ".json"]
 
 
 def test_parser_errors_are_json_with_exit_2(capsys, tmp_path, monkeypatch):

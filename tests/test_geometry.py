@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bpsinv.exactq import qq
 from bpsinv.geometry import (
-    SUITABLE, Surface, ChernVector, EpsRational, Polarization, NEAR_PULLBACK,
+    SUITABLE, Surface, ChernVector, Polarization, NEAR_PULLBACK,
     PULLBACK_H, discriminant, expected_dimension, twist_reduce, walls_between,
     GeometryError,
 )
@@ -119,15 +119,16 @@ def test_polarization_validation():
 
 def test_polarization_slope_is_stored_but_not_compared():
     # the slope is computed at construction; equality, hashing and so the
-    # memo keys stay those of (m, n)
+    # memo keys stay those of (m, n, e)
     J = Polarization.generic(13, 9)
-    K = Polarization(EpsRational(qq(26, 2)), EpsRational(9))
+    K = Polarization(qq(26, 2), 9)
     assert J == K and hash(J) == hash(K) and J is not K
     assert J.slope() == K.slope() == (qq(9, 13), 0)
     assert J != Polarization.generic(9, 13)
     assert SUITABLE.slope() is None and NEAR_PULLBACK.slope() == (0, 1)
     assert PULLBACK_H.slope() == (0, 0)
-    assert repr(J) == "Polarization(m=13, n=9)"
+    assert repr(J) == \
+        "Polarization(m=Fraction(13, 1), n=Fraction(9, 1), e=0)"
 
 
 @settings(max_examples=200, deadline=None)

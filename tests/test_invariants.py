@@ -1,12 +1,14 @@
+from dataclasses import replace
 
 import pytest
 
 from bpsinv.exactq import qq
 from bpsinv.blocks import rank1_genfun
+from bpsinv.compute import default_cutoff
 from bpsinv.geometry import Surface, SUITABLE
 from bpsinv.hn import suitable_genfun_recursive
 from bpsinv.invariants import (
-    Flavor, GenFun, InvariantError, extract_table, omegabar_to_omega,
+    Flavor, GenFun, InvariantError, extract_table, omega_genfun,
 )
 from bpsinv.series import QSeries, VPoly, WRat
 
@@ -14,34 +16,52 @@ P2 = Surface.p2()
 S1 = Surface.hirzebruch(1)
 
 
+def _suitable(ell, cutoff):
+    return lambda r, c1: suitable_genfun_recursive(r, c1, ell, cutoff)
+
+
+def _multicover(series, m):
+    return series.substitute(m, multicover=True).scale(qq(1, m))
+
+
 def test_multicover_trivial_for_coprime_class():
     h = suitable_genfun_recursive(2, (0, 1), 1, qq(2))
-    out = omegabar_to_omega(h, {})
+    out = omega_genfun(_suitable(1, qq(2)), 2, (0, 1))
     assert out.flavor == Flavor.OMEGA
     assert out.series.eq_to_cutoff(h.series)
 
 
 def test_multicover_rank2_correction_is_literal_substitution():
     h1 = rank1_genfun(S1, qq(8))
-    h1_omega = GenFun(surface=S1, r=1, c1=(0, 0), J=SUITABLE,
-                      flavor=Flavor.OMEGA, series=h1.series)
     h2 = suitable_genfun_recursive(2, (0, 0), 1, qq(3))
-    out = omegabar_to_omega(h2, {(1, (0, 0)): h1_omega})
-    expect = h2.series - h1.series.substitute(2, multicover=True).scale(qq(1, 2))
+    out = omega_genfun(_suitable(1, qq(3)), 2, (0, 0))
+    expect = h2.series - _multicover(h1.series, 2)
     assert out.series.eq_to_cutoff(expect, qq(3))
 
 
-def test_multicover_missing_lower_input_errors():
-    h2 = suitable_genfun_recursive(2, (0, 0), 1, qq(2))
+@pytest.mark.parametrize("ell", [0, 1])
+def test_multicover_nested_divisors(ell):
+    # Omega_4 = h_4 - 1/2 Omega_2(q^2) - 1/4 h_1(q^4), where Omega_2 is
+    # itself h_2 - 1/2 h_1(q^2): the m = 2 term is the rank-2 recursion
+    S = Surface.hirzebruch(ell)
+    cutoff = default_cutoff(4, S, 5)
+    h = {r: suitable_genfun_recursive(r, (0, 0), ell, cutoff).series
+         for r in (1, 2, 4)}
+    omega2 = h[2] - _multicover(h[1], 2)
+    expect = h[4] - _multicover(omega2, 2) - _multicover(h[1], 4)
+    out = omega_genfun(_suitable(ell, cutoff), 4, (0, 0))
+    assert out.series.eq_to_cutoff(expect, cutoff)
+    assert not out.series.eq_to_cutoff(h[4], cutoff)
+
+
+def test_multicover_requires_omegabar_input():
+    h = replace(rank1_genfun(P2, qq(2)), flavor=Flavor.OMEGA)
     with pytest.raises(InvariantError):
-        omegabar_to_omega(h2, {})
+        omega_genfun(lambda r, c1: h, 1, (0,))
 
 
 def test_extract_table_rank1_p2():
-    h = rank1_genfun(P2, qq(4))
-    out = omegabar_to_omega(
-        GenFun(surface=P2, r=1, c1=(0,), J=None, flavor=Flavor.OMEGA_BAR,
-               series=h.series), {})
+    out = omega_genfun(lambda r, c1: rank1_genfun(P2, qq(4)), 1, (0,))
     table = extract_table(out)
     rows = {row.c2: row for row in table.rows}
     assert rows[0].dim == 0 and rows[0].euler == 1
