@@ -8,6 +8,11 @@ so that the odd Jacobi theta at even multiples of the refinement parameter is
 i * theta_hat(k).  Every displayed formula downstream resolves to theta_hat
 and eta with total phase +1; coefficients stay rational throughout, which the
 constructors assert implicitly by living in WRat.
+
+Each block is memoized on its arguments but the cutoff; the fibre quotient on
+r alone, as neither c1 nor ell enters it: one entry serves every class on
+every Sigma_ell, and its r = 1 entry is h1 there.  rank1_genfun and
+fibre_product_genfun keep their own keys for the tags they attach.
 """
 
 from itertools import product as iproduct
@@ -20,8 +25,8 @@ from .memo import memo
 from .series import QSeries, WRat, SeriesError, _grid
 
 __all__ = [
-    "eta_series", "theta_hat", "rank1_genfun", "fibre_product_genfun",
-    "blowup_factor",
+    "eta_series", "theta_hat", "fibre_quotient", "rank1_genfun",
+    "fibre_product_genfun", "blowup_factor",
 ]
 
 
@@ -54,14 +59,24 @@ def theta_hat(k, cutoff) -> QSeries:
 
 
 @memo
+def fibre_quotient(r, cutoff) -> QSeries:
+    """eta^(2r-3) / (theta_hat(1)^2 ... theta_hat(r-1)^2 theta_hat(r))."""
+    # den at c keeps c + (r-1)/4, 1/den c - r/4, times eta^(2r-3) c-(4r+3)/24
+    pad = qq(4 * r + 3, 24)
+    den = theta_hat(r, cutoff + pad)
+    for j in range(1, r):
+        den = den * theta_hat(j, cutoff + pad) ** 2
+    num = eta_series(cutoff + pad) ** (2 * r - 3)
+    return (num * den.invert()).truncate(cutoff)
+
+
+@memo
 def rank1_genfun(surface: Surface, cutoff) -> GenFun:
-    """h_{1,c1} = 1/(theta_hat(1) eta^(b2-1)); independent of c1 and J."""
-    # den at c keeps c + (b2-1)/24, 1/den that minus 2 lead(den) = (b2+2)/12
-    pad = qq(surface.b2 + 5, 24)
-    den = theta_hat(1, cutoff + pad)
-    if surface.b2 > 1:
-        den = den * eta_series(cutoff + pad) ** (surface.b2 - 1)
-    series = den.invert().truncate(cutoff)
+    """h_{1,c1} = 1/(theta_hat(1) eta^(b2-1)); independent of c1 and J.  On
+    a Hirzebruch surface it is the r = 1 fibre quotient."""
+    # on P^2, theta_hat(1) at c keeps c and its inverse c - 2/8
+    series = fibre_quotient(1, cutoff) if surface.rank2 else \
+        theta_hat(1, cutoff + qq(1, 4)).invert().truncate(cutoff)
     return GenFun(surface=surface, r=1, c1=surface.zero_class(), J=None,
                   flavor=Flavor.OMEGA_BAR, series=series)
 
@@ -69,23 +84,14 @@ def rank1_genfun(surface: Surface, cutoff) -> GenFun:
 @memo
 def fibre_product_genfun(r, c1, ell, cutoff) -> GenFun:
     """Stack generating function for sheaves with semi-stable fibre
-    restriction: eta^(2r-3) / (theta_hat(1)^2 ... theta_hat(r-1)^2 theta_hat(r)),
-    and 0 when c1.f is nonzero mod r (r > 1)."""
+    restriction: the fibre quotient, or 0 when c1.f is nonzero mod r > 1."""
     r = int(r)
     if r < 1:
         raise SeriesError("fibre product requires r >= 1")
     surface = Surface.hirzebruch(ell)
     c1 = tuple(int(x) for x in c1)
-    if r > 1 and c1[0] % r != 0:
-        return GenFun(surface=surface, r=r, c1=c1, J=None,
-                      flavor=Flavor.STACK, series=QSeries.zero(cutoff))
-    # den at c keeps c + (r-1)/4, 1/den c - r/4, times eta^(2r-3) c-(4r+3)/24
-    pad = qq(4 * r + 3, 24)
-    den = theta_hat(r, cutoff + pad)
-    for j in range(1, r):
-        den = den * theta_hat(j, cutoff + pad) ** 2
-    num = eta_series(cutoff + pad) ** (2 * r - 3)
-    series = (num * den.invert()).truncate(cutoff)
+    zero = r > 1 and c1[0] % r != 0
+    series = QSeries.zero(cutoff) if zero else fibre_quotient(r, cutoff)
     return GenFun(surface=surface, r=r, c1=c1, J=None,
                   flavor=Flavor.STACK, series=series)
 

@@ -30,7 +30,7 @@ from .serialize import (
 
 # The deepest --qorders accepted.  At 40 the heaviest supported requests
 # (rank 3 on the plane, rank 4 suitable and rank 3 wall-crossed on Sigma_1)
-# take at most about 4.5 s and 55 MB (Python 3.11, one Xeon core), and the
+# take at most about 4.2 s and 54 MB (Python 3.11, one Xeon core), and the
 # cost grows about as qorders^2.5; a deeper request exits 2 at once instead.
 MAX_QORDERS = 40
 
@@ -232,6 +232,14 @@ def _suite_routes():
             ok = ok and line_filtrations(r, c1, (-x, -y), surface, qq(3)) \
                 == {k: _mirror(w) for k, w in down.items()}
     J = Polarization.generic(13, 9)
+    # C <-> f on Sigma_0, and Sigma_2 deformed to Sigma_0
+    for r in (2, 3):
+        for a, b in iproduct(range(r), repeat=2):
+            h = [genfun_at_polarization(r, c1, ell, Polarization.generic(
+                m, n), qq(3)).series for c1, ell, m, n in (
+                    ((a, b), 0, 13, 9), ((b, a), 0, 9, 13),
+                    ((a, b), 2, 13, 9), ((a, (b - a) % r), 0, 13, 22))]
+            ok = ok and h[0] == h[1] and h[2] == h[3]
     for r, c1 in ((2, (1, 1)), (3, (1, 2))):
         closed = genfun_at_polarization(r, c1, 1, J, qq(2))
         marched = genfun_by_wall_march(r, c1, 1, J, qq(2))

@@ -12,8 +12,13 @@ Route (b), ``suitable_genfun_closed``: the solved recursion, a finite sum
 over rank compositions with explicit w-weights built from the sawtooth sum M.
 
 Both return the rational multi-cover flavor; they must agree identically.
+
+``subtraction_terms`` is memoized on (r, alpha) alone: its weights hold no q,
+so every class, surface and cutoff reads one table.  The series stages keep
+ell in their keys for the surface they tag.
 """
 
+from collections import Counter, defaultdict
 from functools import cache
 from itertools import accumulate, product as iproduct
 from math import factorial, gcd, lcm, prod
@@ -21,9 +26,10 @@ from math import factorial, gcd, lcm, prod
 from .exactq import qq
 from .blocks import fibre_product_genfun
 from .geometry import Surface, SUITABLE, GeometryError, piece_cutoff
+from .intpoly import _canonical
 from .invariants import Flavor, GenFun
 from .memo import memo
-from .series import QSeries, WRat
+from .series import QSeries, WRat, _wrat
 
 __all__ = [
     "M", "suitable_genfun_recursive", "suitable_genfun_closed",
@@ -78,39 +84,40 @@ def _lattice_sum(block_ranks, phis, alpha, D):
     u_c = s_c - s_{c+1} > 0 and eliminating s_B through
     alpha = R s_B + sum_c P_c u_c, the w-weight w^(2 sum_{i<j} r_i r_j
     (s_j - s_i)) factors into geometric series with ratio w^(-2 P_c (R-P_c) R)
-    per difference variable, split over residues of u_c mod R."""
-    B = len(block_ranks)
+    per difference variable, split over residues of u_c mod R.  Returned as
+    (ks, counts): the sum is sum_e counts[e] v^e (v^2 = w, counts ints)
+    over prod_{k in ks} (v^k - 1), as 1 / (1 - v^-k) = v^k / (v^k - 1)."""
     R_blocks = [sum(b) for b in block_ranks]
     R = sum(R_blocks)
-    if B == 1:
-        return WRat.from_rational(int(alpha * (D // R) % D == phis[0]))
     P = list(accumulate(R_blocks[:-1]))
+    ks, counts = tuple(4 * p * (R - p) * R for p in P), Counter()
+    if not P:
+        return ks, {0: 1} if alpha * (D // R) % D == phis[0] else {}
     # D times the fractional parts {phi_c - phi_(c+1)}, with 0 read as 1
-    delta0 = [(phis[c] - phis[c + 1]) % D or D for c in range(B - 1)]
-    T = alpha * D - R * phis[-1] - sum(p * d for p, d in zip(P, delta0))
-    if T % D:
-        return WRat.from_rational(0)
-    T = T // D % R
-    total = WRat.from_rational(0)
-    geo = WRat.from_rational(1)
-    for c in range(B - 1):
-        geo = geo * (WRat.from_rational(1)
-                     - WRat.w_power(-2 * P[c] * (R - P[c]) * R)).inverse()
-    for rhos in iproduct(range(R), repeat=B - 1):
-        if sum(P[c] * rhos[c] for c in range(B - 1)) % R != T:
-            continue
-        wexp = sum(-2 * P[c] * (R - P[c]) * (delta0[c] + rhos[c] * D)
-                   for c in range(B - 1))
-        total = total + WRat.w_power(qq(wexp, D) if wexp % D else wexp // D)
-    return total * geo
+    delta0 = [(phis[c] - phis[c + 1]) % D or D for c in range(len(P))]
+    T, rem = divmod(alpha * D - R * phis[-1]
+                    - sum(p * d for p, d in zip(P, delta0)), D)
+    if rem:
+        return ks, counts
+    for rhos in iproduct(range(R), repeat=len(P)):
+        if (sum(p * rho for p, rho in zip(P, rhos)) - T) % R == 0:
+            # exact: w^(2 sum_{i<j} (r_i d_j - r_j d_i)), d_i fibre degrees
+            counts[sum(4 * p * (R - p) * (R * D - d - rho * D)
+                       for p, d, rho in zip(P, delta0, rhos)) // D] += 1
+    return ks, counts
+
+
+def _times_binomials(f, ks):
+    """f prod_k (v^k - 1)^ks[k], polynomials as Counters {exponent: int}."""
+    for k in ks.elements():
+        f, g = Counter({j + k: y for j, y in f.items()}), f
+        f.subtract(g)
+    return f
 
 
 def _phi_choices(block, D):
     """Numerators over D of the fractional slopes a block can carry."""
-    g = 0
-    for r in block:
-        g = gcd(g, r)
-    return [c * (D // g) for c in range(g)]
+    return range(0, D, D // gcd(*block))
 
 
 @memo
@@ -121,36 +128,38 @@ def subtraction_terms(r, alpha):
     Each ordered rank composition with a pattern of equal-slope blocks and a
     fractional slope per block contributes its lattice sum times
     1/prod(block size)!; these are exactly the term lists written out case by
-    case in low rank."""
-    out = {}
-    D = lcm(*range(1, r + 1))
+    case in low rank.  A key's lattice sums are added as int counts over r!,
+    per shape denominator, and reduced once."""
+    sums = defaultdict(lambda: defaultdict(Counter))
+    D, F = lcm(*range(1, r + 1)), factorial(r)
     for ranks in _compositions(r):
-        ell = len(ranks)
-        if ell < 2:
+        if len(ranks) < 2:
             continue
-        for pattern in _compositions(ell):
-            blocks = []
-            pos = 0
-            for size in pattern:
-                blocks.append(tuple(ranks[pos:pos + size]))
-                pos += size
+        for pattern in _compositions(len(ranks)):
+            blocks = [ranks[e - n:e]
+                      for n, e in zip(pattern, accumulate(pattern))]
+            scale = F // prod(factorial(n) for n in pattern)
             for phis in iproduct(*[_phi_choices(b, D) for b in blocks]):
-                lam = _lattice_sum(blocks, phis, alpha, D)
-                if lam.is_zero():
-                    continue
-                weight = lam / prod(factorial(len(b)) for b in blocks)
-                pieces = []
-                for b, phi in zip(blocks, phis):
-                    for ri in b:
-                        pieces.append((ri, ri * phi // D % ri))
-                key = tuple(sorted(pieces))
-                out[key] = out.get(key, WRat.from_rational(0)) + weight
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _reduce_to_fibre_class(r, c1):
-    """(beta, alpha) residues of c1 mod r on a Hirzebruch surface."""
-    return (c1[0] % r, c1[1] % r)
+                ks, counts = _lattice_sum(blocks, phis, alpha, D)
+                key = tuple(sorted((ri, ri * phi // D % ri) for b, phi
+                                   in zip(blocks, phis) for ri in b))
+                for e, c in counts.items():
+                    sums[key][ks][e] += scale * c
+    # each key over prod_k (v^k - 1)^(the most k in one of its shapes): the
+    # int numerators are added, then reduced once
+    out = {}
+    for key, shapes in sums.items():
+        top, N = Counter(), Counter()
+        for ks in shapes:
+            top |= Counter(ks)
+        for ks, counts in shapes.items():
+            N.update(_times_binomials(counts, top - Counter(ks)))
+        N = tuple(zip(*sorted((e, c) for e, c in N.items() if c)))
+        if N:
+            den = _times_binomials(Counter({0: 1}), top)
+            den = tuple(den[e] for e in range(max(den) + 1))
+            out[key] = _wrat(*_canonical(N, F, den))
+    return out
 
 
 @memo
@@ -159,7 +168,7 @@ def suitable_genfun_recursive(r, c1, ell, cutoff):
     fibre product formula; zero when c1.f is nonzero mod r."""
     r = int(r)
     surface = Surface.hirzebruch(ell)
-    beta, alpha = _reduce_to_fibre_class(r, tuple(c1))
+    beta, alpha = c1[0] % r, c1[1] % r
     tag = dict(surface=surface, r=r, c1=(beta, alpha), J=SUITABLE,
                flavor=Flavor.OMEGA_BAR)
     if beta != 0:

@@ -24,7 +24,7 @@ walked once: the wall's ascending side is its w -> 1/w mirror.
 from itertools import product as iproduct
 from math import isqrt, lcm
 
-from .blocks import rank1_genfun
+from .blocks import fibre_quotient
 from .geometry import (
     GeometryError, Polarization, Surface, piece_cutoff, walls_between,
 )
@@ -43,18 +43,14 @@ class WallError(GeometryError):
     pass
 
 
-def _h1(ell, cutoff):
-    return rank1_genfun(Surface.hirzebruch(ell), cutoff).series
-
-
 # q-exponent denominator of a rank-r window term
 _QDEN = {2: 4, 3: 12}
 
 
 @memo
-def _h1_squared(ell, cutoff):
-    """h1^2, shared by every rank-2 window sum at the cutoff."""
-    return _h1(ell, cutoff) ** 2
+def _h1_squared(cutoff):
+    """h1^2, shared by the rank-2 window sums of every Sigma_ell."""
+    return fibre_quotient(1, cutoff) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +69,7 @@ def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
     tag = dict(surface=surface, r=r, c1=(beta, alpha), J=J,
                flavor=Flavor.OMEGA_BAR)
     if r == 1:
-        return GenFun(series=_h1(ell, cutoff), **tag)
+        return GenFun(series=fibre_quotient(1, cutoff), **tag)
     base = suitable_genfun_recursive(r, (beta, alpha), ell, cutoff).series
     if J.slope() is None:
         return GenFun(series=base, **tag)
@@ -105,9 +101,9 @@ def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
                 _tiebreak_suitable=True).series * term
         window = window + term
     if r == 2:
-        factor = _h1_squared(ell, piece_cutoff(cutoff, 2, 1, surface))
+        factor = _h1_squared(piece_cutoff(cutoff, 2, 1, surface))
     else:
-        factor = _h1(ell, piece_cutoff(cutoff, 3, 1, surface))
+        factor = fibre_quotient(1, piece_cutoff(cutoff, 3, 1, surface))
     total = base + factor * window
     return GenFun(series=total.truncate(cutoff), **tag)
 
@@ -259,10 +255,11 @@ def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
     tag = dict(surface=surface, r=r, c1=(beta, alpha), J=J_target,
                flavor=Flavor.OMEGA_BAR)
     if r == 1:
-        return GenFun(series=_h1(ell, cutoff), **tag)
+        return GenFun(series=fibre_quotient(1, cutoff), **tag)
     # one state per class of each rank below r, at the cutoff a rank-r
     # product needs, and the target
-    states = {(1, (0, 0)): _h1(ell, piece_cutoff(cutoff, r, 1, surface))}
+    states = {(1, (0, 0)): fibre_quotient(
+        1, piece_cutoff(cutoff, r, 1, surface))}
     for s in range(2, r):
         for key in iproduct(range(s), repeat=2):
             states[(s, key)] = suitable_genfun_recursive(

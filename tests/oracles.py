@@ -11,11 +11,12 @@ Kronecker moduli."""
 import itertools
 import math
 
+from bpsinv.blocks import rank1_genfun
 from bpsinv.exactq import qq
 from bpsinv.geometry import discriminant, twist_reduce, walls_between
 from bpsinv.hn import _compositions, suitable_genfun_recursive
 from bpsinv.series import NonInvertibleError, QSeries, SeriesError, VPoly, WRat
-from bpsinv.wallcross import WallError, _h1, _wall_delta
+from bpsinv.wallcross import WallError, _wall_delta
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +521,7 @@ def _states_above(slope, surface, bound):
     ell = surface.ell
     states = {(2, key): suitable_genfun_recursive(2, key, ell, bound).series
               for key in [(0, 0), (0, 1), (1, 0), (1, 1)]}
-    states[(1, (0, 0))] = _h1(ell, bound)
+    states[(1, (0, 0))] = rank1_genfun(surface, bound).series
     for s, omega in walls_between(2, surface, bound + 1):
         if s <= slope:
             continue

@@ -1,6 +1,8 @@
+from bpsinv import clear_caches
 from bpsinv.exactq import qq
 from bpsinv.blocks import (
-    eta_series, theta_hat, rank1_genfun, fibre_product_genfun, blowup_factor,
+    eta_series, theta_hat, rank1_genfun, fibre_product_genfun, fibre_quotient,
+    blowup_factor,
 )
 from bpsinv.geometry import Surface
 from bpsinv.series import QSeries, VPoly, WRat
@@ -86,6 +88,29 @@ def test_rank1_hirzebruch_leading():
     h = rank1_genfun(S1, qq(2))
     assert h.series.leading_exponent() == qq(-4, 24)
     assert h.series.leading_coeff() == wpoly({1: 1, -1: -1}).inverse()
+
+
+def test_rank1_on_sigma_is_the_rank1_fibre_product():
+    # h1 = 1/(theta_hat(1) eta) on every Sigma_ell, against the products
+    c = qq(3)
+    oracle = (theta_hat_product(1, c + 1) * eta_product(c + 1)).invert()
+    for ell in (0, 1, 2):
+        h = rank1_genfun(Surface.hirzebruch(ell), c).series
+        assert h == fibre_product_genfun(1, (0, 0), ell, c).series, ell
+        assert h.eq_to_cutoff(oracle, c), ell
+
+
+def test_fibre_products_share_one_quotient_per_rank_and_cutoff():
+    # neither c1 nor ell enters the quotient: every class on every Sigma_ell
+    # reads one entry per (r, cutoff), and a deeper cutoff builds it anew
+    clear_caches()
+    for c in (qq(3, 2), qq(2)):
+        for r in (1, 2, 3, 4):
+            misses = fibre_quotient.cache_info().misses
+            for ell in (0, 1, 2):
+                for alpha in range(r):
+                    fibre_product_genfun(r, (0, alpha), ell, c)
+            assert fibre_quotient.cache_info().misses == misses + 1, (r, c)
 
 
 def test_fibre_product_vanishing_and_leading():

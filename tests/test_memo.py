@@ -9,7 +9,8 @@ import pytest
 from bpsinv import clear_caches
 from bpsinv.exactq import qq
 from bpsinv.blocks import (
-    blowup_factor, eta_series, fibre_product_genfun, rank1_genfun, theta_hat,
+    blowup_factor, eta_series, fibre_product_genfun, fibre_quotient,
+    rank1_genfun, theta_hat,
 )
 from bpsinv.blowup import gieseker_to_mu, p2_genfun
 from bpsinv.compute import p2_table
@@ -33,9 +34,11 @@ def _stage_calls():
     for r in (1, 2, 3):
         for k in range(r):
             yield blowup_factor, (r, k), {}, 0
+    yield _h1_squared, (), {}, -qq(1, 6)  # h1 leads with q^(-1/6)
+    for r in (1, 2, 3, 4):
+        yield fibre_quotient, (r,), {}, 0
     for ell in (0, 1, 2):
         yield rank1_genfun, (Surface.hirzebruch(ell),), {}, 0
-        yield _h1_squared, (ell,), {}, -qq(1, 6)  # h1 leads with q^(-1/6)
         for r in (1, 2, 3, 4):
             for alpha in range(r):
                 yield fibre_product_genfun, (r, (0, alpha), ell), {}, 0
