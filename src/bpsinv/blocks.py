@@ -9,25 +9,19 @@ i * theta_hat(k).  Every displayed formula downstream resolves to theta_hat
 and eta with total phase +1; coefficients stay rational throughout, which the
 constructors assert implicitly by living in WRat.
 
-Each block is memoized on its arguments but the cutoff; the fibre quotient on
-r alone, as neither c1 nor ell enters it: one entry serves every class on
-every Sigma_ell, and its r = 1 entry is h1 there.  rank1_genfun and
-fibre_product_genfun keep their own keys for the tags they attach.
+Each block is a bare series, memoized on its arguments but the cutoff; the
+fibre quotient on r alone, as neither c1 nor ell enters it: one entry serves
+every class on every Sigma_ell, and its r = 1 entry is h1 there.
 """
 
 from itertools import product as iproduct
 from math import gcd, isqrt
 
 from .exactq import qq
-from .geometry import Surface
-from .invariants import GenFun, Flavor
 from .memo import memo
 from .series import QSeries, WRat, SeriesError, _grid
 
-__all__ = [
-    "eta_series", "theta_hat", "fibre_quotient", "rank1_genfun",
-    "fibre_product_genfun", "blowup_factor",
-]
+__all__ = ["eta_series", "theta_hat", "fibre_quotient", "blowup_factor"]
 
 
 @memo
@@ -68,32 +62,6 @@ def fibre_quotient(r, cutoff) -> QSeries:
         den = den * theta_hat(j, cutoff + pad) ** 2
     num = eta_series(cutoff + pad) ** (2 * r - 3)
     return (num * den.invert()).truncate(cutoff)
-
-
-@memo
-def rank1_genfun(surface: Surface, cutoff) -> GenFun:
-    """h_{1,c1} = 1/(theta_hat(1) eta^(b2-1)); independent of c1 and J.  On
-    a Hirzebruch surface it is the r = 1 fibre quotient."""
-    # on P^2, theta_hat(1) at c keeps c and its inverse c - 2/8
-    series = fibre_quotient(1, cutoff) if surface.rank2 else \
-        theta_hat(1, cutoff + qq(1, 4)).invert().truncate(cutoff)
-    return GenFun(surface=surface, r=1, c1=surface.zero_class(), J=None,
-                  flavor=Flavor.OMEGA_BAR, series=series)
-
-
-@memo
-def fibre_product_genfun(r, c1, ell, cutoff) -> GenFun:
-    """Stack generating function for sheaves with semi-stable fibre
-    restriction: the fibre quotient, or 0 when c1.f is nonzero mod r > 1."""
-    r = int(r)
-    if r < 1:
-        raise SeriesError("fibre product requires r >= 1")
-    surface = Surface.hirzebruch(ell)
-    c1 = tuple(int(x) for x in c1)
-    zero = r > 1 and c1[0] % r != 0
-    series = QSeries.zero(cutoff) if zero else fibre_quotient(r, cutoff)
-    return GenFun(surface=surface, r=r, c1=c1, J=None,
-                  flavor=Flavor.STACK, series=series)
 
 
 @memo

@@ -22,7 +22,7 @@ functions come from the wall march.  The CLI accepts r <= 3 on the plane.
 from math import factorial
 
 from .exactq import qq
-from .blocks import blowup_factor, rank1_genfun
+from .blocks import blowup_factor, theta_hat
 from .geometry import NEAR_PULLBACK, PULLBACK_H, Surface, piece_cutoff
 from .hn import _compositions, _product_sum
 from .invariants import Flavor, GenFun, InvariantError
@@ -118,9 +118,10 @@ def p2_genfun(r, x, cutoff, route_k=None):
     r = int(r)
     x = int(x) % r
     if r == 1:
+        # h1 = 1/theta_hat(1); theta_hat(1) at c keeps c and its inverse c - 1/4
         return GenFun(surface=P2, r=1, c1=(0,), J=None,
-                      flavor=Flavor.OMEGA_BAR,
-                      series=rank1_genfun(P2, cutoff).series)
+                      flavor=Flavor.OMEGA_BAR, series=theta_hat(
+                          1, cutoff + qq(1, 4)).invert().truncate(cutoff))
     k = (x - 1) % r if route_k is None else int(route_k) % r
     c1_sigma = (x - k, x)
     hmu = gieseker_to_mu(r, c1_sigma, cutoff + _lead_of_B(r, k))

@@ -245,9 +245,9 @@ def _suite_routes():
         marched = genfun_by_wall_march(r, c1, 1, J, qq(2))
         ok = ok and closed.series.eq_to_cutoff(marched.series, qq(2))
     for a in range(4):
-        closed = suitable_genfun_closed(4, a, 1, qq(2))
-        rec = suitable_genfun_recursive(4, (0, (-a) % 4), 1, qq(2))
-        ok = ok and closed.series.eq_to_cutoff(rec.series, qq(2))
+        closed = suitable_genfun_closed(4, a, qq(2))
+        rec = suitable_genfun_recursive(4, (0, (-a) % 4), qq(2))
+        ok = ok and closed.eq_to_cutoff(rec, qq(2))
     for r, x, cut in ((3, 1, qq(2)), (2, 0, qq(3))):
         hA, hB = (p2_genfun(r, x, cut, route_k=k).series for k in (0, 1))
         ok = ok and hA.eq_to_cutoff(hB, cut)

@@ -4,9 +4,9 @@ and polarization.  The integer flavors hand a dispatcher to
 
 from .exactq import qq
 from .blowup import p2_genfun
-from .geometry import SUITABLE
+from .geometry import SUITABLE, Surface
 from .hn import suitable_genfun_recursive
-from .invariants import extract_table, omega_genfun
+from .invariants import Flavor, GenFun, extract_table, omega_genfun
 from .wallcross import WallError, genfun_at_polarization
 
 __all__ = [
@@ -24,10 +24,14 @@ def sigma_genfun(r, c1, ell, J, cutoff):
     """Rational-invariant generating function on Sigma_ell at J; the suitable
     chamber supports r <= 4, generic polarizations r <= 3 (above that only
     the wall march exists there, with no second route to check it).  The
-    result depends on c1 mod r only, and so do the memo keys."""
+    result depends on c1 mod r only, and so do the memo keys; in the
+    suitable chamber it does not depend on ell either, and the series is
+    tagged here."""
     c1 = tuple(c % r for c in c1)
     if J == SUITABLE:
-        return suitable_genfun_recursive(r, c1, ell, qq(cutoff))
+        return GenFun(surface=Surface.hirzebruch(ell), r=r, c1=c1, J=SUITABLE,
+                      flavor=Flavor.OMEGA_BAR,
+                      series=suitable_genfun_recursive(r, c1, qq(cutoff)))
     if r > 3:
         raise WallError("generic polarizations support r <= 3")
     return genfun_at_polarization(r, c1, ell, J, qq(cutoff))

@@ -106,9 +106,6 @@ class ChernVector:
             raise GeometryError("non-integral c2 for %s" % (self,))
         return int(c2)
 
-    def mu(self):
-        return tuple(qq(x, self.r) for x in self.c1)
-
 
 def discriminant(gamma, surface):
     """Delta = (c2 - (r-1)/(2r) c1^2) / r = mu^2/2 - ch2/r."""

@@ -11,11 +11,13 @@ by the lower-rank generating functions of the pieces.
 Route (b), ``suitable_genfun_closed``: the solved recursion, a finite sum
 over rank compositions with explicit w-weights built from the sawtooth sum M.
 
-Both return the rational multi-cover flavor; they must agree identically.
+Both return the bare series of the rational multi-cover flavor; they must
+agree identically.  Neither takes a surface: the fibre quotient depends on r
+alone and chi_top = 4 on every Sigma_ell, so one series per class serves
+every Sigma_ell, and ``compute.sigma_genfun`` attaches the tag.
 
 ``subtraction_terms`` is memoized on (r, alpha) alone: its weights hold no q,
-so every class, surface and cutoff reads one table.  The series stages keep
-ell in their keys for the surface they tag.
+so every class and cutoff reads one table.
 """
 
 from collections import Counter, defaultdict
@@ -24,10 +26,9 @@ from itertools import accumulate, product as iproduct
 from math import factorial, gcd, lcm, prod
 
 from .exactq import qq
-from .blocks import fibre_product_genfun
-from .geometry import Surface, SUITABLE, GeometryError, piece_cutoff
+from .blocks import fibre_quotient
+from .geometry import GeometryError, Surface, piece_cutoff
 from .intpoly import _canonical
-from .invariants import Flavor, GenFun
 from .memo import memo
 from .series import QSeries, WRat, _wrat
 
@@ -57,6 +58,10 @@ def _compositions(n):
     return ((),) if n == 0 else tuple(
         (first,) + rest for first in range(1, n + 1)
         for rest in _compositions(n - first))
+
+
+# every piece_cutoff below reads chi_top, which is 4 on every Sigma_ell
+_SIGMA = Surface.hirzebruch(0)
 
 
 def _product_sum(weights, piece):
@@ -163,22 +168,17 @@ def subtraction_terms(r, alpha):
 
 
 @memo
-def suitable_genfun_recursive(r, c1, ell, cutoff):
-    """h_{r,c1}(J_{eps,1}) on Sigma_ell by extended-HN subtraction from the
-    fibre product formula; zero when c1.f is nonzero mod r."""
+def suitable_genfun_recursive(r, c1, cutoff):
+    """h_{r,c1}(J_{eps,1}) on every Sigma_ell by extended-HN subtraction from
+    the fibre product formula; zero when c1.f is nonzero mod r."""
     r = int(r)
-    surface = Surface.hirzebruch(ell)
-    beta, alpha = c1[0] % r, c1[1] % r
-    tag = dict(surface=surface, r=r, c1=(beta, alpha), J=SUITABLE,
-               flavor=Flavor.OMEGA_BAR)
-    if beta != 0:
-        return GenFun(series=QSeries.zero(cutoff), **tag)
-    total = fibre_product_genfun(r, (0, alpha), ell, cutoff).series \
-        - _product_sum(subtraction_terms(r, alpha),
-                       lambda p: suitable_genfun_recursive(
-                           p[0], (0, p[1]), ell,
-                           piece_cutoff(cutoff, r, p[0], surface)).series)
-    return GenFun(series=total.truncate(cutoff), **tag)
+    if c1[0] % r:
+        return QSeries.zero(cutoff)
+    total = fibre_quotient(r, cutoff) - _product_sum(
+        subtraction_terms(r, c1[1] % r),
+        lambda p: suitable_genfun_recursive(
+            p[0], (0, p[1]), piece_cutoff(cutoff, r, p[0], _SIGMA)))
+    return total.truncate(cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +186,9 @@ def suitable_genfun_recursive(r, c1, ell, cutoff):
 # ---------------------------------------------------------------------------
 
 @memo
-def _inner_tower(R, lam, ell, cutoff):
+def _inner_tower(R, lam, cutoff):
     """sum over compositions rho of R of w^(2 M(rho, lam)) /
     prod_j (1 - w^(2(rho_j + rho_{j+1}))) * prod_j H_{rho_j, 0}."""
-    surface = Surface.hirzebruch(ell)
     weights = {}
     for rho in _compositions(R):
         weight = WRat.w_power(2 * M(rho, lam))
@@ -197,26 +196,20 @@ def _inner_tower(R, lam, ell, cutoff):
             weight = weight / (WRat.from_rational(1)
                                - WRat.w_power(2 * (a + b)))
         weights[rho] = weight
-    return _product_sum(weights, lambda rj: fibre_product_genfun(
-        rj, (0, 0), ell, piece_cutoff(cutoff, R, rj, surface)).series
-    ).truncate(cutoff)
+    return _product_sum(weights, lambda rj: fibre_quotient(
+        rj, piece_cutoff(cutoff, R, rj, _SIGMA))).truncate(cutoff)
 
 
 @memo
-def suitable_genfun_closed(r, a, ell, cutoff):
-    """h_{r,-af}(J_{eps,1}) by the solved recursion: a sum over splittings
-    into equal-slope parts (r_i, a_i = r_i a/r) with coefficients
-    (-1)^(m-1)/m of products of strict-slope towers."""
+def suitable_genfun_closed(r, a, cutoff):
+    """h_{r,-af}(J_{eps,1}) on every Sigma_ell by the solved recursion: a sum
+    over splittings into equal-slope parts (r_i, a_i = r_i a/r) with
+    coefficients (-1)^(m-1)/m of products of strict-slope towers."""
     r = int(r)
     a = int(a) % r
-    surface = Surface.hirzebruch(ell)
     lam = qq(a, r)
     signs = {ranks: qq((-1) ** (len(ranks) - 1), len(ranks))
              for ranks in _compositions(r)
              if not any((ri * a) % r for ri in ranks)}
-    total = _product_sum(signs, lambda ri: _inner_tower(
-        ri, lam, ell, piece_cutoff(cutoff, r, ri, surface)))
-    alpha = (-a) % r
-    return GenFun(surface=surface, r=r, c1=(0, alpha), J=SUITABLE,
-                  flavor=Flavor.OMEGA_BAR, series=total.truncate(cutoff))
-
+    return _product_sum(signs, lambda ri: _inner_tower(
+        ri, lam, piece_cutoff(cutoff, r, ri, _SIGMA))).truncate(cutoff)

@@ -3,9 +3,8 @@
 Flavors: OMEGA_BAR is the rational multi-cover invariant carried by all
 modular generating functions; OMEGA is the integer refined invariant obtained
 by inverting the multi-cover sum (``omega_genfun``, one recursion over the
-classes (r/m, c1/m)); STACK / STACK_MU are virtual counts of the
-Gieseker / mu semi-stable stacks (stacky coefficients, never tabulated
-directly)."""
+classes (r/m, c1/m)); STACK_MU is the virtual count of the mu semi-stable
+stack (stacky coefficients, never tabulated directly)."""
 
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -28,7 +27,6 @@ class InvariantError(ValueError):
 class Flavor(Enum):
     OMEGA_BAR = "omegabar"
     OMEGA = "omega"
-    STACK = "stack"
     STACK_MU = "stack_mu"
 
 
@@ -44,10 +42,6 @@ class GenFun:
     J: object          # Polarization or None (P^2, or J-independent data)
     flavor: Flavor
     series: QSeries
-
-    def exponent_of(self, gamma):
-        return self.r * discriminant(gamma, self.surface) \
-            - qq(self.r * self.surface.chi_top, 24)
 
     def gamma_of_exponent(self, e):
         """ChernVector at a stored exponent (c1 taken from the tag):

@@ -70,7 +70,7 @@ def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
                flavor=Flavor.OMEGA_BAR)
     if r == 1:
         return GenFun(series=fibre_quotient(1, cutoff), **tag)
-    base = suitable_genfun_recursive(r, (beta, alpha), ell, cutoff).series
+    base = suitable_genfun_recursive(r, (beta, alpha), cutoff)
     if J.slope() is None:
         return GenFun(series=base, **tag)
     if J.is_boundary:
@@ -263,10 +263,9 @@ def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
     for s in range(2, r):
         for key in iproduct(range(s), repeat=2):
             states[(s, key)] = suitable_genfun_recursive(
-                s, key, ell, piece_cutoff(cutoff, r, s, surface)).series
+                s, key, piece_cutoff(cutoff, r, s, surface))
     target = (r, (beta, alpha))
-    states[target] = suitable_genfun_recursive(
-        r, (beta, alpha), ell, cutoff).series
+    states[target] = suitable_genfun_recursive(r, (beta, alpha), cutoff)
     # delta terms q^shift are the rank-0 factor of a rank-r product
     bound = piece_cutoff(cutoff, r, 0, surface)
     # a rank-s class jumps only at the walls listed for rank s, which hold

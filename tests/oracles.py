@@ -5,13 +5,13 @@ filtration discriminant, the geometric-series inverse of a q-series, a
 q-series kept as a plain {rational exponent: WRat} dict, the filtration sum
 along a line of slopes and the wall-crossing sign window by brute force,
 w-conjugation of a WRat, the primitive-PRS gcd of integer polynomials, the
-parsers of the machine-readable encodings, and the Betti numbers of
-Kronecker moduli."""
+parsers of the machine-readable encodings, the Betti numbers of Kronecker
+moduli, and the slope and stored q-exponent of a Chern vector."""
 
 import itertools
 import math
 
-from bpsinv.blocks import rank1_genfun
+from bpsinv.blocks import fibre_quotient
 from bpsinv.exactq import qq
 from bpsinv.geometry import discriminant, twist_reduce, walls_between
 from bpsinv.hn import _compositions, suitable_genfun_recursive
@@ -437,13 +437,25 @@ def rank2_equal_slope_combination():
 # Filtration discriminant
 # ---------------------------------------------------------------------------
 
+def mu(gamma):
+    """The slope c1/r of a Chern vector, per basis class."""
+    return tuple(qq(x, gamma.r) for x in gamma.c1)
+
+
+def exponent_of(gamma, surface):
+    """The q-exponent r Delta - r chi_top/24 at which a generating function
+    of the class stores the invariant of gamma."""
+    return gamma.r * discriminant(gamma, surface) \
+        - qq(gamma.r * surface.chi_top, 24)
+
+
 def discriminant_of_filtration(pieces, surface):
     """Discriminant of the total class, evaluated through the subobjects of a
     filtration with the given ordered quotients."""
     r = sum(p.r for p in pieces)
     out = sum((qq(p.r, r) * discriminant(p, surface) for p in pieces), qq(0))
     out += filtration_qshift(
-        [(p.r, p.mu()) for p in pieces], surface) / qq(r)
+        [(p.r, mu(p)) for p in pieces], surface) / qq(r)
     return out
 
 
@@ -511,17 +523,15 @@ def wallcross_delta(gamma, J, J2, surface, cutoff=None):
     dser = _wall_delta(gamma.r, red.c1, omega, surface, bound, before, after)
     if _slope_key(J) < _slope_key(J2):
         dser = -dser
-    e = red.r * discriminant(red, surface) - qq(red.r * surface.chi_top, 24)
-    return dser.coeff(e)
+    return dser.coeff(exponent_of(red, surface))
 
 
 def _states_above(slope, surface, bound):
     """h1 and the rank-2 series marched from the suitable chamber down to
     just above the given wall slope, keyed by piece (rank, c1 mod rank)."""
-    ell = surface.ell
-    states = {(2, key): suitable_genfun_recursive(2, key, ell, bound).series
+    states = {(2, key): suitable_genfun_recursive(2, key, bound)
               for key in [(0, 0), (0, 1), (1, 0), (1, 1)]}
-    states[(1, (0, 0))] = rank1_genfun(surface, bound).series
+    states[(1, (0, 0))] = fibre_quotient(1, bound)
     for s, omega in walls_between(2, surface, bound + 1):
         if s <= slope:
             continue

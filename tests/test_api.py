@@ -22,8 +22,7 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 MEMOIZED_STAGES = (
     "blocks.eta_series", "blocks.fibre_quotient",
-    "blocks.fibre_product_genfun", "hn.suitable_genfun_recursive",
-    "wallcross.genfun_at_polarization",
+    "hn.suitable_genfun_recursive", "wallcross.genfun_at_polarization",
     "blowup.gieseker_to_mu", "blowup.p2_genfun",
 )
 

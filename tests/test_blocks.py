@@ -1,19 +1,14 @@
-from bpsinv import clear_caches
+from bpsinv import clear_caches, sigma_genfun
 from bpsinv.exactq import qq
-from bpsinv.blocks import (
-    eta_series, theta_hat, rank1_genfun, fibre_product_genfun, fibre_quotient,
-    blowup_factor,
-)
-from bpsinv.geometry import Surface
+from bpsinv.blocks import eta_series, theta_hat, fibre_quotient, blowup_factor
+from bpsinv.blowup import p2_genfun
+from bpsinv.geometry import SUITABLE
 from bpsinv.series import QSeries, VPoly, WRat
 
 from oracles import (
     blowup_factor as brute_blowup_factor, eta_product, one_minus_w,
     theta_hat_product, total_set_curve, wrat_conjugate,
 )
-
-P2 = Surface.p2()
-S1 = Surface.hirzebruch(1)
 
 
 def wpoly(d):
@@ -77,7 +72,7 @@ def test_eta_times_inverse_is_one():
 
 
 def test_rank1_p2_hilbert_scheme():
-    h = rank1_genfun(P2, qq(3))
+    h = p2_genfun(1, 0, qq(3))
     inv_w = wpoly({1: 1, -1: -1}).inverse()
     assert h.series.coeff(qq(-1, 8)) == inv_w
     # Hilb^1(P^2) = P^2: Poincare polynomial (1 + w^2 + w^4) shifted by w^-2
@@ -85,40 +80,43 @@ def test_rank1_p2_hilbert_scheme():
 
 
 def test_rank1_hirzebruch_leading():
-    h = rank1_genfun(S1, qq(2))
-    assert h.series.leading_exponent() == qq(-4, 24)
-    assert h.series.leading_coeff() == wpoly({1: 1, -1: -1}).inverse()
+    h = fibre_quotient(1, qq(2))
+    assert h.leading_exponent() == qq(-4, 24)
+    assert h.leading_coeff() == wpoly({1: 1, -1: -1}).inverse()
 
 
 def test_rank1_on_sigma_is_the_rank1_fibre_product():
-    # h1 = 1/(theta_hat(1) eta) on every Sigma_ell, against the products
+    # h1 = 1/(theta_hat(1) eta) on every Sigma_ell, against the products,
+    # through the public suitable-chamber function of each surface
     c = qq(3)
     oracle = (theta_hat_product(1, c + 1) * eta_product(c + 1)).invert()
+    h = fibre_quotient(1, c)
+    assert h.eq_to_cutoff(oracle, c)
     for ell in (0, 1, 2):
-        h = rank1_genfun(Surface.hirzebruch(ell), c).series
-        assert h == fibre_product_genfun(1, (0, 0), ell, c).series, ell
-        assert h.eq_to_cutoff(oracle, c), ell
+        assert sigma_genfun(1, (0, 0), ell, SUITABLE, c).series == h, ell
 
 
 def test_fibre_products_share_one_quotient_per_rank_and_cutoff():
-    # neither c1 nor ell enters the quotient: every class on every Sigma_ell
-    # reads one entry per (r, cutoff), and a deeper cutoff builds it anew
+    # neither c1 nor ell enters the quotient: once the first class has read
+    # its quotients, no other class on any Sigma_ell builds one again
     clear_caches()
     for c in (qq(3, 2), qq(2)):
         for r in (1, 2, 3, 4):
+            sigma_genfun(r, (0, 0), 0, SUITABLE, c)
             misses = fibre_quotient.cache_info().misses
             for ell in (0, 1, 2):
                 for alpha in range(r):
-                    fibre_product_genfun(r, (0, alpha), ell, c)
-            assert fibre_quotient.cache_info().misses == misses + 1, (r, c)
+                    sigma_genfun(r, (0, alpha), ell, SUITABLE, c)
+            fibre_quotient(r, c)
+            assert fibre_quotient.cache_info().misses == misses, (r, c)
 
 
 def test_fibre_product_vanishing_and_leading():
-    z = fibre_product_genfun(2, (1, 0), 1, qq(3))
+    z = sigma_genfun(2, (1, 0), 1, SUITABLE, qq(3))
     assert z.series.is_zero()
-    h = fibre_product_genfun(2, (0, 0), 1, qq(2))
-    assert h.series.leading_exponent() == qq(-1, 3)
-    assert h.series.leading_coeff() == total_set_curve(2, 0)
+    h = fibre_quotient(2, qq(2))
+    assert h.leading_exponent() == qq(-1, 3)
+    assert h.leading_coeff() == total_set_curve(2, 0)
 
 
 def test_total_set_curve_values():
@@ -130,9 +128,9 @@ def test_total_set_curve_values():
 
 def test_fibre_leading_equals_total_set_all_ranks():
     for r in range(1, 5):
-        h = fibre_product_genfun(r, (0, 0), 0, qq(-qq(r, 6) + 2))
-        assert h.series.leading_exponent() == -qq(r, 6)
-        assert h.series.leading_coeff() == total_set_curve(r, 0)
+        h = fibre_quotient(r, qq(-qq(r, 6) + 2))
+        assert h.leading_exponent() == -qq(r, 6)
+        assert h.leading_coeff() == total_set_curve(r, 0)
 
 
 def test_blowup_factor_rank2():

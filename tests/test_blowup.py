@@ -3,7 +3,7 @@ from itertools import product as iproduct
 import pytest
 
 from bpsinv.exactq import qq
-from bpsinv.blocks import blowup_factor, rank1_genfun
+from bpsinv.blocks import blowup_factor
 from bpsinv.blowup import (
     BlowupError, blowup_divide, gieseker_to_mu, mu_to_gieseker, p2_genfun,
 )
@@ -164,7 +164,7 @@ def test_h20_p2_proposition_literal():
         bracket = bracket + (h1 * h1 * QSeries({qq(b * b, 4): WRat.w_power(b)}))
         b -= 2
     B = blowup_factor(2, 1, big)
-    h1p2 = rank1_genfun(P2, big).series
+    h1p2 = p2_genfun(1, 0, big).series
     oracle = bracket * B.invert() - (h1p2 * h1p2).scale(qq(1, 2))
     got = p2_genfun(2, 0, cut, route_k=1)
     assert got.series.eq_to_cutoff(oracle, cut)

@@ -176,6 +176,43 @@ def test_equivalent_c1_reuse_memo_entries(monkeypatch, capsys, polarization):
     assert misses[0] == misses[1] == misses[2]
 
 
+# sha256 of the json stdout of each suitable-chamber request on Sigma_0..2 at
+# --qorders 6, (ell, rank, --c1), recorded while the HN stages still tagged
+# their own results: the tag built at the edge serializes as before
+SUITABLE_JSON_SHA256 = {
+    (0, 2, "0,1"): "fe08d8ba78ed62d6198f0156b276c1ca5d338136de40962c85e5a48899dfa029",
+    (0, 2, "2,4"): "c5a2b17fe8573f9077c9dbe42817503f3a0f02ea767ce6097654a33314f89041",
+    (0, 3, "0,1"): "0e52b219f43540e6df9ebc8f7353df45dfc4368d2aed5000469a7dbf22220ac8",
+    (0, 3, "3,6"): "08702da2c163c7faae645fbb7ef6e01ff51f8642736d7856b030e51090440959",
+    (0, 4, "0,1"): "721c9ca437f2403a4db5dc136617f46eba832398e3c7c74d60adc42aa8756fab",
+    (0, 4, "4,8"): "bf1929ef5e7ca0442b3922845bcb151d9c440a01be49168bf6e0f6951b5f6694",
+    (1, 2, "0,1"): "0fe4bf5b59c6483c9e688699dd4ef69610c3245736fd26d46e4e1ff5f010456a",
+    (1, 2, "2,4"): "558ce7a012230d5bada68a70ae5247a1c68e6124ae79faed51ed87c7489c0873",
+    (1, 3, "0,1"): "669fdb428bbbfcd07053027e7eb63c25b7e3c277ef717b2e9d9ac99dea17c197",
+    (1, 3, "3,6"): "3dbf31d12851533dac568f8519695154d6be7fb7603bbfec47c90c5aad32a124",
+    (1, 4, "0,1"): "0c417fa7f84b94b853fac8451214556a82bdd1ac4b7028254f85674d91e1e126",
+    (1, 4, "4,8"): "9bdf9cdd530d26824df0a1af9c41e12cffb1cc571b3216cfcd957d32f82a2c68",
+    (2, 2, "0,1"): "a24468c0d59b3fe6bb6caa7cdd08c0e327a8ebfb11a03ded085e4fbed91037b9",
+    (2, 2, "2,4"): "3a701aed0e0893ab42d8eb6053347728af99832c53fd05f46d2b79e04f2362c6",
+    (2, 3, "0,1"): "e0585bdf1e6cf0b6f5dcf644cf8c3696bae388128e5ca5e02b8130516629a0da",
+    (2, 3, "3,6"): "4da27ee1689b1520c7e6813b9f3983e421e6219770e66113d255e4a8a30d46cd",
+    (2, 4, "0,1"): "0ae0206df1665df6b5806ec42ffe2ed87701aefe40b57aca23c5f73c1694e0ae",
+    (2, 4, "4,8"): "174645f859536d100cd521b7b9d0467a3be319cc5f66181698807828762b3239",
+}
+
+
+def test_suitable_json_bytes_are_pinned_on_every_sigma(monkeypatch, capsys):
+    monkeypatch.delenv("BPSINV_CACHE_DIR", raising=False)
+    for (ell, r, c1), digest in SUITABLE_JSON_SHA256.items():
+        code, out, _ = run_cli(
+            ["compute", "--surface", "hirzebruch:%d" % ell, "--rank", str(r),
+             "--c1", c1, "--polarization", "suitable", "--qorders", "6",
+             "--format", "json"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, \
+            (ell, r, c1)
+
+
 def test_verification_failure_exits_1(monkeypatch, capsys):
     def fail(omega):
         raise InvariantError("non-integral BPS invariant")

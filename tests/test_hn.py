@@ -1,15 +1,18 @@
 import hashlib
 import json
+from itertools import product as iproduct
 
+from bpsinv import clear_caches, sigma_genfun
 from bpsinv.exactq import qq
 from bpsinv.blocks import eta_series, theta_hat
-from bpsinv.geometry import ChernVector, Surface
+from bpsinv.geometry import SUITABLE, ChernVector, Surface
 from bpsinv.hn import (
     M, subtraction_terms, suitable_genfun_closed, suitable_genfun_recursive,
 )
+from bpsinv.invariants import Flavor
 from bpsinv.series import QSeries, WRat
 from oracles import (
-    _weight_of_sequence, one_minus_w as one_minus,
+    _weight_of_sequence, mu, one_minus_w as one_minus,
     rank2_equal_slope_combination,
 )
 
@@ -30,7 +33,7 @@ def test_M_values():
 
 
 def _filtration_weight(pieces):
-    return _weight_of_sequence([(p.r, p.mu()) for p in pieces], S1)
+    return _weight_of_sequence([(p.r, mu(p)) for p in pieces], S1)
 
 
 def test_filtration_weight_tower_example():
@@ -90,40 +93,40 @@ def test_h2f_closed_form_display():
     # -1/(theta(2z)^2 eta^2) * (i eta^3/theta(4z) + w^2/(1-w^4))
     cut = qq(4)
     big = qq(8)
-    h = suitable_genfun_closed(2, 1, 1, cut)
+    h = suitable_genfun_closed(2, 1, cut)
     bracket = eta_series(big) ** 3 * _theta_inv([2], big).invert() \
         + QSeries({0: wp(2) / one_minus(4)})
     oracle = bracket * (_theta_inv([1, 1], big, eta_pow=2)).invert()
-    assert h.series.eq_to_cutoff(oracle, cut)
+    assert h.eq_to_cutoff(oracle, cut)
 
 
 def test_h20_closed_form_display():
     cut = qq(4)
     big = qq(8)
-    h = suitable_genfun_closed(2, 0, 1, cut)
+    h = suitable_genfun_closed(2, 0, cut)
     bracket = eta_series(big) ** 3 * _theta_inv([2], big).invert() \
         + QSeries({0: one_minus(4).inverse() - WRat.from_rational(qq(1, 2))})
     oracle = bracket * (_theta_inv([1, 1], big, eta_pow=2)).invert()
-    assert h.series.eq_to_cutoff(oracle, cut)
+    assert h.eq_to_cutoff(oracle, cut)
 
 
 def test_h31eps_closed_form_display():
     cut = qq(3)
     big = qq(8)
-    h = suitable_genfun_closed(3, 2, 1, cut)  # c1 = f = -2f mod 3
+    h = suitable_genfun_closed(3, 2, cut)  # c1 = f = -2f mod 3
     t1 = eta_series(big) ** 3 * _theta_inv([1, 1, 2, 2, 3], big).invert()
     t2 = _theta_inv([1, 1, 1, 2], big).invert() \
         .scale((wp(2) + wp(4)) / one_minus(6))
     t3 = (_theta_inv([1, 1, 1], big, eta_pow=3)).invert() \
         .scale(wp(4) / (one_minus(4) * one_minus(4)))
     oracle = t1 + t2 + t3
-    assert h.series.eq_to_cutoff(oracle, cut)
+    assert h.eq_to_cutoff(oracle, cut)
 
 
 def test_h30eps_closed_form_display():
     cut = qq(3)
     big = qq(8)
-    h = suitable_genfun_closed(3, 0, 1, cut)
+    h = suitable_genfun_closed(3, 0, cut)
     t1 = eta_series(big) ** 3 * _theta_inv([1, 1, 2, 2, 3], big).invert()
     t2 = _theta_inv([1, 1, 1, 2], big).invert() \
         .scale((WRat.from_rational(1) + wp(6)) / one_minus(6))
@@ -131,49 +134,69 @@ def test_h30eps_closed_form_display():
         .scale(wp(4) / (one_minus(4) * one_minus(4))
                + WRat.from_rational(qq(1, 3)))
     oracle = t1 + t2 + t3
-    assert h.series.eq_to_cutoff(oracle, cut)
+    assert h.eq_to_cutoff(oracle, cut)
 
 
 def test_route_equality_all_ranks():
     cut = qq(2)
-    for ell in (0, 1, 2):
-        for r in range(1, 5):
-            for a in range(r):
-                closed = suitable_genfun_closed(r, a, ell, cut)
-                rec = suitable_genfun_recursive(r, (0, (-a) % r), ell, cut)
-                assert closed.series.eq_to_cutoff(rec.series, cut), (r, a, ell)
+    for r in range(1, 5):
+        for a in range(r):
+            closed = suitable_genfun_closed(r, a, cut)
+            rec = suitable_genfun_recursive(r, (0, (-a) % r), cut)
+            assert closed.eq_to_cutoff(rec, cut), (r, a)
 
 
 def test_route_equality_rank4_deeper():
     cut = qq(3)
-    closed = suitable_genfun_closed(4, 0, 1, cut)
-    rec = suitable_genfun_recursive(4, (0, 0), 1, cut)
-    assert closed.series.eq_to_cutoff(rec.series, cut)
+    closed = suitable_genfun_closed(4, 0, cut)
+    rec = suitable_genfun_recursive(4, (0, 0), cut)
+    assert closed.eq_to_cutoff(rec, cut)
 
 
 def test_ell_independence():
     # every class: the fibre quotient and subtraction weights are shared
-    # across ell, so the suitable chamber must not depend on it
+    # across ell, so the public suitable chamber must not depend on it
     cut = qq(3)
     for r in (1, 2, 3, 4):
         for alpha in range(r):
-            base = suitable_genfun_recursive(r, (0, alpha), 0, cut)
+            base = sigma_genfun(r, (0, alpha), 0, SUITABLE, cut)
             for ell in (1, 2):
-                other = suitable_genfun_recursive(r, (0, alpha), ell, cut)
+                other = sigma_genfun(r, (0, alpha), ell, SUITABLE, cut)
                 assert base.series == other.series, (r, alpha, ell)
+
+
+def test_one_suitable_series_per_class_for_every_sigma():
+    # Sigma_1 and Sigma_2 are served from the entries Sigma_0 built: neither
+    # HN route computes again, and each result carries its own surface tag
+    clear_caches()
+    stages = (suitable_genfun_recursive, suitable_genfun_closed)
+    misses = None
+    for ell in (0, 1, 2):
+        for r in (2, 3, 4):
+            for c1 in iproduct(range(r), repeat=2):
+                h = sigma_genfun(r, c1, ell, SUITABLE, qq(2))
+                assert h.surface == Surface.hirzebruch(ell)
+                assert h.r == r and h.c1 == c1
+                assert h.J == SUITABLE and h.flavor == Flavor.OMEGA_BAR
+                # an unreduced c1 is tagged mod r
+                assert sigma_genfun(r, (c1[0] + r, c1[1] - r), ell, SUITABLE,
+                                    qq(2)).c1 == c1
+        now = [m.cache_info().misses for m in stages]
+        assert misses is None or now == misses, ell
+        misses = now
 
 
 def test_vanishing_for_nonzero_fibre_degree():
     for r in (2, 3):
         for beta in range(1, r):
-            h = suitable_genfun_recursive(r, (beta, 0), 1, qq(3))
-            assert h.series.is_zero()
+            h = suitable_genfun_recursive(r, (beta, 0), qq(3))
+            assert h.is_zero()
 
 
 def test_equal_slope_combination_is_leading_coefficient():
-    h = suitable_genfun_closed(2, 0, 0, qq(1))
-    assert h.series.leading_exponent() == qq(-1, 3)
-    assert h.series.leading_coeff() == rank2_equal_slope_combination()
+    h = suitable_genfun_closed(2, 0, qq(1))
+    assert h.leading_exponent() == qq(-1, 3)
+    assert h.leading_coeff() == rank2_equal_slope_combination()
 
 
 def test_fourth_rank_display_weights():

@@ -3,10 +3,10 @@ from dataclasses import replace
 import pytest
 
 from bpsinv.exactq import qq
-from bpsinv.blocks import rank1_genfun
-from bpsinv.compute import default_cutoff
+from bpsinv.blocks import fibre_quotient
+from bpsinv.blowup import p2_genfun
+from bpsinv.compute import default_cutoff, sigma_genfun
 from bpsinv.geometry import Surface, SUITABLE
-from bpsinv.hn import suitable_genfun_recursive
 from bpsinv.invariants import (
     Flavor, GenFun, InvariantError, extract_table, omega_genfun,
 )
@@ -17,7 +17,7 @@ S1 = Surface.hirzebruch(1)
 
 
 def _suitable(ell, cutoff):
-    return lambda r, c1: suitable_genfun_recursive(r, c1, ell, cutoff)
+    return lambda r, c1: sigma_genfun(r, c1, ell, SUITABLE, cutoff)
 
 
 def _multicover(series, m):
@@ -25,17 +25,17 @@ def _multicover(series, m):
 
 
 def test_multicover_trivial_for_coprime_class():
-    h = suitable_genfun_recursive(2, (0, 1), 1, qq(2))
+    h = sigma_genfun(2, (0, 1), 1, SUITABLE, qq(2))
     out = omega_genfun(_suitable(1, qq(2)), 2, (0, 1))
     assert out.flavor == Flavor.OMEGA
     assert out.series.eq_to_cutoff(h.series)
 
 
 def test_multicover_rank2_correction_is_literal_substitution():
-    h1 = rank1_genfun(S1, qq(8))
-    h2 = suitable_genfun_recursive(2, (0, 0), 1, qq(3))
+    h1 = fibre_quotient(1, qq(8))
+    h2 = sigma_genfun(2, (0, 0), 1, SUITABLE, qq(3))
     out = omega_genfun(_suitable(1, qq(3)), 2, (0, 0))
-    expect = h2.series - _multicover(h1.series, 2)
+    expect = h2.series - _multicover(h1, 2)
     assert out.series.eq_to_cutoff(expect, qq(3))
 
 
@@ -45,8 +45,7 @@ def test_multicover_nested_divisors(ell):
     # itself h_2 - 1/2 h_1(q^2): the m = 2 term is the rank-2 recursion
     S = Surface.hirzebruch(ell)
     cutoff = default_cutoff(4, S, 5)
-    h = {r: suitable_genfun_recursive(r, (0, 0), ell, cutoff).series
-         for r in (1, 2, 4)}
+    h = {r: _suitable(ell, cutoff)(r, (0, 0)).series for r in (1, 2, 4)}
     omega2 = h[2] - _multicover(h[1], 2)
     expect = h[4] - _multicover(omega2, 2) - _multicover(h[1], 4)
     out = omega_genfun(_suitable(ell, cutoff), 4, (0, 0))
@@ -55,13 +54,13 @@ def test_multicover_nested_divisors(ell):
 
 
 def test_multicover_requires_omegabar_input():
-    h = replace(rank1_genfun(P2, qq(2)), flavor=Flavor.OMEGA)
+    h = replace(p2_genfun(1, 0, qq(2)), flavor=Flavor.OMEGA)
     with pytest.raises(InvariantError):
         omega_genfun(lambda r, c1: h, 1, (0,))
 
 
 def test_extract_table_rank1_p2():
-    out = omega_genfun(lambda r, c1: rank1_genfun(P2, qq(4)), 1, (0,))
+    out = omega_genfun(lambda r, c1: p2_genfun(1, 0, qq(4)), 1, (0,))
     table = extract_table(out)
     rows = {row.c2: row for row in table.rows}
     assert rows[0].dim == 0 and rows[0].euler == 1

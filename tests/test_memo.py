@@ -8,13 +8,10 @@ import pytest
 
 from bpsinv import clear_caches
 from bpsinv.exactq import qq
-from bpsinv.blocks import (
-    blowup_factor, eta_series, fibre_product_genfun, fibre_quotient,
-    rank1_genfun, theta_hat,
-)
+from bpsinv.blocks import blowup_factor, eta_series, fibre_quotient, theta_hat
 from bpsinv.blowup import gieseker_to_mu, p2_genfun
 from bpsinv.compute import p2_table
-from bpsinv.geometry import NEAR_PULLBACK, Polarization, Surface
+from bpsinv.geometry import NEAR_PULLBACK, Polarization
 from bpsinv.hn import suitable_genfun_closed, suitable_genfun_recursive
 from bpsinv.series import QSeries
 from bpsinv.wallcross import _h1_squared, genfun_at_polarization
@@ -30,20 +27,16 @@ def _stage_calls():
     yield eta_series, (), {}, 0
     for k in (1, 2, 3):
         yield theta_hat, (k,), {}, 0
-    yield rank1_genfun, (Surface.p2(),), {}, 0
     for r in (1, 2, 3):
         for k in range(r):
             yield blowup_factor, (r, k), {}, 0
     yield _h1_squared, (), {}, -qq(1, 6)  # h1 leads with q^(-1/6)
     for r in (1, 2, 3, 4):
         yield fibre_quotient, (r,), {}, 0
+        for alpha in range(r):
+            yield suitable_genfun_recursive, (r, (0, alpha)), {}, 0
+            yield suitable_genfun_closed, (r, alpha), {}, 0
     for ell in (0, 1, 2):
-        yield rank1_genfun, (Surface.hirzebruch(ell),), {}, 0
-        for r in (1, 2, 3, 4):
-            for alpha in range(r):
-                yield fibre_product_genfun, (r, (0, alpha), ell), {}, 0
-                yield suitable_genfun_recursive, (r, (0, alpha), ell), {}, 0
-                yield suitable_genfun_closed, (r, alpha, ell), {}, 0
         for r, cls in ((1, (0, 0)), (2, (0, 0)), (2, (0, 1)), (2, (1, 0)),
                        (2, (1, 1)), (3, (0, 0)), (3, (1, 1)), (3, (1, 2))):
             for J in (J_GENERIC, NEAR_PULLBACK):
