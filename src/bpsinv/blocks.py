@@ -11,7 +11,10 @@ constructors assert implicitly by living in WRat.
 
 Each block is a bare series, memoized on its arguments but the cutoff; the
 fibre quotient on r alone, as neither c1 nor ell enters it: one entry serves
-every class on every Sigma_ell, and its r = 1 entry is h1 there.
+every class on every Sigma_ell, and its r = 1 entry is h1 there.  The
+quotients are built as a ladder, each rank from the one below, so the only
+series ever inverted are the sparse sums eta and theta_hat(k); each
+1/theta_hat(k) is one entry, and 1/theta_hat(1) is h1 on the plane.
 """
 
 from itertools import product as iproduct
@@ -21,7 +24,10 @@ from .exactq import qq
 from .memo import memo
 from .series import QSeries, WRat, SeriesError, _grid
 
-__all__ = ["eta_series", "theta_hat", "fibre_quotient", "blowup_factor"]
+__all__ = [
+    "eta_series", "theta_hat", "inverse_theta_hat", "fibre_quotient",
+    "blowup_factor",
+]
 
 
 @memo
@@ -53,15 +59,30 @@ def theta_hat(k, cutoff) -> QSeries:
 
 
 @memo
+def inverse_theta_hat(k, cutoff) -> QSeries:
+    """1/theta_hat(k), inverted from its sparse sum: theta_hat(k) leads with
+    q^(1/8), so its inverse at c needs it at c + 1/4."""
+    return theta_hat(k, cutoff + qq(1, 4)).invert().truncate(cutoff)
+
+
+@memo
 def fibre_quotient(r, cutoff) -> QSeries:
-    """eta^(2r-3) / (theta_hat(1)^2 ... theta_hat(r-1)^2 theta_hat(r))."""
-    # den at c keeps c + (r-1)/4, 1/den c - r/4, times eta^(2r-3) c-(4r+3)/24
-    pad = qq(4 * r + 3, 24)
-    den = theta_hat(r, cutoff + pad)
-    for j in range(1, r):
-        den = den * theta_hat(j, cutoff + pad) ** 2
-    num = eta_series(cutoff + pad) ** (2 * r - 3)
-    return (num * den.invert()).truncate(cutoff)
+    """eta^(2r-3) / (theta_hat(1)^2 ... theta_hat(r-1)^2 theta_hat(r)), as
+    the ladder F(1) = 1/(eta theta_hat(1)) and
+    F(r) = F(r-1) eta^2 / (theta_hat(r-1) theta_hat(r)): only the sparse
+    theta_hat sums are ever inverted."""
+    r = int(r)
+    # F(r) leads with q^(-r/6): each factor is cut at c + r/6 plus its lead
+    top = cutoff + qq(r, 6)
+    if r == 1:
+        # eta^-1 leads with q^(-1/24); eta at c' keeps its inverse to c' - 1/12
+        return (eta_series(top + qq(1, 24)).invert()
+                * inverse_theta_hat(1, top - qq(1, 8))).truncate(cutoff)
+    # eta^2 at c' needs eta at c' - 1/24
+    return (fibre_quotient(r - 1, top - qq(r - 1, 6))
+            * eta_series(top + qq(1, 24)) ** 2
+            * inverse_theta_hat(r - 1, top - qq(1, 8))
+            * inverse_theta_hat(r, top - qq(1, 8))).truncate(cutoff)
 
 
 @memo

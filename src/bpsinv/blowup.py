@@ -22,7 +22,7 @@ functions come from the wall march.  The CLI accepts r <= 3 on the plane.
 from math import factorial
 
 from .exactq import qq
-from .blocks import blowup_factor, theta_hat
+from .blocks import blowup_factor, inverse_theta_hat
 from .geometry import NEAR_PULLBACK, PULLBACK_H, Surface, piece_cutoff
 from .hn import _compositions, _product_sum
 from .invariants import Flavor, GenFun, InvariantError
@@ -118,10 +118,10 @@ def p2_genfun(r, x, cutoff, route_k=None):
     r = int(r)
     x = int(x) % r
     if r == 1:
-        # h1 = 1/theta_hat(1); theta_hat(1) at c keeps c and its inverse c - 1/4
+        # h1 = 1/theta_hat(1) on the plane
         return GenFun(surface=P2, r=1, c1=(0,), J=None,
-                      flavor=Flavor.OMEGA_BAR, series=theta_hat(
-                          1, cutoff + qq(1, 4)).invert().truncate(cutoff))
+                      flavor=Flavor.OMEGA_BAR,
+                      series=inverse_theta_hat(1, cutoff))
     k = (x - 1) % r if route_k is None else int(route_k) % r
     c1_sigma = (x - k, x)
     hmu = gieseker_to_mu(r, c1_sigma, cutoff + _lead_of_B(r, k))

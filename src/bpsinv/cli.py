@@ -131,7 +131,8 @@ def _run_compute(surface, r, c1, J, qorders):
     else:
         if r > 3:
             raise InputError("rank <= 3 on the plane")
-        h = p2_genfun(r, c1[0], cutoff)
+        # the stage memo keys on x mod r; the result cache on --c1 as given
+        h = p2_genfun(r, c1[0] % r, cutoff)
         omega = p2_omega_genfun(r, c1[0], cutoff)
     table = extract_table(omega)
     return {"genfun": genfun_to_obj(h), "table": table_to_obj(table)}
@@ -244,10 +245,12 @@ def _suite_routes():
         closed = genfun_at_polarization(r, c1, 1, J, qq(2))
         marched = genfun_by_wall_march(r, c1, 1, J, qq(2))
         ok = ok and closed.series.eq_to_cutoff(marched.series, qq(2))
-    for a in range(4):
-        closed = suitable_genfun_closed(4, a, qq(2))
-        rec = suitable_genfun_recursive(4, (0, (-a) % 4), qq(2))
-        ok = ok and closed.eq_to_cutoff(rec, qq(2))
+    # the solved recursion serves every suitable series and wall-crossing
+    # base; the subtraction checks it, class by class
+    for r in (2, 3, 4):
+        for c1 in iproduct(range(r), repeat=2):
+            ok = ok and suitable_genfun_closed(r, c1, qq(2)) \
+                == suitable_genfun_recursive(r, c1, qq(2))
     for r, x, cut in ((3, 1, qq(2)), (2, 0, qq(3))):
         hA, hB = (p2_genfun(r, x, cut, route_k=k).series for k in (0, 1))
         ok = ok and hA.eq_to_cutoff(hB, cut)

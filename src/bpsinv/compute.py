@@ -5,7 +5,7 @@ and polarization.  The integer flavors hand a dispatcher to
 from .exactq import qq
 from .blowup import p2_genfun
 from .geometry import SUITABLE, Surface
-from .hn import suitable_genfun_recursive
+from .hn import suitable_genfun_closed
 from .invariants import Flavor, GenFun, extract_table, omega_genfun
 from .wallcross import WallError, genfun_at_polarization
 
@@ -31,7 +31,7 @@ def sigma_genfun(r, c1, ell, J, cutoff):
     if J == SUITABLE:
         return GenFun(surface=Surface.hirzebruch(ell), r=r, c1=c1, J=SUITABLE,
                       flavor=Flavor.OMEGA_BAR,
-                      series=suitable_genfun_recursive(r, c1, qq(cutoff)))
+                      series=suitable_genfun_closed(r, c1, qq(cutoff)))
     if r > 3:
         raise WallError("generic polarizations support r <= 3")
     return genfun_at_polarization(r, c1, ell, J, qq(cutoff))
@@ -48,8 +48,10 @@ def sigma_table(r, c1, ell, J, cutoff):
 
 
 def p2_omega_genfun(r, x, cutoff):
-    """Integer BPS flavor on the plane."""
-    return omega_genfun(lambda r, c1: p2_genfun(r, c1[0], cutoff), r, (x,))
+    """Integer BPS flavor on the plane; x is reduced mod r before any memo,
+    as it is on Sigma_ell."""
+    return omega_genfun(lambda r, c1: p2_genfun(r, c1[0], cutoff), r,
+                        (x % r,))
 
 
 def p2_table(r, x, cutoff):

@@ -11,10 +11,13 @@ by the lower-rank generating functions of the pieces.
 Route (b), ``suitable_genfun_closed``: the solved recursion, a finite sum
 over rank compositions with explicit w-weights built from the sawtooth sum M.
 
-Both return the bare series of the rational multi-cover flavor; they must
-agree identically.  Neither takes a surface: the fibre quotient depends on r
-alone and chi_top = 4 on every Sigma_ell, so one series per class serves
-every Sigma_ell, and ``compute.sigma_genfun`` attaches the tag.
+Both take (r, c1, cutoff) and return the bare series of the rational
+multi-cover flavor; they must agree identically.  Route (b), the cheaper
+one, serves the pipeline: the suitable chamber, every wall-crossing base and
+the march's starting states.  Route (a) guards it and never calls it, so
+their agreement stays a check.  Neither takes a surface: the fibre quotient
+depends on r alone and chi_top = 4 on every Sigma_ell, so one series per
+class serves every Sigma_ell, and ``compute.sigma_genfun`` attaches the tag.
 
 ``subtraction_terms`` is memoized on (r, alpha) alone: its weights hold no q,
 so every class and cutoff reads one table.
@@ -66,10 +69,16 @@ _SIGMA = Surface.hirzebruch(0)
 
 def _product_sum(weights, piece):
     """The sum over {pieces: weight} of weight * prod piece(p), each product
-    taken left to right from the weight, which is a QSeries or a scalar."""
+    taken left to right from the weight, which is a QSeries or a scalar; a
+    weight of 1 is not multiplied in."""
     total = QSeries.zero(None)
     for pieces, weight in weights.items():
-        prod = weight if isinstance(weight, QSeries) else QSeries({0: weight})
+        if isinstance(weight, QSeries):
+            prod = weight
+        elif weight == 1 and pieces:
+            prod, pieces = piece(pieces[0]), pieces[1:]
+        else:
+            prod = QSeries({0: weight})
         for p in pieces:
             prod = prod * piece(p)
         total = total + prod
@@ -188,28 +197,36 @@ def suitable_genfun_recursive(r, c1, cutoff):
 @memo
 def _inner_tower(R, lam, cutoff):
     """sum over compositions rho of R of w^(2 M(rho, lam)) /
-    prod_j (1 - w^(2(rho_j + rho_{j+1}))) * prod_j H_{rho_j, 0}."""
+    prod_j (1 - w^(2(rho_j + rho_{j+1}))) * prod_j H_{rho_j, 0}; the
+    weights of the orderings of one multiset share its product."""
     weights = {}
     for rho in _compositions(R):
         weight = WRat.w_power(2 * M(rho, lam))
         for a, b in zip(rho, rho[1:]):
             weight = weight / (WRat.from_rational(1)
                                - WRat.w_power(2 * (a + b)))
-        weights[rho] = weight
+        key = tuple(sorted(rho))
+        weights[key] = weights[key] + weight if key in weights else weight
     return _product_sum(weights, lambda rj: fibre_quotient(
         rj, piece_cutoff(cutoff, R, rj, _SIGMA))).truncate(cutoff)
 
 
 @memo
-def suitable_genfun_closed(r, a, cutoff):
-    """h_{r,-af}(J_{eps,1}) on every Sigma_ell by the solved recursion: a sum
-    over splittings into equal-slope parts (r_i, a_i = r_i a/r) with
-    coefficients (-1)^(m-1)/m of products of strict-slope towers."""
+def suitable_genfun_closed(r, c1, cutoff):
+    """h_{r,c1}(J_{eps,1}) on every Sigma_ell by the solved recursion, for
+    c1 = -af: a sum over splittings into equal-slope parts (r_i, a_i = r_i a/r)
+    with coefficients (-1)^(m-1)/m of products of strict-slope towers; zero
+    when c1.f is nonzero mod r."""
     r = int(r)
-    a = int(a) % r
+    if c1[0] % r:
+        return QSeries.zero(cutoff)
+    a = -c1[1] % r
     lam = qq(a, r)
-    signs = {ranks: qq((-1) ** (len(ranks) - 1), len(ranks))
-             for ranks in _compositions(r)
-             if not any((ri * a) % r for ri in ranks)}
+    # one product per multiset of parts
+    signs = Counter()
+    for ranks in _compositions(r):
+        if not any((ri * a) % r for ri in ranks):
+            signs[tuple(sorted(ranks))] += qq((-1) ** (len(ranks) - 1),
+                                              len(ranks))
     return _product_sum(signs, lambda ri: _inner_tower(
         ri, lam, piece_cutoff(cutoff, r, ri, _SIGMA))).truncate(cutoff)

@@ -28,7 +28,7 @@ from .blocks import fibre_quotient
 from .geometry import (
     GeometryError, Polarization, Surface, piece_cutoff, walls_between,
 )
-from .hn import _compositions, _product_sum, suitable_genfun_recursive
+from .hn import _compositions, _product_sum, suitable_genfun_closed
 from .invariants import Flavor, GenFun
 from .memo import memo
 from .series import QSeries, WRat, _grid
@@ -70,7 +70,7 @@ def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
                flavor=Flavor.OMEGA_BAR)
     if r == 1:
         return GenFun(series=fibre_quotient(1, cutoff), **tag)
-    base = suitable_genfun_recursive(r, (beta, alpha), cutoff)
+    base = suitable_genfun_closed(r, (beta, alpha), cutoff)
     if J.slope() is None:
         return GenFun(series=base, **tag)
     if J.is_boundary:
@@ -262,10 +262,10 @@ def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
         1, piece_cutoff(cutoff, r, 1, surface))}
     for s in range(2, r):
         for key in iproduct(range(s), repeat=2):
-            states[(s, key)] = suitable_genfun_recursive(
+            states[(s, key)] = suitable_genfun_closed(
                 s, key, piece_cutoff(cutoff, r, s, surface))
     target = (r, (beta, alpha))
-    states[target] = suitable_genfun_recursive(r, (beta, alpha), cutoff)
+    states[target] = suitable_genfun_closed(r, (beta, alpha), cutoff)
     # delta terms q^shift are the rank-0 factor of a rank-r product
     bound = piece_cutoff(cutoff, r, 0, surface)
     # a rank-s class jumps only at the walls listed for rank s, which hold

@@ -1,17 +1,18 @@
 """Independent checks of pipeline output that the pipeline itself never
 calls: the per-class wall-crossing delta, theta_hat and eta as truncated
-products, the curve stack counts, the equal-slope rank-2 combination, the
-filtration discriminant, the geometric-series inverse of a q-series, a
-q-series kept as a plain {rational exponent: WRat} dict, the filtration sum
-along a line of slopes and the wall-crossing sign window by brute force,
-w-conjugation of a WRat, the primitive-PRS gcd of integer polynomials, the
-parsers of the machine-readable encodings, the Betti numbers of Kronecker
-moduli, and the slope and stored q-exponent of a Chern vector."""
+products, the fibre quotient in one step, the curve stack counts, the
+equal-slope rank-2 combination, the filtration discriminant, the
+geometric-series inverse of a q-series, a q-series kept as a plain
+{rational exponent: WRat} dict, the filtration sum along a line of slopes and
+the wall-crossing sign window by brute force, w-conjugation of a WRat, the
+primitive-PRS gcd of integer polynomials, the parsers of the machine-readable
+encodings, the Betti numbers of Kronecker moduli, and the slope and stored
+q-exponent of a Chern vector."""
 
 import itertools
 import math
 
-from bpsinv.blocks import fibre_quotient
+from bpsinv.blocks import eta_series, fibre_quotient, theta_hat
 from bpsinv.exactq import qq
 from bpsinv.geometry import discriminant, twist_reduce, walls_between
 from bpsinv.hn import _compositions, suitable_genfun_recursive
@@ -375,6 +376,18 @@ def theta_hat_product(k, cutoff):
             out = out * QSeries({0: 1, n: -WRat.w_power(j)})
         n += 1
     return out.shift_q(qq(1, 8))
+
+
+def fibre_quotient_one_step(r, cutoff):
+    """eta^(2r-3) / (theta_hat(1)^2 ... theta_hat(r-1)^2 theta_hat(r)) in one
+    step: the dense theta_hat product is built and inverted whole."""
+    # den at c keeps c + (r-1)/4, 1/den c - r/4, times eta^(2r-3) c-(4r+3)/24
+    pad = qq(4 * r + 3, 24)
+    den = theta_hat(r, cutoff + pad)
+    for j in range(1, r):
+        den = den * theta_hat(j, cutoff + pad) ** 2
+    num = eta_series(cutoff + pad) ** (2 * r - 3)
+    return (num * den.invert()).truncate(cutoff)
 
 
 def blowup_factor(r, k, cutoff):

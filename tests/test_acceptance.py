@@ -106,7 +106,7 @@ def _assert_routes_agree(a, b, cut, context=None):
 def test_criterion_5a_rank4_routes():
     cut = qq(5) - qq(4, 6)
     for a in range(4):
-        closed = suitable_genfun_closed(4, a, cut)
+        closed = suitable_genfun_closed(4, (0, (-a) % 4), cut)
         rec = suitable_genfun_recursive(4, (0, (-a) % 4), cut)
         _assert_routes_agree(closed, rec, cut, a)
     _report(5, "(a) rank-4 closed form = recursive subtraction, 5 orders")

@@ -16,14 +16,15 @@ from bpsinv import clear_caches, p2_table, sigma_table
 from bpsinv.blowup import p2_genfun
 from bpsinv.exactq import QQ, qq
 from bpsinv.geometry import SUITABLE
-from bpsinv.hn import suitable_genfun_recursive
+from bpsinv.hn import suitable_genfun_closed
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 MEMOIZED_STAGES = (
-    "blocks.eta_series", "blocks.fibre_quotient",
-    "hn.suitable_genfun_recursive", "wallcross.genfun_at_polarization",
-    "blowup.gieseker_to_mu", "blowup.p2_genfun",
+    "blocks.eta_series", "blocks.inverse_theta_hat", "blocks.fibre_quotient",
+    "hn.suitable_genfun_closed", "hn.suitable_genfun_recursive",
+    "wallcross.genfun_at_polarization", "blowup.gieseker_to_mu",
+    "blowup.p2_genfun",
 )
 
 
@@ -83,7 +84,7 @@ def test_int_and_rational_cutoffs_share_results_and_memo_entries():
     # a cutoff is an exact rational at the API edge; an int is the same key
     cases = ((lambda c: p2_table(3, 0, c), p2_genfun, 6),
              (lambda c: sigma_table(2, (0, 1), 1, SUITABLE, c),
-              suitable_genfun_recursive, 3))
+              suitable_genfun_closed, 3))
     for table, stage, c in cases:
         clear_caches()
         want = table(c)

@@ -1,13 +1,16 @@
 from bpsinv import clear_caches, sigma_genfun
 from bpsinv.exactq import qq
-from bpsinv.blocks import eta_series, theta_hat, fibre_quotient, blowup_factor
+from bpsinv.blocks import (
+    blowup_factor, eta_series, fibre_quotient, inverse_theta_hat, theta_hat,
+)
 from bpsinv.blowup import p2_genfun
 from bpsinv.geometry import SUITABLE
 from bpsinv.series import QSeries, VPoly, WRat
 
 from oracles import (
-    blowup_factor as brute_blowup_factor, eta_product, one_minus_w,
-    theta_hat_product, total_set_curve, wrat_conjugate,
+    blowup_factor as brute_blowup_factor, eta_product,
+    fibre_quotient_one_step, one_minus_w, theta_hat_product, total_set_curve,
+    wrat_conjugate,
 )
 
 
@@ -109,6 +112,26 @@ def test_fibre_products_share_one_quotient_per_rank_and_cutoff():
                     sigma_genfun(r, (0, alpha), ell, SUITABLE, c)
             fibre_quotient(r, c)
             assert fibre_quotient.cache_info().misses == misses, (r, c)
+
+
+def test_fibre_quotient_ladder_equals_one_step():
+    # on the 1/24 grid and off it, cutoff included
+    for c in (qq(3), qq(97, 48)):
+        for r in (1, 2, 3, 4):
+            clear_caches()
+            assert fibre_quotient(r, c) == fibre_quotient_one_step(r, c), (r, c)
+
+
+def test_inverse_theta_hat_is_shared_with_the_plane():
+    # the plane's h1 and the fibre quotients read one inverse per k
+    clear_caches()
+    c = qq(3)
+    fibre_quotient(2, c)
+    misses = inverse_theta_hat.cache_info().misses
+    assert p2_genfun(1, 0, c).series == inverse_theta_hat(1, c)
+    assert inverse_theta_hat.cache_info().misses == misses
+    assert (inverse_theta_hat(2, c) * theta_hat(2, c + 1)).eq_to_cutoff(
+        QSeries.one(), c + qq(1, 8))
 
 
 def test_fibre_product_vanishing_and_leading():

@@ -17,7 +17,8 @@ import bpsinv.cli as cli
 from bpsinv.cli import MAX_QORDERS, main
 from bpsinv.exactq import QQ, qq
 from bpsinv.geometry import NEAR_PULLBACK, PULLBACK_H, SUITABLE, Polarization
-from bpsinv.hn import suitable_genfun_recursive
+from bpsinv.blowup import p2_genfun
+from bpsinv.hn import suitable_genfun_closed, suitable_genfun_recursive
 from bpsinv.invariants import InvariantError
 from bpsinv.serialize import dumps, polarization_to_obj, qseries_to_obj
 from bpsinv.series import QSeries, VPoly, WRat
@@ -162,7 +163,7 @@ def test_earlier_layout_cache_entry_is_recomputed(tmp_path, capsys):
 def test_equivalent_c1_reuse_memo_entries(monkeypatch, capsys, polarization):
     # c1 matters mod r only: 2,0 and 0,2 are the class 0,0 at rank 2
     monkeypatch.delenv("BPSINV_CACHE_DIR", raising=False)
-    memos = (suitable_genfun_recursive, genfun_at_polarization)
+    memos = (suitable_genfun_closed, genfun_at_polarization)
     outs, misses = [], []
     for c1 in ("0,0", "2,0", "0,2"):
         code, out, _ = run_cli(
@@ -174,6 +175,42 @@ def test_equivalent_c1_reuse_memo_entries(monkeypatch, capsys, polarization):
         misses.append([m.cache_info().misses for m in memos])
     assert outs[0] == outs[1] == outs[2]
     assert misses[0] == misses[1] == misses[2]
+
+
+@pytest.mark.parametrize("r, x", [(2, 1), (3, 1), (3, 0)])
+def test_plane_c1_is_reduced_before_the_stage_memo(monkeypatch, capsys, r, x):
+    # x and x + r are one class: the second request, a result-cache miss as
+    # its key holds --c1 as given, is served from the stage memo
+    monkeypatch.delenv("BPSINV_CACHE_DIR", raising=False)
+    outs, misses = [], []
+    for c1 in (x, x + r):
+        code, out, _ = run_cli(
+            ["compute", "--surface", "p2", "--rank", str(r), "--c1", str(c1),
+             "--qorders", "3", "--format", "json"], capsys)
+        assert code == 0
+        outs.append(out)
+        misses.append(p2_genfun.cache_info().misses)
+    assert outs[0] == outs[1]
+    assert misses[0] == misses[1]
+
+
+def test_compute_requests_never_run_the_hn_subtraction(monkeypatch, capsys):
+    # the solved recursion serves the suitable chamber and every wall-crossing
+    # base; the subtraction is its independent check and nothing else
+    monkeypatch.delenv("BPSINV_CACHE_DIR", raising=False)
+    bpsinv.clear_caches()
+    for surface, r, c1, J in (("hirzebruch:1", 4, "0,1", "suitable"),
+                              ("hirzebruch:0", 3, "0,1", "suitable"),
+                              ("hirzebruch:1", 3, "1,2", "13,9"),
+                              ("p2", 3, "0", None)):
+        argv = ["compute", "--surface", surface, "--rank", str(r),
+                "--c1", c1, "--qorders", "3", "--format", "json"]
+        if J is not None:
+            argv += ["--polarization", J]
+        assert run_cli(argv, capsys)[0] == 0
+    assert suitable_genfun_closed.cache_info().misses > 0
+    assert suitable_genfun_recursive.cache_info().misses == 0
+    assert suitable_genfun_recursive.cache_info().hits == 0
 
 
 # sha256 of the json stdout of each suitable-chamber request on Sigma_0..2 at

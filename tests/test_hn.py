@@ -5,12 +5,15 @@ from itertools import product as iproduct
 from bpsinv import clear_caches, sigma_genfun
 from bpsinv.exactq import qq
 from bpsinv.blocks import eta_series, theta_hat
-from bpsinv.geometry import SUITABLE, ChernVector, Surface
+from bpsinv.compute import default_cutoff
+from bpsinv.geometry import SUITABLE, ChernVector, Polarization, Surface
 from bpsinv.hn import (
     M, subtraction_terms, suitable_genfun_closed, suitable_genfun_recursive,
 )
 from bpsinv.invariants import Flavor
+from bpsinv.serialize import dumps, qseries_to_obj
 from bpsinv.series import QSeries, WRat
+from bpsinv.wallcross import genfun_at_polarization, genfun_by_wall_march
 from oracles import (
     _weight_of_sequence, mu, one_minus_w as one_minus,
     rank2_equal_slope_combination,
@@ -93,7 +96,7 @@ def test_h2f_closed_form_display():
     # -1/(theta(2z)^2 eta^2) * (i eta^3/theta(4z) + w^2/(1-w^4))
     cut = qq(4)
     big = qq(8)
-    h = suitable_genfun_closed(2, 1, cut)
+    h = suitable_genfun_closed(2, (0, 1), cut)
     bracket = eta_series(big) ** 3 * _theta_inv([2], big).invert() \
         + QSeries({0: wp(2) / one_minus(4)})
     oracle = bracket * (_theta_inv([1, 1], big, eta_pow=2)).invert()
@@ -103,7 +106,7 @@ def test_h2f_closed_form_display():
 def test_h20_closed_form_display():
     cut = qq(4)
     big = qq(8)
-    h = suitable_genfun_closed(2, 0, cut)
+    h = suitable_genfun_closed(2, (0, 0), cut)
     bracket = eta_series(big) ** 3 * _theta_inv([2], big).invert() \
         + QSeries({0: one_minus(4).inverse() - WRat.from_rational(qq(1, 2))})
     oracle = bracket * (_theta_inv([1, 1], big, eta_pow=2)).invert()
@@ -113,7 +116,7 @@ def test_h20_closed_form_display():
 def test_h31eps_closed_form_display():
     cut = qq(3)
     big = qq(8)
-    h = suitable_genfun_closed(3, 2, cut)  # c1 = f = -2f mod 3
+    h = suitable_genfun_closed(3, (0, 1), cut)  # c1 = f
     t1 = eta_series(big) ** 3 * _theta_inv([1, 1, 2, 2, 3], big).invert()
     t2 = _theta_inv([1, 1, 1, 2], big).invert() \
         .scale((wp(2) + wp(4)) / one_minus(6))
@@ -126,7 +129,7 @@ def test_h31eps_closed_form_display():
 def test_h30eps_closed_form_display():
     cut = qq(3)
     big = qq(8)
-    h = suitable_genfun_closed(3, 0, cut)
+    h = suitable_genfun_closed(3, (0, 0), cut)
     t1 = eta_series(big) ** 3 * _theta_inv([1, 1, 2, 2, 3], big).invert()
     t2 = _theta_inv([1, 1, 1, 2], big).invert() \
         .scale((WRat.from_rational(1) + wp(6)) / one_minus(6))
@@ -141,16 +144,39 @@ def test_route_equality_all_ranks():
     cut = qq(2)
     for r in range(1, 5):
         for a in range(r):
-            closed = suitable_genfun_closed(r, a, cut)
+            closed = suitable_genfun_closed(r, (0, (-a) % r), cut)
             rec = suitable_genfun_recursive(r, (0, (-a) % r), cut)
             assert closed.eq_to_cutoff(rec, cut), (r, a)
 
 
 def test_route_equality_rank4_deeper():
     cut = qq(3)
-    closed = suitable_genfun_closed(4, 0, cut)
+    closed = suitable_genfun_closed(4, (0, 0), cut)
     rec = suitable_genfun_recursive(4, (0, 0), cut)
     assert closed.eq_to_cutoff(rec, cut)
+
+
+def test_routes_agree_byte_for_byte_at_depth():
+    # every class of ranks 2-4 at --qorders 12 on Sigma_0, cutoff included:
+    # the solved recursion serves, the subtraction guards it
+    clear_caches()
+    for r in (2, 3, 4):
+        cut = default_cutoff(r, Surface.hirzebruch(0), 12)
+        for c1 in iproduct(range(r), repeat=2):
+            a, b = (dumps(qseries_to_obj(route(r, c1, cut))) for route in
+                    (suitable_genfun_recursive, suitable_genfun_closed))
+            assert a == b, (r, c1)
+
+
+def test_wall_crossing_bases_read_the_solved_recursion():
+    # the window sums and the march start from route (b) alone
+    clear_caches()
+    J = Polarization.generic(13, 9)
+    for r, c1 in ((2, (1, 1)), (3, (1, 2))):
+        genfun_at_polarization(r, c1, 1, J, qq(2))
+        genfun_by_wall_march(r, c1, 1, J, qq(2))
+    assert suitable_genfun_closed.cache_info().misses > 0
+    assert suitable_genfun_recursive.cache_info().misses == 0
 
 
 def test_ell_independence():
@@ -189,12 +215,12 @@ def test_one_suitable_series_per_class_for_every_sigma():
 def test_vanishing_for_nonzero_fibre_degree():
     for r in (2, 3):
         for beta in range(1, r):
-            h = suitable_genfun_recursive(r, (beta, 0), qq(3))
-            assert h.is_zero()
+            for route in (suitable_genfun_recursive, suitable_genfun_closed):
+                assert route(r, (beta, 0), qq(3)).is_zero()
 
 
 def test_equal_slope_combination_is_leading_coefficient():
-    h = suitable_genfun_closed(2, 0, qq(1))
+    h = suitable_genfun_closed(2, (0, 0), qq(1))
     assert h.leading_exponent() == qq(-1, 3)
     assert h.leading_coeff() == rank2_equal_slope_combination()
 

@@ -8,7 +8,9 @@ import pytest
 
 from bpsinv import clear_caches
 from bpsinv.exactq import qq
-from bpsinv.blocks import blowup_factor, eta_series, fibre_quotient, theta_hat
+from bpsinv.blocks import (
+    blowup_factor, eta_series, fibre_quotient, inverse_theta_hat, theta_hat,
+)
 from bpsinv.blowup import gieseker_to_mu, p2_genfun
 from bpsinv.compute import p2_table
 from bpsinv.geometry import NEAR_PULLBACK, Polarization
@@ -27,6 +29,7 @@ def _stage_calls():
     yield eta_series, (), {}, 0
     for k in (1, 2, 3):
         yield theta_hat, (k,), {}, 0
+        yield inverse_theta_hat, (k,), {}, 0
     for r in (1, 2, 3):
         for k in range(r):
             yield blowup_factor, (r, k), {}, 0
@@ -35,7 +38,7 @@ def _stage_calls():
         yield fibre_quotient, (r,), {}, 0
         for alpha in range(r):
             yield suitable_genfun_recursive, (r, (0, alpha)), {}, 0
-            yield suitable_genfun_closed, (r, alpha), {}, 0
+            yield suitable_genfun_closed, (r, (0, alpha)), {}, 0
     for ell in (0, 1, 2):
         for r, cls in ((1, (0, 0)), (2, (0, 0)), (2, (0, 1)), (2, (1, 0)),
                        (2, (1, 1)), (3, (0, 0)), (3, (1, 1)), (3, (1, 2))):
