@@ -69,9 +69,6 @@ class Surface:
             return (-2, -2 - self.ell)
         return (-3,)
 
-    def zero_class(self):
-        return (0, 0) if self.rank2 else (0,)
-
     def __str__(self):
         return "hirzebruch:%d" % self.ell if self.rank2 else "p2"
 

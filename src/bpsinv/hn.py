@@ -9,7 +9,8 @@ assignments are geometric series in w that we sum in closed form (assuming
 by the lower-rank generating functions of the pieces.
 
 Route (b), ``suitable_genfun_closed``: the solved recursion, a finite sum
-over rank compositions with explicit w-weights built from the sawtooth sum M.
+over rank compositions with explicit w-weights built from the sawtooth sum M,
+gathered by ``closed_terms`` into one weight per multiset of piece ranks.
 
 Both take (r, c1, cutoff) and return the bare series of the rational
 multi-cover flavor; they must agree identically.  Route (b), the cheaper
@@ -19,8 +20,8 @@ their agreement stays a check.  Neither takes a surface: the fibre quotient
 depends on r alone and chi_top = 4 on every Sigma_ell, so one series per
 class serves every Sigma_ell, and ``compute.sigma_genfun`` attaches the tag.
 
-``subtraction_terms`` is memoized on (r, alpha) alone: its weights hold no q,
-so every class and cutoff reads one table.
+Each route is a q-free table of weights, memoized on (r, c1[1] mod r)
+alone, summed by ``_product_sum`` over products of its pieces' series.
 """
 
 from collections import Counter, defaultdict
@@ -37,7 +38,7 @@ from .series import QSeries, WRat, _wrat
 
 __all__ = [
     "M", "suitable_genfun_recursive", "suitable_genfun_closed",
-    "subtraction_terms",
+    "subtraction_terms", "closed_terms",
 ]
 
 
@@ -195,38 +196,35 @@ def suitable_genfun_recursive(r, c1, cutoff):
 # ---------------------------------------------------------------------------
 
 @memo
-def _inner_tower(R, lam, cutoff):
-    """sum over compositions rho of R of w^(2 M(rho, lam)) /
-    prod_j (1 - w^(2(rho_j + rho_{j+1}))) * prod_j H_{rho_j, 0}; the
-    weights of the orderings of one multiset share its product."""
-    weights = {}
-    for rho in _compositions(R):
-        weight = WRat.w_power(2 * M(rho, lam))
-        for a, b in zip(rho, rho[1:]):
-            weight = weight / (WRat.from_rational(1)
-                               - WRat.w_power(2 * (a + b)))
+def closed_terms(r, a):
+    """The solved recursion's weights for c1 = -af, keyed by the sorted ranks
+    of the pieces: each composition rho of r, cut into m equal-slope parts of
+    ranks r_i with r_i a = 0 mod r, adds (-1)^(m-1)/m times, per part, its
+    strict-slope tower weight w^(2 M(part, a/r)) / prod_j (1 - w^(2(rho_j +
+    rho_(j+1)))) over adjacent ranks in the part."""
+    lam, out = qq(a, r), {}
+    for rho in _compositions(r):
         key = tuple(sorted(rho))
-        weights[key] = weights[key] + weight if key in weights else weight
-    return _product_sum(weights, lambda rj: fibre_quotient(
-        rj, piece_cutoff(cutoff, R, rj, _SIGMA))).truncate(cutoff)
+        for cut in _compositions(len(rho)):
+            parts = [rho[e - n:e] for n, e in zip(cut, accumulate(cut))]
+            if any(sum(part) * a % r for part in parts):
+                continue
+            weight = WRat.from_rational(qq((-1) ** (len(cut) - 1), len(cut)))
+            for part in parts:
+                weight = weight * WRat.w_power(2 * M(part, lam))
+                for x, y in zip(part, part[1:]):
+                    weight = weight / (1 - WRat.w_power(2 * (x + y)))
+            out[key] = out[key] + weight if key in out else weight
+    return out
 
 
 @memo
 def suitable_genfun_closed(r, c1, cutoff):
     """h_{r,c1}(J_{eps,1}) on every Sigma_ell by the solved recursion, for
-    c1 = -af: a sum over splittings into equal-slope parts (r_i, a_i = r_i a/r)
-    with coefficients (-1)^(m-1)/m of products of strict-slope towers; zero
-    when c1.f is nonzero mod r."""
+    c1 = -af: the weights of ``closed_terms`` times products of fibre
+    quotients; zero when c1.f is nonzero mod r."""
     r = int(r)
     if c1[0] % r:
         return QSeries.zero(cutoff)
-    a = -c1[1] % r
-    lam = qq(a, r)
-    # one product per multiset of parts
-    signs = Counter()
-    for ranks in _compositions(r):
-        if not any((ri * a) % r for ri in ranks):
-            signs[tuple(sorted(ranks))] += qq((-1) ** (len(ranks) - 1),
-                                              len(ranks))
-    return _product_sum(signs, lambda ri: _inner_tower(
-        ri, lam, piece_cutoff(cutoff, r, ri, _SIGMA))).truncate(cutoff)
+    return _product_sum(closed_terms(r, -c1[1] % r), lambda p: fibre_quotient(
+        p, piece_cutoff(cutoff, r, p, _SIGMA))).truncate(cutoff)

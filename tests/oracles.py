@@ -6,11 +6,13 @@ geometric-series inverse of a q-series, a q-series kept as a plain
 {rational exponent: WRat} dict, the filtration sum along a line of slopes and
 the wall-crossing sign window by brute force, w-conjugation of a WRat, the
 primitive-PRS gcd of integer polynomials, the parsers of the machine-readable
-encodings, the Betti numbers of Kronecker moduli, and the slope and stored
+encodings, the solved recursion's weights tower by tower, the Betti numbers
+of Kronecker moduli, Hurwitz class numbers, and the slope and stored
 q-exponent of a Chern vector."""
 
 import itertools
 import math
+from fractions import Fraction
 
 from bpsinv.blocks import eta_series, fibre_quotient, theta_hat
 from bpsinv.exactq import qq
@@ -447,6 +449,47 @@ def rank2_equal_slope_combination():
 
 
 # ---------------------------------------------------------------------------
+# Solved-recursion weights, tower by tower
+# ---------------------------------------------------------------------------
+
+def closed_terms_by_towers(r, a):
+    """The solved recursion's weights for c1 = -af as written: over the
+    compositions of r into parts r_i with r_i a = 0 mod r, the sign
+    (-1)^(m-1)/m times the product of each part's strict-slope tower, whose
+    weights w^(2 M(rho, a/r)) / prod_j (1 - w^(2(rho_j + rho_(j+1)))) over
+    the compositions rho of r_i are convolved as multisets of ranks."""
+    def tower(ri):
+        out = {}
+        for rho in _compositions(ri):
+            fracs = [x - math.floor(x) for x in itertools.accumulate(
+                qq(rj * a, r) for rj in rho[:-1])]
+            weight = WRat.w_power(2 * sum(
+                (x + y) * f for x, y, f in zip(rho, rho[1:], fracs)))
+            for x, y in zip(rho, rho[1:]):
+                weight = weight / one_minus_w(2 * (x + y))
+            key = tuple(sorted(rho))
+            out[key] = out.get(key, 0) + weight
+        return out
+
+    total = {}
+    for ranks in _compositions(r):
+        if any(ri * a % r for ri in ranks):
+            continue
+        terms = {(): WRat.from_rational(qq((-1) ** (len(ranks) - 1),
+                                           len(ranks)))}
+        for ri in ranks:
+            terms_next = {}
+            for key, weight in terms.items():
+                for part, tw in tower(ri).items():
+                    k = tuple(sorted(key + part))
+                    terms_next[k] = terms_next.get(k, 0) + weight * tw
+            terms = terms_next
+        for key, weight in terms.items():
+            total[key] = total.get(key, 0) + weight
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Filtration discriminant
 # ---------------------------------------------------------------------------
 
@@ -628,3 +671,26 @@ def kronecker_betti(a, b, arrows=3):
     assert sum(c * q ** i for i, c in enumerate(coeffs)) == count
     assert all(c.denominator == 1 for c in coeffs)
     return tuple(int(c) for c in coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Hurwitz class numbers
+# ---------------------------------------------------------------------------
+
+def hurwitz_class_number(N):
+    """H(N) for N > 0: the reduced forms a x^2 + b xy + c y^2 of
+    discriminant b^2 - 4ac = -N, |b| <= a <= c and b >= 0 when |b| = a or
+    a = c, primitive or not, with a(x^2 + y^2) weighted 1/2 and
+    a(x^2 + xy + y^2) weighted 1/3."""
+    total, a = Fraction(0), 1
+    while 3 * a * a <= N:
+        for b in range(1 - a, a + 1):
+            c, rem = divmod(b * b + N, 4 * a)
+            if rem or c < a or (c == a and b < 0):
+                continue
+            if c == a and b in (0, a):
+                total += Fraction(1, 2 if b == 0 else 3)
+            else:
+                total += 1
+        a += 1
+    return total

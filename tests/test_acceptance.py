@@ -11,9 +11,10 @@ from bpsinv.blowup import p2_genfun
 from bpsinv.compute import p2_table, sigma_genfun, sigma_table
 from bpsinv.geometry import NEAR_PULLBACK, Polarization, SUITABLE, Surface
 from bpsinv.hn import suitable_genfun_closed, suitable_genfun_recursive
+from bpsinv.invariants import extract_table, omega_genfun
 from bpsinv.wallcross import genfun_at_polarization, genfun_by_wall_march
 
-from oracles import kronecker_betti, total_set_curve
+from oracles import hurwitz_class_number, kronecker_betti, total_set_curve
 
 REFERENCE_R3_ROWS = {
     3: (18, (1, 1, 2, 2, 2, 2)),
@@ -217,6 +218,25 @@ def test_height_zero_rows_are_kronecker_moduli():
         assert row.betti == kronecker_betti(r - 2, r - 1), r
     _report(1, "(height zero) plane rows c1 = H, c2 = r - 1, r = 2..4, "
                "are Kronecker moduli")
+
+
+def test_rank2_plane_euler_numbers_are_class_numbers():
+    # Klyachko and Yoshioka: sum_{c2>=1} chi(M(2, H, c2)) q^(c2-1) =
+    # 3 sum_n H(4n+3) q^n / prod_m (1 - q^m)^6, row by row at depth 40.
+    # The default route's Sigma_1 class C + f has odd fibre degree, so its
+    # suitable base is zero; route_k = 1 starts from f, whose base is the
+    # solved recursion's rank-2 series
+    series = [3 * hurwitz_class_number(4 * n + 3) for n in range(40)]
+    for m in range(1, 40):
+        for _ in range(6):
+            for n in range(m, 40):
+                series[n] += series[n - m]
+    for route_k in (None, 1):
+        rows = extract_table(omega_genfun(lambda r, c1: p2_genfun(
+            r, c1[0], qq(40), route_k=route_k), 2, (1,))).rows
+        assert [row.c2 for row in rows] == list(range(1, 41))
+        assert [row.euler for row in rows] == series, route_k
+    _report(1, "(class numbers) plane rows c1 = H, c2 = 1..40, rank 2")
 
 
 def _check_table_properties(table):

@@ -8,14 +8,15 @@ from bpsinv.blocks import eta_series, theta_hat
 from bpsinv.compute import default_cutoff
 from bpsinv.geometry import SUITABLE, ChernVector, Polarization, Surface
 from bpsinv.hn import (
-    M, subtraction_terms, suitable_genfun_closed, suitable_genfun_recursive,
+    M, closed_terms, subtraction_terms, suitable_genfun_closed,
+    suitable_genfun_recursive,
 )
 from bpsinv.invariants import Flavor
 from bpsinv.serialize import dumps, qseries_to_obj
 from bpsinv.series import QSeries, WRat
 from bpsinv.wallcross import genfun_at_polarization, genfun_by_wall_march
 from oracles import (
-    _weight_of_sequence, mu, one_minus_w as one_minus,
+    _weight_of_sequence, closed_terms_by_towers, mu, one_minus_w as one_minus,
     rank2_equal_slope_combination,
 )
 
@@ -138,6 +139,14 @@ def test_h30eps_closed_form_display():
                + WRat.from_rational(qq(1, 3)))
     oracle = t1 + t2 + t3
     assert h.eq_to_cutoff(oracle, cut)
+
+
+def test_closed_terms_are_the_towers_multiplied_out():
+    # every a at r <= 5: rank 5 lies beyond the q-grid, and so beyond the
+    # route agreement below
+    for r in range(1, 6):
+        for a in range(r):
+            assert closed_terms(r, a) == closed_terms_by_towers(r, a), (r, a)
 
 
 def test_route_equality_all_ranks():
