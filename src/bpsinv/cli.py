@@ -30,7 +30,7 @@ from .serialize import (
 
 # The deepest --qorders accepted.  At 40 the heaviest supported requests
 # (rank 3 on the plane, rank 4 suitable and rank 3 wall-crossed on Sigma_1)
-# take at most about 4.2 s and 54 MB (Python 3.11, one Xeon core), and the
+# take at most about 3.2 s and 29 MB (Python 3.11, one Xeon core), and the
 # cost grows about as qorders^2.5; a deeper request exits 2 at once instead.
 MAX_QORDERS = 40
 

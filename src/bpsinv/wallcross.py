@@ -5,10 +5,9 @@ Two independent routes up to rank 3; above it, the march alone:
 
 * ``genfun_at_polarization``: the explicit closed forms for rank 2 and 3, a
   sum over the sign window of lattice points between the target chamber and
-  the suitable chamber.  The rank-3 sum evaluates rank-2 functions at the
-  wall-adjacent polarizations J_{|x|,|y|}; when such a point lies on a rank-2
-  wall, sgn(0) = 0, so on-wall terms enter with half weight and the rank-2
-  function on its wall is the average of the two adjacent chambers.
+  the suitable chamber.  A rank-3 term carries the rank-2 function at
+  J_{|x|,|y|}, whose own window is summed inside the rank-3 one; a point on
+  a rank-2 wall has sgn(0) = 0 there, and so half weight.
 
 * ``genfun_by_wall_march``: iterate the two-sided filtration delta wall by
   wall.  One function per class of each lower rank is carried along the
@@ -25,13 +24,12 @@ from itertools import product as iproduct
 from math import isqrt, lcm
 
 from .blocks import fibre_quotient
-from .geometry import (
-    GeometryError, Polarization, Surface, piece_cutoff, walls_between,
-)
+from .exactq import qq
+from .geometry import GeometryError, Surface, piece_cutoff, walls_between
 from .hn import _compositions, _product_sum, suitable_genfun_closed
 from .invariants import Flavor, GenFun
 from .memo import memo
-from .series import QSeries, WRat, _grid
+from .series import WRAT_ZERO, QSeries, WRat, _grid
 
 __all__ = [
     "WallError", "genfun_at_polarization", "genfun_by_wall_march",
@@ -58,11 +56,9 @@ def _h1_squared(cutoff):
 # ---------------------------------------------------------------------------
 
 @memo
-def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
-    """h_{r,c1}(z,tau; Sigma_ell, J) by the window sums (r <= 3) or the march.
-
-    J must lie off every wall active below the cutoff; an exact sign tie
-    raises WallError unless the internal suitable-side tiebreak is on."""
+def genfun_at_polarization(r, c1, ell, J, cutoff):
+    """h_{r,c1}(z,tau; Sigma_ell, J) by the window sums (r <= 3) or the march;
+    J must lie off every wall active below the cutoff, or WallError."""
     r = int(r)
     surface = Surface.hirzebruch(ell)
     beta, alpha = (c1[0] % r, c1[1] % r)
@@ -77,38 +73,46 @@ def genfun_at_polarization(r, c1, ell, J, cutoff, _tiebreak_suitable=False):
         raise WallError("polarization on wall")
     if r > 3:
         return genfun_by_wall_march(r, (beta, alpha), ell, J, cutoff)
-    # window terms q^E are the rank-0 factor of a rank-r product
+    # window terms q^E are the rank-0 factor of a rank-r product; nested
+    # piece cutoffs add, so the rank-2 windows inside r = 3 share the bound
     Ebound = piece_cutoff(cutoff, r, 0, surface)
     # the displayed sums are written for the class beta C - alpha_f f
     af = (-alpha) % r
-    # every window term carries the factor h1^2 (r = 2) or h1 (r = 3): the
-    # rest is summed first and multiplied by that factor once
-    window = QSeries.zero(None)
-    cut2 = piece_cutoff(cutoff, 3, 2, surface)
-    for x, y, ds in _window(r, beta, af, ell, J, Ebound, _tiebreak_suitable):
+    # a term carries h1^2 (r = 2), or h1 h_2(J_{|x|,|y|}) (r = 3) with h_2 a
+    # base plus h1^2 times a window: the q-polynomials are summed first
+    by_class, inner = {}, {}
+    for x, y, E, c in _terms(r, ell, _window(r, beta, af, ell, J.slope(),
+                                             Ebound, False)):
+        if r == 2:
+            inner[E] = inner.get(E, WRAT_ZERO) + c
+            continue
+        cls = ((x + 2 * beta) // 3 % 2, -((y + 2 * af) // 3) % 2)
+        poly = by_class.setdefault((cls,), {})
+        poly[E] = poly.get(E, WRAT_ZERO) + c
+        for _, _, E2, c2 in _terms(2, ell, _window(
+                2, cls[0], -cls[1] % 2, ell, (qq(abs(y), abs(x)), 0),
+                Ebound, True)):
+            inner[E + E2] = inner.get(E + E2, WRAT_ZERO) + c * c2
+    h1_cut = piece_cutoff(cutoff, r, 1, surface)
+    window = _h1_squared(h1_cut) * QSeries.from_grid(inner)
+    if r == 3:
+        cut2 = piece_cutoff(cutoff, 3, 2, surface)
+        window = fibre_quotient(1, h1_cut) * (window + _product_sum(
+            {k: QSeries.from_grid(poly) for k, poly in by_class.items()},
+            lambda cls: suitable_genfun_closed(2, cls, cut2)))
+    return GenFun(series=(base + window).truncate(cutoff), **tag)
+
+
+def _terms(r, ell, points):
+    """Window points (x, y, ds) as terms (x, y, E, c) of c q^(E/24)."""
+    for x, y, ds in points:
         X = (ell - 2) * x + 2 * y
         # the weight ds/4 (r = 2) or ds/2 (r = 3) is one over an int
-        coeff = (WRat.w_power(-X) - WRat.w_power(X)) \
-            / ((4 if r == 2 else 2) // ds)
-        term = QSeries.from_grid(
-            {_grid(ell * x * x + 2 * x * y, _QDEN[r]): coeff})
-        if r == 3:
-            b = (x + 2 * beta) // 3
-            a = (y + 2 * af) // 3
-            term = genfun_at_polarization(
-                2, (b % 2, (-a) % 2), ell,
-                Polarization.generic(abs(x), abs(y)), cut2,
-                _tiebreak_suitable=True).series * term
-        window = window + term
-    if r == 2:
-        factor = _h1_squared(piece_cutoff(cutoff, 2, 1, surface))
-    else:
-        factor = fibre_quotient(1, piece_cutoff(cutoff, 3, 1, surface))
-    total = base + factor * window
-    return GenFun(series=total.truncate(cutoff), **tag)
+        c = (WRat.w_power(-X) - WRat.w_power(X)) / ((4 if r == 2 else 2) // ds)
+        yield x, y, _grid(ell * x * x + 2 * x * y, _QDEN[r]), c
 
 
-def _window(r, beta, alpha, ell, J, Ebound, tiebreak):
+def _window(r, beta, alpha, ell, slope, Ebound, tiebreak):
     """Lattice points (x, y) with x = beta, y = alpha mod r whose target-side
     ordering sign s1 = sgn(x n - y m) differs from the suitable-side sign
     s2 = sgn(x), with q-shift E = (ell x^2 + 2 x y)/qden <= Ebound; yields
@@ -118,7 +122,7 @@ def _window(r, beta, alpha, ell, J, Ebound, tiebreak):
     active for u > k t, inactive for u < k t, and at u = k t the sign e
     decides: inactive for e > 0, active for e < 0, and on a wall (s1 = 0)
     for e = 0."""
-    t, e = J.slope()
+    t, e = slope
     tn, td = t.numerator, t.denominator
     qden = _QDEN[r]
     # the int bound on qden E, floored once
@@ -143,8 +147,7 @@ def _window(r, beta, alpha, ell, J, Ebound, tiebreak):
                         continue
                     if not tiebreak:
                         raise WallError("polarization on wall")
-                    # on a wall (internal rank-2 evaluations only) sgn(0) = 0:
-                    # the term enters with half weight, the chamber average
+                    # on a wall sgn(0) = 0: the term has half weight
                     ds = -sx
                 out.append((sx * k, sx * u, ds))
     return out

@@ -8,7 +8,8 @@ the wall-crossing sign window by brute force, w-conjugation of a WRat, the
 primitive-PRS gcd of integer polynomials, the parsers of the machine-readable
 encodings, the solved recursion's weights tower by tower, the Betti numbers
 of Kronecker moduli, Hurwitz class numbers, and the slope and stored
-q-exponent of a Chern vector."""
+q-exponent of a Chern vector, and the rank-3 function at a polarization
+with a rank-2 function evaluated per window point."""
 
 import itertools
 import math
@@ -16,8 +17,13 @@ from fractions import Fraction
 
 from bpsinv.blocks import eta_series, fibre_quotient, theta_hat
 from bpsinv.exactq import qq
-from bpsinv.geometry import discriminant, twist_reduce, walls_between
-from bpsinv.hn import _compositions, suitable_genfun_recursive
+from bpsinv.geometry import (
+    Polarization, Surface, discriminant, piece_cutoff, twist_reduce,
+    walls_between,
+)
+from bpsinv.hn import (
+    _compositions, suitable_genfun_closed, suitable_genfun_recursive,
+)
 from bpsinv.series import NonInvertibleError, QSeries, SeriesError, VPoly, WRat
 from bpsinv.wallcross import WallError, _wall_delta
 
@@ -347,6 +353,45 @@ def window_by_scan(r, beta, alpha, ell, J, Ebound, tiebreak):
                 if s1 != sx:
                     out.append((x, y, s1 - sx))
     return out
+
+
+def rank3_by_chambers(beta, alpha, ell, J, cutoff):
+    """h_{3,(beta,alpha)}(Sigma_ell, J) as displayed: the suitable base plus
+    h1 times the sum over the rank-3 window of h_2(J_{|x|,|y|}) times the
+    term q^E (w^-X - w^X) ds/2, each h_2 its own suitable base plus h1^2
+    times its rank-2 window, whose on-wall points enter with half weight.
+    Every window by the per-point sign scan, every h_2 at the cutoff of a
+    rank-2 piece of the rank-3 product."""
+    surface = Surface.hirzebruch(ell)
+
+    def window(r, b, af, J, cut, tiebreak):
+        qden = 4 if r == 2 else 12
+        for x, y, ds in window_by_scan(r, b, af, ell, J,
+                                       piece_cutoff(cut, r, 0, surface),
+                                       tiebreak):
+            X = (ell - 2) * x + 2 * y
+            c = (WRat.w_power(-X) - WRat.w_power(X)).scale(
+                qq(ds, 4 if r == 2 else 2))
+            yield x, y, QSeries({qq(ell * x * x + 2 * x * y, qden): c})
+
+    def h2(b, a, J, cut):
+        W = QSeries.zero(None)
+        for _, _, term in window(2, b, -a % 2, J, cut, True):
+            W = W + term
+        h1 = fibre_quotient(1, piece_cutoff(cut, 2, 1, surface))
+        return (suitable_genfun_closed(2, (b, a), cut) + h1 * h1 * W) \
+            .truncate(cut)
+
+    af = -alpha % 3
+    total = QSeries.zero(None)
+    for x, y, term in window(3, beta, af, J, cutoff, False):
+        J2 = Polarization.generic(abs(x), abs(y))
+        cls = ((x + 2 * beta) // 3 % 2, -((y + 2 * af) // 3) % 2)
+        total = total + h2(*cls, J2, piece_cutoff(cutoff, 3, 2, surface)) \
+            * term
+    h1 = fibre_quotient(1, piece_cutoff(cutoff, 3, 1, surface))
+    return (suitable_genfun_closed(3, (beta, alpha), cutoff) + h1 * total) \
+        .truncate(cutoff)
 
 
 # ---------------------------------------------------------------------------

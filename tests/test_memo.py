@@ -87,7 +87,7 @@ def test_keyword_and_positional_spellings_share_an_entry():
     first = genfun_at_polarization(2, (1, 1), 1, J_GENERIC, c)
     misses = genfun_at_polarization.cache_info().misses
     again = genfun_at_polarization(r=2, c1=(1, 1), ell=1, J=J_GENERIC,
-                                   cutoff=c, _tiebreak_suitable=False)
+                                   cutoff=c)
     assert again is first
     assert genfun_at_polarization.cache_info().misses == misses
 

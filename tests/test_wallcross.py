@@ -2,20 +2,23 @@ from itertools import product as iproduct
 
 import pytest
 
+from bpsinv import clear_caches, wallcross
 from bpsinv.exactq import qq
-from bpsinv import wallcross
 from bpsinv.geometry import (
     ChernVector, Polarization, SUITABLE, NEAR_PULLBACK, Surface,
     walls_between,
 )
-from bpsinv.hn import suitable_genfun_recursive
+from bpsinv.hn import suitable_genfun_closed, suitable_genfun_recursive
 from bpsinv.series import QSeries, WRat
 from bpsinv.wallcross import (
     WallError, _mirror, _window, genfun_at_polarization, genfun_by_wall_march,
     line_filtrations,
 )
 
-from oracles import chamber_path, exponent_of, wallcross_delta, window_by_scan
+from oracles import (
+    chamber_path, exponent_of, rank3_by_chambers, wallcross_delta,
+    window_by_scan,
+)
 
 S0 = Surface.hirzebruch(0)
 S1 = Surface.hirzebruch(1)
@@ -29,9 +32,9 @@ def far_chamber(ell):
 def test_lattice_symmetries_across_ell():
     # Sigma_0 with C and f swapped, and Sigma_2 deformed to Sigma_0: exact
     # identities between surfaces, so a memo that drops ell where the
-    # window sums need it breaks the second
-    J, c = Polarization.generic, qq(3)
-    for r in (2, 3):
+    # window sums (r <= 3) or the march (r = 4) need it breaks the second
+    J = Polarization.generic
+    for r, c in ((2, qq(3)), (3, qq(3)), (4, qq(2))):
         for a, b in iproduct(range(r), repeat=2):
             assert genfun_at_polarization(r, (a, b), 0, J(13, 9), c).series \
                 == genfun_at_polarization(r, (b, a), 0, J(9, 13), c).series
@@ -50,11 +53,13 @@ def test_suitable_chamber_reproduces_base():
 
 
 def test_on_wall_polarization_rejected():
-    # J_{1,1} is on the slope-1 wall for (2, C+f)-type classes on Sigma_0;
-    # the march that serves rank 4 rejects it too
-    for r in (2, 4):
+    # J_{1,1} is on the slope-1 wall for (2, C+f)-type classes on Sigma_0,
+    # and for the rank-3 class 0 there, whose rank-2 windows keep their
+    # on-wall points at half weight, so the rank-3 window raises; the march
+    # that serves rank 4 rejects it too
+    for r, c1 in ((2, (1, 1)), (3, (0, 0)), (4, (1, 1))):
         with pytest.raises(WallError):
-            genfun_at_polarization(r, (1, 1), 0, Polarization.generic(1, 1),
+            genfun_at_polarization(r, c1, 0, Polarization.generic(1, 1),
                                    qq(3))
 
 
@@ -84,7 +89,7 @@ def test_window_matches_lattice_scan():
                 (0, 1, 2), iproduct(range(r), repeat=2), targets,
                 (qq(2, 3), qq(5, 2), qq(7, 2)), (False, True)):
             args = (r, beta, alpha, ell, J, Ebound, tiebreak)
-            got = _points_or_wall(_window, args)
+            got = _points_or_wall(_window, (*args[:4], J.slope(), *args[5:]))
             assert got == _points_or_wall(window_by_scan, args), args
             if got == "on wall":
                 on_wall += 1
@@ -92,6 +97,25 @@ def test_window_matches_lattice_scan():
                 points += len(got)
                 halves += sum(abs(ds) == 1 for _, _, ds in got)
     assert on_wall and halves and points > 1000
+
+
+def test_rank3_window_matches_the_per_polarization_formula():
+    # the rank-2 windows summed inside the rank-3 window equal the rank-2
+    # function evaluated at J_{|x|,|y|} point by point, on-wall points at
+    # half weight, in one miss of the stage
+    targets = [Polarization.generic(13, 9), Polarization.generic(9, 13),
+               Polarization.generic(21, 8), NEAR_PULLBACK]
+    c = qq(4)
+    for ell, (beta, alpha), J in iproduct(
+            (0, 1, 2), iproduct(range(3), repeat=2), targets):
+        assert genfun_at_polarization(3, (beta, alpha), ell, J, c).series \
+            == rank3_by_chambers(beta, alpha, ell, J, c), (ell, beta, alpha, J)
+    # a cold call: its ten window points read only the rank-3 base and the
+    # rank-2 classes mod 2
+    clear_caches()
+    genfun_at_polarization(3, (1, 2), 1, targets[0], qq(3))
+    assert genfun_at_polarization.cache_info().misses == 1
+    assert suitable_genfun_closed.cache_info().misses <= 5
 
 
 def test_two_routes_rank2():
