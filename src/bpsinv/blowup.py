@@ -17,13 +17,16 @@ only corrections (b2 = 1): each multiset of ranks enters with
 Every step is written for any rank, but q-exponents stay on the 1/24 grid
 only up to rank 4 (rank 5 raises SeriesError); above rank 3 the chamber
 functions come from the wall march.  The CLI accepts r <= 3 on the plane.
+
+Each step returns a bare series; only ``p2_genfun``, the plane's entry
+point, tags its result with the surface, class and flavor.
 """
 
 from math import factorial
 
 from .exactq import qq
 from .blocks import blowup_factor, inverse_theta_hat
-from .geometry import NEAR_PULLBACK, PULLBACK_H, Surface, piece_cutoff
+from .geometry import NEAR_PULLBACK, Surface, piece_cutoff
 from .hn import _compositions, _product_sum
 from .invariants import Flavor, GenFun, InvariantError
 from .memo import memo
@@ -55,29 +58,24 @@ def gieseker_to_mu(r, c1, cutoff):
                                piece_cutoff(cutoff, r, 0, SIGMA1))
     total = _product_sum(weights, lambda p: genfun_at_polarization(
         p[0], p[1], 1, NEAR_PULLBACK,
-        piece_cutoff(cutoff, r, p[0], SIGMA1)).series)
-    return GenFun(surface=SIGMA1, r=r, c1=(X, Y), J=PULLBACK_H,
-                  flavor=Flavor.STACK_MU, series=total.truncate(cutoff))
+        piece_cutoff(cutoff, r, p[0], SIGMA1)))
+    return total.truncate(cutoff)
 
 
 def blowup_divide(hmu, r, k, cutoff):
     """Divide a mu-stack series on the blown-up plane by B_{r,k}; the result
     lives on the plane.  All coefficients must keep integer w-support."""
-    if hmu.flavor != Flavor.STACK_MU:
-        raise BlowupError("blow-up division needs a STACK_MU input")
     r = int(r)
     k = int(k) % r
     # B^-1 keeps B's cutoff - 2 lead(B) and is the rank-0 factor of a rank-r
     # product; hmu's cutoff - lead(B) is the caller's to supply
     B = blowup_factor(r, k, piece_cutoff(cutoff, r, 0, SIGMA1)
                       + 2 * _lead_of_B(r, k))
-    quotient = hmu.series * B.invert()
+    quotient = hmu * B.invert()
     for c in quotient.terms.values():
         if not c.is_even_support():
             raise BlowupError("blow-up parity violation")
-    x = hmu.c1[1]
-    return GenFun(surface=P2, r=r, c1=(x % r,), J=None,
-                  flavor=Flavor.STACK_MU, series=quotient.truncate(cutoff))
+    return quotient.truncate(cutoff)
 
 
 def _lead_of_B(r, k):
@@ -90,8 +88,6 @@ def mu_to_gieseker(hmu_p2, r, x, cutoff):
     """Reverse step (1) on the plane: subtract the equal-slope stacky
     products of lower-rank plane functions (1/prod k!) h^k...; the identity
     for classes with gcd(r, c1.H) = 1."""
-    if hmu_p2.surface != P2:
-        raise BlowupError("step (3) applies on the plane")
     r = int(r)
     x = int(x)
     # the orderings of a rank multiset add up to 1/prod(multiplicity!)
@@ -100,12 +96,11 @@ def mu_to_gieseker(hmu_p2, r, x, cutoff):
         if len(ranks) > 1 and not any((ri * x) % r for ri in ranks):
             key = tuple(sorted(ranks, reverse=True))
             coeffs[key] = coeffs.get(key, 0) + qq(1, factorial(len(ranks)))
-    series = hmu_p2.series - _product_sum(
+    series = hmu_p2 - _product_sum(
         {ranks: coeffs[ranks] for ranks in sorted(coeffs, reverse=True)},
         lambda ri: p2_genfun(ri, (ri * x // r) % ri,
                              piece_cutoff(cutoff, r, ri, P2)).series)
-    return GenFun(surface=P2, r=r, c1=(x % r,), J=None,
-                  flavor=Flavor.OMEGA_BAR, series=series.truncate(cutoff))
+    return series.truncate(cutoff)
 
 
 @memo
@@ -119,12 +114,12 @@ def p2_genfun(r, x, cutoff, route_k=None):
     x = int(x) % r
     if r == 1:
         # h1 = 1/theta_hat(1) on the plane
-        return GenFun(surface=P2, r=1, c1=(0,), J=None,
-                      flavor=Flavor.OMEGA_BAR,
-                      series=inverse_theta_hat(1, cutoff))
-    k = (x - 1) % r if route_k is None else int(route_k) % r
-    c1_sigma = (x - k, x)
-    hmu = gieseker_to_mu(r, c1_sigma, cutoff + _lead_of_B(r, k))
-    hmu_p2 = blowup_divide(hmu, r, k, cutoff)
-    return mu_to_gieseker(hmu_p2, r, x, cutoff)
+        series = inverse_theta_hat(1, cutoff)
+    else:
+        k = (x - 1) % r if route_k is None else int(route_k) % r
+        hmu = gieseker_to_mu(r, (x - k, x), cutoff + _lead_of_B(r, k))
+        series = mu_to_gieseker(blowup_divide(hmu, r, k, cutoff), r, x,
+                                cutoff)
+    return GenFun(surface=P2, r=r, c1=(x,), J=None, flavor=Flavor.OMEGA_BAR,
+                  series=series)
 

@@ -237,14 +237,14 @@ def _suite_routes():
     for r in (2, 3):
         for a, b in iproduct(range(r), repeat=2):
             h = [genfun_at_polarization(r, c1, ell, Polarization.generic(
-                m, n), qq(3)).series for c1, ell, m, n in (
+                m, n), qq(3)) for c1, ell, m, n in (
                     ((a, b), 0, 13, 9), ((b, a), 0, 9, 13),
                     ((a, b), 2, 13, 9), ((a, (b - a) % r), 0, 13, 22))]
             ok = ok and h[0] == h[1] and h[2] == h[3]
     for r, c1 in ((2, (1, 1)), (3, (1, 2))):
         closed = genfun_at_polarization(r, c1, 1, J, qq(2))
         marched = genfun_by_wall_march(r, c1, 1, J, qq(2))
-        ok = ok and closed.series.eq_to_cutoff(marched.series, qq(2))
+        ok = ok and closed.eq_to_cutoff(marched, qq(2))
     # the solved recursion serves every suitable series and wall-crossing
     # base; the subtraction checks it, class by class
     for r in (2, 3, 4):

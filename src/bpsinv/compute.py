@@ -25,16 +25,17 @@ def sigma_genfun(r, c1, ell, J, cutoff):
     chamber supports r <= 4, generic polarizations r <= 3 (above that only
     the wall march exists there, with no second route to check it).  The
     result depends on c1 mod r only, and so do the memo keys; in the
-    suitable chamber it does not depend on ell either, and the series is
-    tagged here."""
+    suitable chamber it does not depend on ell either.  Every stage returns
+    a bare series, tagged here."""
     c1 = tuple(c % r for c in c1)
     if J == SUITABLE:
-        return GenFun(surface=Surface.hirzebruch(ell), r=r, c1=c1, J=SUITABLE,
-                      flavor=Flavor.OMEGA_BAR,
-                      series=suitable_genfun_closed(r, c1, qq(cutoff)))
-    if r > 3:
+        series = suitable_genfun_closed(r, c1, qq(cutoff))
+    elif r > 3:
         raise WallError("generic polarizations support r <= 3")
-    return genfun_at_polarization(r, c1, ell, J, qq(cutoff))
+    else:
+        series = genfun_at_polarization(r, c1, ell, J, qq(cutoff))
+    return GenFun(surface=Surface.hirzebruch(ell), r=r, c1=c1, J=J,
+                  flavor=Flavor.OMEGA_BAR, series=series)
 
 
 def sigma_omega_genfun(r, c1, ell, J, cutoff):

@@ -152,9 +152,9 @@ class Polarization:
     infinitesimal eps added to n; m = 0 stands for m = eps.
 
     SUITABLE = J_{eps,1} is the suitable chamber near the fibre;
-    NEAR_PULLBACK = J_{1,eps} is the chamber next to PULLBACK_H = J_{1,0},
-    the pullback of the plane's hyperplane class, a boundary point used
-    only for mu-stability."""
+    NEAR_PULLBACK = J_{1,eps} is the chamber next to J_{1,0}, the pullback
+    of the plane's hyperplane class, a boundary point used only for
+    mu-stability."""
 
     m: object
     n: object
@@ -187,7 +187,6 @@ class Polarization:
 
 SUITABLE = Polarization(0, 1)          # J_{eps,1}
 NEAR_PULLBACK = Polarization(1, 0, 1)  # J_{1,eps}
-PULLBACK_H = Polarization(1, 0)        # J_{1,0}
 
 
 # ---------------------------------------------------------------------------

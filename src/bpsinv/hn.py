@@ -18,7 +18,8 @@ one, serves the pipeline: the suitable chamber, every wall-crossing base and
 the march's starting states.  Route (a) guards it and never calls it, so
 their agreement stays a check.  Neither takes a surface: the fibre quotient
 depends on r alone and chi_top = 4 on every Sigma_ell, so one series per
-class serves every Sigma_ell, and ``compute.sigma_genfun`` attaches the tag.
+class serves every Sigma_ell.  Like every stage below the entry points, they
+return a bare series, and ``compute.sigma_genfun`` attaches the tag.
 
 Each route is a q-free table of weights, memoized on (r, c1[1] mod r)
 alone, summed by ``_product_sum`` over products of its pieces' series.

@@ -3,8 +3,8 @@
 Flavors: OMEGA_BAR is the rational multi-cover invariant carried by all
 modular generating functions; OMEGA is the integer refined invariant obtained
 by inverting the multi-cover sum (``omega_genfun``, one recursion over the
-classes (r/m, c1/m)); STACK_MU is the virtual count of the mu semi-stable
-stack (stacky coefficients, never tabulated directly)."""
+classes (r/m, c1/m)).  The mu-stack counts of ``blowup`` are intermediate
+series and carry no flavor."""
 
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -27,7 +27,6 @@ class InvariantError(ValueError):
 class Flavor(Enum):
     OMEGA_BAR = "omegabar"
     OMEGA = "omega"
-    STACK_MU = "stack_mu"
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ Two independent routes up to rank 3; above it, the march alone:
 The delta is the filtration sum along the wall's line of slopes,
 ``line_filtrations``, which the mu-stack conversion of ``blowup`` shares,
 walked once: the wall's ascending side is its w -> 1/w mirror.
+
+Both routes return the bare series; ``compute.sigma_genfun`` tags it.
 """
 
 from itertools import product as iproduct
@@ -27,7 +29,6 @@ from .blocks import fibre_quotient
 from .exactq import qq
 from .geometry import GeometryError, Surface, piece_cutoff, walls_between
 from .hn import _compositions, _product_sum, suitable_genfun_closed
-from .invariants import Flavor, GenFun
 from .memo import memo
 from .series import WRAT_ZERO, QSeries, WRat, _grid
 
@@ -62,13 +63,11 @@ def genfun_at_polarization(r, c1, ell, J, cutoff):
     r = int(r)
     surface = Surface.hirzebruch(ell)
     beta, alpha = (c1[0] % r, c1[1] % r)
-    tag = dict(surface=surface, r=r, c1=(beta, alpha), J=J,
-               flavor=Flavor.OMEGA_BAR)
     if r == 1:
-        return GenFun(series=fibre_quotient(1, cutoff), **tag)
+        return fibre_quotient(1, cutoff)
     base = suitable_genfun_closed(r, (beta, alpha), cutoff)
     if J.slope() is None:
-        return GenFun(series=base, **tag)
+        return base
     if J.is_boundary:
         raise WallError("polarization on wall")
     if r > 3:
@@ -100,7 +99,7 @@ def genfun_at_polarization(r, c1, ell, J, cutoff):
         window = fibre_quotient(1, h1_cut) * (window + _product_sum(
             {k: QSeries.from_grid(poly) for k, poly in by_class.items()},
             lambda cls: suitable_genfun_closed(2, cls, cut2)))
-    return GenFun(series=(base + window).truncate(cutoff), **tag)
+    return (base + window).truncate(cutoff)
 
 
 def _terms(r, ell, points):
@@ -255,10 +254,8 @@ def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
     r = int(r)
     surface = Surface.hirzebruch(ell)
     beta, alpha = (c1[0] % r, c1[1] % r)
-    tag = dict(surface=surface, r=r, c1=(beta, alpha), J=J_target,
-               flavor=Flavor.OMEGA_BAR)
     if r == 1:
-        return GenFun(series=fibre_quotient(1, cutoff), **tag)
+        return fibre_quotient(1, cutoff)
     # one state per class of each rank below r, at the cutoff a rank-r
     # product needs, and the target
     states = {(1, (0, 0)): fibre_quotient(
@@ -284,4 +281,4 @@ def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
             if s > 1 and omega in jumps[s]:
                 states[(s, key)] = states[(s, key)] + _wall_delta(
                     s, key, omega, surface, bound, old, states)
-    return GenFun(series=states[target].truncate(cutoff), **tag)
+    return states[target].truncate(cutoff)

@@ -140,12 +140,12 @@ def test_criterion_5d_closed_vs_iterated_wallcrossing():
             for cls in [(0, 0), (1, 0), (0, 1), (1, 1)]:
                 closed = genfun_at_polarization(2, cls, ell, J, cut2)
                 marched = genfun_by_wall_march(2, cls, ell, J, cut2)
-                _assert_routes_agree(closed.series, marched.series, cut2,
+                _assert_routes_agree(closed, marched, cut2,
                                      (2, ell, cls, J))
             for cls in [(0, 0), (1, 2)]:
                 closed = genfun_at_polarization(3, cls, ell, J, cut3)
                 marched = genfun_by_wall_march(3, cls, ell, J, cut3)
-                _assert_routes_agree(closed.series, marched.series, cut3,
+                _assert_routes_agree(closed, marched, cut3,
                                      (3, ell, cls, J))
     _report(5, "(d) closed wall-crossing = iterated crossing, 4 chambers, "
                "ell in {0,1,2}, 6 orders")

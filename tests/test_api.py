@@ -80,6 +80,28 @@ def test_imports_are_stdlib_or_relative():
     assert not foreign, foreign
 
 
+def test_series_are_tagged_only_at_the_two_entry_points():
+    # every stage below sigma_genfun and p2_genfun returns a bare series, so
+    # those two alone build a GenFun, and wallcross needs no invariants
+    builders = []
+    for path in sorted(pathlib.Path(bpsinv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            builders += ["%s.%s" % (path.stem, getattr(top, "name", "<module>"))
+                         for node in ast.walk(top)
+                         if isinstance(node, ast.Call) and "GenFun" in (
+                             getattr(node.func, "id", None),
+                             getattr(node.func, "attr", None))]
+        if path.stem == "wallcross":
+            imported = [node for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom)]
+            assert imported
+            assert not [node.module for node in imported
+                        if node.module == "invariants" or any(
+                            a.name == "invariants" for a in node.names)]
+    assert sorted(builders) == ["blowup.p2_genfun", "compute.sigma_genfun"]
+
+
 def test_int_and_rational_cutoffs_share_results_and_memo_entries():
     # a cutoff is an exact rational at the API edge; an int is the same key
     cases = ((lambda c: p2_table(3, 0, c), p2_genfun, 6),

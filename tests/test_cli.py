@@ -16,7 +16,7 @@ import bpsinv
 import bpsinv.cli as cli
 from bpsinv.cli import MAX_QORDERS, main
 from bpsinv.exactq import QQ, qq
-from bpsinv.geometry import NEAR_PULLBACK, PULLBACK_H, SUITABLE, Polarization
+from bpsinv.geometry import NEAR_PULLBACK, SUITABLE, Polarization
 from bpsinv.blowup import p2_genfun
 from bpsinv.hn import suitable_genfun_closed, suitable_genfun_recursive
 from bpsinv.invariants import InvariantError
@@ -364,8 +364,8 @@ def test_polarization_spellings_share_a_cache_entry(tmp_path, monkeypatch,
 def test_polarization_encoding_and_cache_key_are_pinned(tmp_path, capsys):
     # stored entries stay hits only while these bytes and this key hold
     objs = [dumps(polarization_to_obj(J)) for J in (
-        SUITABLE, NEAR_PULLBACK, PULLBACK_H, Polarization.generic(13, 9),
-        Polarization.generic("26/2", 9))]
+        SUITABLE, NEAR_PULLBACK, Polarization(1, 0),
+        Polarization.generic(13, 9), Polarization.generic("26/2", 9))]
     assert objs == ['"suitable"', '{"m":["1","0"],"n":["0","1"]}',
                     '{"m":["1","0"],"n":["0","0"]}',
                     '{"m":["13","0"],"n":["9","0"]}',

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bpsinv.exactq import qq
 from bpsinv.geometry import (
     SUITABLE, Surface, ChernVector, Polarization, NEAR_PULLBACK,
-    PULLBACK_H, discriminant, expected_dimension, twist_reduce, walls_between,
+    discriminant, expected_dimension, twist_reduce, walls_between,
     GeometryError,
 )
 
@@ -113,7 +113,7 @@ def test_polarization_validation():
         Polarization.generic(0, 1)
     with pytest.raises(GeometryError):
         Polarization.generic(1, -1)
-    assert PULLBACK_H.is_boundary
+    assert Polarization(1, 0).is_boundary
     assert not NEAR_PULLBACK.is_boundary
 
 
@@ -126,7 +126,7 @@ def test_polarization_slope_is_stored_but_not_compared():
     assert J.slope() == K.slope() == (qq(9, 13), 0)
     assert J != Polarization.generic(9, 13)
     assert SUITABLE.slope() is None and NEAR_PULLBACK.slope() == (0, 1)
-    assert PULLBACK_H.slope() == (0, 0)
+    assert Polarization(1, 0).slope() == (0, 0)
     assert repr(J) == \
         "Polarization(m=Fraction(13, 1), n=Fraction(9, 1), e=0)"
 

@@ -3,6 +3,7 @@ from itertools import product as iproduct
 import pytest
 
 from bpsinv import clear_caches, wallcross
+from bpsinv.blocks import fibre_quotient
 from bpsinv.exactq import qq
 from bpsinv.geometry import (
     ChernVector, Polarization, SUITABLE, NEAR_PULLBACK, Surface,
@@ -36,11 +37,11 @@ def test_lattice_symmetries_across_ell():
     J = Polarization.generic
     for r, c in ((2, qq(3)), (3, qq(3)), (4, qq(2))):
         for a, b in iproduct(range(r), repeat=2):
-            assert genfun_at_polarization(r, (a, b), 0, J(13, 9), c).series \
-                == genfun_at_polarization(r, (b, a), 0, J(9, 13), c).series
-            assert genfun_at_polarization(r, (a, b), 2, J(13, 9), c).series \
+            assert genfun_at_polarization(r, (a, b), 0, J(13, 9), c) \
+                == genfun_at_polarization(r, (b, a), 0, J(9, 13), c)
+            assert genfun_at_polarization(r, (a, b), 2, J(13, 9), c) \
                 == genfun_at_polarization(
-                    r, (a, (b - a) % r), 0, J(13, 22), c).series, (r, a, b)
+                    r, (a, (b - a) % r), 0, J(13, 22), c), (r, a, b)
 
 
 def test_suitable_chamber_reproduces_base():
@@ -49,7 +50,7 @@ def test_suitable_chamber_reproduces_base():
             h = genfun_at_polarization(2, (beta, alpha), ell,
                                        far_chamber(ell), qq(2))
             base = suitable_genfun_recursive(2, (beta, alpha), qq(2))
-            assert h.series.eq_to_cutoff(base, qq(2)), (ell, beta, alpha)
+            assert h.eq_to_cutoff(base, qq(2)), (ell, beta, alpha)
 
 
 def test_on_wall_polarization_rejected():
@@ -67,7 +68,7 @@ def test_window_terms_nonzero_off_suitable():
     h = genfun_at_polarization(2, (1, 0), 1, NEAR_PULLBACK, qq(2))
     base = suitable_genfun_recursive(2, (1, 0), qq(2))
     assert base.is_zero()
-    assert not h.series.is_zero()
+    assert not h.is_zero()
 
 
 def _points_or_wall(window, args):
@@ -108,7 +109,7 @@ def test_rank3_window_matches_the_per_polarization_formula():
     c = qq(4)
     for ell, (beta, alpha), J in iproduct(
             (0, 1, 2), iproduct(range(3), repeat=2), targets):
-        assert genfun_at_polarization(3, (beta, alpha), ell, J, c).series \
+        assert genfun_at_polarization(3, (beta, alpha), ell, J, c) \
             == rank3_by_chambers(beta, alpha, ell, J, c), (ell, beta, alpha, J)
     # a cold call: its ten window points read only the rank-3 base and the
     # rank-2 classes mod 2
@@ -121,12 +122,19 @@ def test_rank3_window_matches_the_per_polarization_formula():
 def test_two_routes_rank2():
     targets = [Polarization.generic(13, 9), Polarization.generic(9, 13),
                Polarization.generic(21, 8), NEAR_PULLBACK]
+    # rank 1 crosses no wall: both routes give h1 at every kind of J, the
+    # boundary J_{1,0} included, and raise no WallError there
+    h1 = fibre_quotient(1, qq(2))
+    for ell, c1, J in iproduct((0, 1, 2), ((0, 0), (1, 2)), (
+            targets[0], NEAR_PULLBACK, Polarization(1, 0))):
+        assert genfun_at_polarization(1, c1, ell, J, qq(2)) == h1, (ell, J)
+        assert genfun_by_wall_march(1, c1, ell, J, qq(2)) == h1, (ell, J)
     for ell in (0, 1, 2):
         for (beta, alpha) in [(0, 0), (1, 0), (0, 1), (1, 1)]:
             for J in targets:
                 closed = genfun_at_polarization(2, (beta, alpha), ell, J, qq(2))
                 marched = genfun_by_wall_march(2, (beta, alpha), ell, J, qq(2))
-                assert closed.series.eq_to_cutoff(marched.series, qq(2)), \
+                assert closed.eq_to_cutoff(marched, qq(2)), \
                     (ell, beta, alpha, J)
 
 
@@ -140,7 +148,7 @@ def test_two_routes_rank3():
                                                 qq(3, 2))
                 marched = genfun_by_wall_march(3, (beta, alpha), ell, J,
                                                qq(3, 2))
-                assert closed.series.eq_to_cutoff(marched.series, qq(3, 2)), \
+                assert closed.eq_to_cutoff(marched, qq(3, 2)), \
                     (ell, beta, alpha, J)
 
 
@@ -224,5 +232,5 @@ def test_wallcross_delta_matches_closed_route():
     before = genfun_at_polarization(2, (1, 1), 1, J_hi, qq(3))
     after = genfun_at_polarization(2, (1, 1), 1, J_lo, qq(3))
     e = exponent_of(g, S1)
-    jump = after.series.coeff(e) - before.series.coeff(e)
+    jump = after.coeff(e) - before.coeff(e)
     assert jump == wallcross_delta(g, J_hi, J_lo, S1, cutoff=qq(3))
