@@ -4,9 +4,8 @@ Hirzebruch surfaces and the projective plane."""
 from .series import QSeries, VPoly, WRat
 from .geometry import ChernVector, Polarization, Surface, SUITABLE
 from .invariants import Flavor, GenFun, InvariantTable, extract_table
-from .blowup import p2_genfun
 from .compute import (
-    default_cutoff, p2_omega_genfun, p2_table, sigma_genfun,
+    default_cutoff, p2_genfun, p2_omega_genfun, p2_table, sigma_genfun,
     sigma_omega_genfun, sigma_table,
 )
 from .memo import clear_caches

@@ -9,11 +9,13 @@ i * theta_hat(k).  Every displayed formula downstream resolves to theta_hat
 and eta with total phase +1; coefficients stay rational throughout, which the
 constructors assert implicitly by living in WRat.
 
-Each block is a bare series, memoized on its arguments but the cutoff; the
-fibre quotient on r alone, as neither c1 nor ell enters it: one entry serves
-every class on every Sigma_ell, and its r = 1 entry is h1 there.  The
-quotients are built as a ladder, each rank from the one below, so the only
-series ever inverted are the sparse sums eta and theta_hat(k); each
+Each block is a bare series.  Those that every rank shares are memoized on
+their arguments but the cutoff; the fibre quotient on r alone, as neither
+c1 nor ell enters it: one entry serves every class on every Sigma_ell, and
+its r = 1 entry is h1 there.  theta_hat(k) is read only through the memo of
+its inverse, and B_{r,k} once per plane series, so neither is memoized.
+The quotients are built as a ladder, each rank from the one below, so the
+only series ever inverted are the sparse sums eta and theta_hat(k); each
 1/theta_hat(k) is one entry, and 1/theta_hat(1) is h1 on the plane.
 """
 
@@ -44,7 +46,6 @@ def eta_series(cutoff) -> QSeries:
          for m in range(1, top + 1) if gcd(m, 6) == 1}, cutoff)
 
 
-@memo
 def theta_hat(k, cutoff) -> QSeries:
     """Jacobi's triple product as its sum over odd m > 0 of
     (-1)^((m-1)/2) q^(m^2/8) (w^(km) - w^(-km))."""
@@ -85,7 +86,6 @@ def fibre_quotient(r, cutoff) -> QSeries:
             * inverse_theta_hat(r, top - qq(1, 8))).truncate(cutoff)
 
 
-@memo
 def blowup_factor(r, k, cutoff) -> QSeries:
     """B_{r,k} = eta^-r sum over (a_1..a_r), sum a_i = 0, a_i in Z + k/r, of
     q^(-sum_{i<j} a_i a_j) w^(sum_{i<j} (a_i - a_j)).
@@ -97,8 +97,9 @@ def blowup_factor(r, k, cutoff) -> QSeries:
     definite on the sum-zero lattice, so points outside a finite ball exceed
     the cutoff."""
     r, k = int(r), int(k) % int(r)
-    # eta^-r at c keeps c + (r-1)/24 - r/12; the lattice sum starts at q^>=0
-    eta_inv = (eta_series(cutoff + qq(r + 1, 24)) ** r).invert()
+    # eta^-1 at c keeps c - 1/12, and its r-th power c - (r+1)/24; the
+    # lattice sum starts at q^>=0
+    eta_inv = eta_series(cutoff + qq(r + 1, 24)).invert() ** r
     theta_cut = cutoff - eta_inv.leading_exponent()
     # a point is kept when sum b_i^2 / (2 r^2) < theta_cut, i.e. below lim;
     # the last b_i is fixed by the sum, which also puts it in the class k

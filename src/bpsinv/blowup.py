@@ -18,8 +18,11 @@ Every step is written for any rank, but q-exponents stay on the 1/24 grid
 only up to rank 4 (rank 5 raises SeriesError); above rank 3 the chamber
 functions come from the wall march.  The CLI accepts r <= 3 on the plane.
 
-Each step returns a bare series; only ``p2_genfun``, the plane's entry
-point, tags its result with the surface, class and flavor.
+Each step returns a bare series, and so does ``p2_series``, which chains
+them; ``compute.p2_genfun``, the plane's entry point, tags its result.
+``p2_series`` is the one memoized stage here: the reverse conversion reads
+it for every lower rank, and a table reads it for each multi-cover
+divisor.
 """
 
 from math import factorial
@@ -28,13 +31,13 @@ from .exactq import qq
 from .blocks import blowup_factor, inverse_theta_hat
 from .geometry import NEAR_PULLBACK, Surface, piece_cutoff
 from .hn import _compositions, _product_sum
-from .invariants import Flavor, GenFun, InvariantError
+from .invariants import InvariantError
 from .memo import memo
 from .wallcross import genfun_at_polarization, line_filtrations
 
 __all__ = [
     "BlowupError", "gieseker_to_mu", "blowup_divide", "mu_to_gieseker",
-    "p2_genfun",
+    "p2_series",
 ]
 
 P2 = Surface.p2()
@@ -45,7 +48,6 @@ class BlowupError(InvariantError):
     pass
 
 
-@memo
 def gieseker_to_mu(r, c1, cutoff):
     """H^mu_{r,c1}(J_{1,0}) on the blown-up plane from the J_{1,eps} chamber
     functions: the filtration sum along the line c1/r + Q C, pieces of equal
@@ -98,28 +100,24 @@ def mu_to_gieseker(hmu_p2, r, x, cutoff):
             coeffs[key] = coeffs.get(key, 0) + qq(1, factorial(len(ranks)))
     series = hmu_p2 - _product_sum(
         {ranks: coeffs[ranks] for ranks in sorted(coeffs, reverse=True)},
-        lambda ri: p2_genfun(ri, (ri * x // r) % ri,
-                             piece_cutoff(cutoff, r, ri, P2)).series)
+        lambda ri: p2_series(ri, (ri * x // r) % ri,
+                             piece_cutoff(cutoff, r, ri, P2)))
     return series.truncate(cutoff)
 
 
 @memo
-def p2_genfun(r, x, cutoff, route_k=None):
-    """h_{r,xH}(z,tau; P^2), rational multi-cover flavor, by wall-crossing to
-    the J_{1,eps} chamber, the mu-stack conversion, blow-up division, and the
-    reverse conversion.  route_k selects the exceptional-class residue of the
+def p2_series(r, x, cutoff, route_k=None):
+    """The series of h_{r,xH}(z,tau; P^2), rational multi-cover flavor, by
+    wall-crossing to the J_{1,eps} chamber, the mu-stack conversion, blow-up
+    division, and the reverse conversion.  route_k selects the exceptional-class residue of the
     blown-up-plane route; the default makes the Sigma_1 class (x-k)C + xf
     carry C-coefficient x-1."""
     r = int(r)
     x = int(x) % r
     if r == 1:
         # h1 = 1/theta_hat(1) on the plane
-        series = inverse_theta_hat(1, cutoff)
-    else:
-        k = (x - 1) % r if route_k is None else int(route_k) % r
-        hmu = gieseker_to_mu(r, (x - k, x), cutoff + _lead_of_B(r, k))
-        series = mu_to_gieseker(blowup_divide(hmu, r, k, cutoff), r, x,
-                                cutoff)
-    return GenFun(surface=P2, r=r, c1=(x,), J=None, flavor=Flavor.OMEGA_BAR,
-                  series=series)
+        return inverse_theta_hat(1, cutoff)
+    k = (x - 1) % r if route_k is None else int(route_k) % r
+    hmu = gieseker_to_mu(r, (x - k, x), cutoff + _lead_of_B(r, k))
+    return mu_to_gieseker(blowup_divide(hmu, r, k, cutoff), r, x, cutoff)
 

@@ -15,10 +15,10 @@ import time
 from functools import cache
 
 from .exactq import QQ, qq
-from .blowup import p2_genfun
+from .blowup import p2_series
 from .cache import ResultCache
 from .compute import (
-    default_cutoff, p2_omega_genfun, p2_table, sigma_genfun,
+    default_cutoff, p2_genfun, p2_omega_genfun, p2_table, sigma_genfun,
     sigma_omega_genfun,
 )
 from .geometry import GeometryError, Polarization, SUITABLE, Surface
@@ -252,10 +252,10 @@ def _suite_routes():
             ok = ok and suitable_genfun_closed(r, c1, qq(2)) \
                 == suitable_genfun_recursive(r, c1, qq(2))
     for r, x, cut in ((3, 1, qq(2)), (2, 0, qq(3))):
-        hA, hB = (p2_genfun(r, x, cut, route_k=k).series for k in (0, 1))
+        hA, hB = (p2_series(r, x, cut, route_k=k) for k in (0, 1))
         ok = ok and hA.eq_to_cutoff(hB, cut)
     # rank 4 on the plane runs the general-rank march: four routes
-    hs = [p2_genfun(4, 1, qq(3), route_k=k).series for k in range(4)]
+    hs = [p2_series(4, 1, qq(3), route_k=k) for k in range(4)]
     return ok and all(h.cutoff >= 3 and h.eq_to_cutoff(hs[0], qq(3))
                       for h in hs)
 

@@ -3,14 +3,14 @@ and polarization.  The integer flavors hand a dispatcher to
 ``invariants.omega_genfun``, which asks it for (r, c1) and each (r/m, c1/m)."""
 
 from .exactq import qq
-from .blowup import p2_genfun
+from .blowup import p2_series
 from .geometry import SUITABLE, Surface
 from .hn import suitable_genfun_closed
 from .invariants import Flavor, GenFun, extract_table, omega_genfun
 from .wallcross import WallError, genfun_at_polarization
 
 __all__ = [
-    "sigma_genfun", "sigma_omega_genfun", "sigma_table",
+    "sigma_genfun", "sigma_omega_genfun", "sigma_table", "p2_genfun",
     "p2_omega_genfun", "p2_table", "default_cutoff",
 ]
 
@@ -46,6 +46,16 @@ def sigma_omega_genfun(r, c1, ell, J, cutoff):
 
 def sigma_table(r, c1, ell, J, cutoff):
     return extract_table(sigma_omega_genfun(r, c1, ell, J, cutoff))
+
+
+def p2_genfun(r, x, cutoff, route_k=None):
+    """Rational-invariant generating function on the plane; route_k selects
+    the blown-up-plane route of ``blowup.p2_series``, whose series is tagged
+    here."""
+    series = p2_series(r, x, cutoff, route_k)
+    r = int(r)
+    return GenFun(surface=Surface.p2(), r=r, c1=(int(x) % r,), J=None,
+                  flavor=Flavor.OMEGA_BAR, series=series)
 
 
 def p2_omega_genfun(r, x, cutoff):

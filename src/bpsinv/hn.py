@@ -25,7 +25,6 @@ Each route is a q-free table of weights, memoized on (r, c1[1] mod r)
 alone, summed by ``_product_sum`` over products of its pieces' series.
 """
 
-from collections import Counter, defaultdict
 from functools import cache
 from itertools import accumulate, product as iproduct
 from math import factorial, gcd, lcm, prod
@@ -33,9 +32,8 @@ from math import factorial, gcd, lcm, prod
 from .exactq import qq
 from .blocks import fibre_quotient
 from .geometry import GeometryError, Surface, piece_cutoff
-from .intpoly import _canonical
 from .memo import memo
-from .series import QSeries, WRat, _wrat
+from .series import WRAT_ONE, WRAT_ZERO, QSeries, VPoly, WRat
 
 __all__ = [
     "M", "suitable_genfun_recursive", "suitable_genfun_closed",
@@ -101,34 +99,29 @@ def _lattice_sum(block_ranks, phis, alpha, D):
     alpha = R s_B + sum_c P_c u_c, the w-weight w^(2 sum_{i<j} r_i r_j
     (s_j - s_i)) factors into geometric series with ratio w^(-2 P_c (R-P_c) R)
     per difference variable, split over residues of u_c mod R.  Returned as
-    (ks, counts): the sum is sum_e counts[e] v^e (v^2 = w, counts ints)
-    over prod_{k in ks} (v^k - 1), as 1 / (1 - v^-k) = v^k / (v^k - 1)."""
+    the WRat sum_e v^e / prod_c (v^(k_c) - 1), v^2 = w and
+    k_c = 4 P_c (R - P_c) R, as 1 / (1 - v^-k) = v^k / (v^k - 1)."""
     R_blocks = [sum(b) for b in block_ranks]
     R = sum(R_blocks)
     P = list(accumulate(R_blocks[:-1]))
-    ks, counts = tuple(4 * p * (R - p) * R for p in P), Counter()
+    ks = [4 * p * (R - p) * R for p in P]
     if not P:
-        return ks, {0: 1} if alpha * (D // R) % D == phis[0] else {}
+        return WRAT_ONE if alpha * (D // R) % D == phis[0] else WRAT_ZERO
     # D times the fractional parts {phi_c - phi_(c+1)}, with 0 read as 1
     delta0 = [(phis[c] - phis[c + 1]) % D or D for c in range(len(P))]
     T, rem = divmod(alpha * D - R * phis[-1]
                     - sum(p * d for p, d in zip(P, delta0)), D)
     if rem:
-        return ks, counts
+        return WRAT_ZERO
+    counts = {}
     for rhos in iproduct(range(R), repeat=len(P)):
         if (sum(p * rho for p, rho in zip(P, rhos)) - T) % R == 0:
             # exact: w^(2 sum_{i<j} (r_i d_j - r_j d_i)), d_i fibre degrees
-            counts[sum(4 * p * (R - p) * (R * D - d - rho * D)
-                       for p, d, rho in zip(P, delta0, rhos)) // D] += 1
-    return ks, counts
-
-
-def _times_binomials(f, ks):
-    """f prod_k (v^k - 1)^ks[k], polynomials as Counters {exponent: int}."""
-    for k in ks.elements():
-        f, g = Counter({j + k: y for j, y in f.items()}), f
-        f.subtract(g)
-    return f
+            e = sum(4 * p * (R - p) * (R * D - d - rho * D)
+                    for p, d, rho in zip(P, delta0, rhos)) // D
+            counts[e] = counts.get(e, 0) + 1
+    return WRat(VPoly(counts), prod(
+        (VPoly({k: 1, 0: -1}) for k in ks), start=VPoly({0: 1})))
 
 
 def _phi_choices(block, D):
@@ -138,44 +131,27 @@ def _phi_choices(block, D):
 
 @memo
 def subtraction_terms(r, alpha):
-    """Aggregated extended-HN subtraction weights at the suitable chamber for
-    target c1 = alpha f, keyed by the multiset of pieces (rank, f-residue).
+    """Extended-HN subtraction weights at the suitable chamber for target
+    c1 = alpha f, keyed by the multiset of pieces (rank, f-residue).
 
     Each ordered rank composition with a pattern of equal-slope blocks and a
     fractional slope per block contributes its lattice sum times
     1/prod(block size)!; these are exactly the term lists written out case by
-    case in low rank.  A key's lattice sums are added as int counts over r!,
-    per shape denominator, and reduced once."""
-    sums = defaultdict(lambda: defaultdict(Counter))
-    D, F = lcm(*range(1, r + 1)), factorial(r)
+    case in low rank."""
+    D, out = lcm(*range(1, r + 1)), {}
     for ranks in _compositions(r):
         if len(ranks) < 2:
             continue
         for pattern in _compositions(len(ranks)):
             blocks = [ranks[e - n:e]
                       for n, e in zip(pattern, accumulate(pattern))]
-            scale = F // prod(factorial(n) for n in pattern)
+            aut = prod(factorial(n) for n in pattern)
             for phis in iproduct(*[_phi_choices(b, D) for b in blocks]):
-                ks, counts = _lattice_sum(blocks, phis, alpha, D)
                 key = tuple(sorted((ri, ri * phi // D % ri) for b, phi
                                    in zip(blocks, phis) for ri in b))
-                for e, c in counts.items():
-                    sums[key][ks][e] += scale * c
-    # each key over prod_k (v^k - 1)^(the most k in one of its shapes): the
-    # int numerators are added, then reduced once
-    out = {}
-    for key, shapes in sums.items():
-        top, N = Counter(), Counter()
-        for ks in shapes:
-            top |= Counter(ks)
-        for ks, counts in shapes.items():
-            N.update(_times_binomials(counts, top - Counter(ks)))
-        N = tuple(zip(*sorted((e, c) for e, c in N.items() if c)))
-        if N:
-            den = _times_binomials(Counter({0: 1}), top)
-            den = tuple(den[e] for e in range(max(den) + 1))
-            out[key] = _wrat(*_canonical(N, F, den))
-    return out
+                weight = _lattice_sum(blocks, phis, alpha, D) / aut
+                out[key] = out[key] + weight if key in out else weight
+    return {key: weight for key, weight in out.items() if weight}
 
 
 @memo

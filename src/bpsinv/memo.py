@@ -1,12 +1,15 @@
-"""The one memo of the pipeline's stages, monotone in precision."""
+"""The one memo of the pipeline's stages, monotone in precision.
 
-from dataclasses import replace
+A stage is memoized only where its results are read again, by another
+rank, class, cutoff or request: the shared blocks, the weight tables, h1^2,
+the suitable-chamber and wall-crossed series, and the plane series that the
+reverse conversion reads for each lower rank."""
+
 from functools import update_wrapper
 from inspect import signature
 from types import SimpleNamespace
 
 from .exactq import qq
-from .series import QSeries
 
 __all__ = ["memo", "clear_caches"]
 
@@ -15,9 +18,9 @@ _MEMOS = []
 
 def memo(fn):
     """Memoize a stage on its arguments, defaults applied, keyed on all but
-    ``cutoff``.  A key keeps its deepest result (c', v) and serves c <= c' as
-    v truncated at v.cutoff - (c' - c): a stage's result cutoff sits a fixed
-    distance from the one asked for."""
+    ``cutoff``.  A stage returns a bare series at exactly the cutoff asked
+    for; a key keeps its deepest result (c', v) and serves c <= c' as v
+    truncated at c."""
     sig, table, info = signature(fn), {}, SimpleNamespace(hits=0, misses=0)
 
     def wrapper(*args, **kwargs):
@@ -30,7 +33,7 @@ def memo(fn):
         if key in table and (cut is None or table[key][0] >= cut):
             info.hits += 1
             deep, value = table[key]
-            return value if deep == cut else _truncated(value, deep - cut)
+            return value if deep == cut else value.truncate(cut)
         info.misses += 1
         table[key] = (cut, fn(*bound.args, **bound.kwargs))
         return table[key][1]
@@ -43,12 +46,6 @@ def memo(fn):
     wrapper.cache_clear = cache_clear
     _MEMOS.append(wrapper)
     return update_wrapper(wrapper, fn)
-
-
-def _truncated(value, loss):
-    if isinstance(value, QSeries):
-        return value.truncate(value.cutoff - loss)
-    return replace(value, series=_truncated(value.series, loss))
 
 
 def clear_caches():

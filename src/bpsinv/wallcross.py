@@ -48,8 +48,9 @@ _QDEN = {2: 4, 3: 12}
 
 @memo
 def _h1_squared(cutoff):
-    """h1^2, shared by the rank-2 window sums of every Sigma_ell."""
-    return fibre_quotient(1, cutoff) ** 2
+    """h1^2, shared by the rank-2 window sums of every Sigma_ell; h1 leads
+    with q^(-1/6), so its square at c needs it at c + 1/6."""
+    return fibre_quotient(1, cutoff + qq(1, 6)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +93,13 @@ def genfun_at_polarization(r, c1, ell, J, cutoff):
                 2, cls[0], -cls[1] % 2, ell, (qq(abs(y), abs(x)), 0),
                 Ebound, True)):
             inner[E + E2] = inner.get(E + E2, WRAT_ZERO) + c * c2
-    h1_cut = piece_cutoff(cutoff, r, 1, surface)
-    window = _h1_squared(h1_cut) * QSeries.from_grid(inner)
+    cut2 = piece_cutoff(cutoff, r, 2, surface)
+    window = _h1_squared(cut2) * QSeries.from_grid(inner)
     if r == 3:
-        cut2 = piece_cutoff(cutoff, 3, 2, surface)
-        window = fibre_quotient(1, h1_cut) * (window + _product_sum(
-            {k: QSeries.from_grid(poly) for k, poly in by_class.items()},
-            lambda cls: suitable_genfun_closed(2, cls, cut2)))
+        window = fibre_quotient(1, piece_cutoff(cutoff, 3, 1, surface)) * (
+            window + _product_sum(
+                {k: QSeries.from_grid(poly) for k, poly in by_class.items()},
+                lambda cls: suitable_genfun_closed(2, cls, cut2)))
     return (base + window).truncate(cutoff)
 
 

@@ -7,8 +7,7 @@ import time
 
 from bpsinv.exactq import qq
 from bpsinv.blocks import fibre_quotient
-from bpsinv.blowup import p2_genfun
-from bpsinv.compute import p2_table, sigma_genfun, sigma_table
+from bpsinv.compute import p2_genfun, p2_table, sigma_genfun, sigma_table
 from bpsinv.geometry import NEAR_PULLBACK, Polarization, SUITABLE, Surface
 from bpsinv.hn import suitable_genfun_closed, suitable_genfun_recursive
 from bpsinv.invariants import extract_table, omega_genfun

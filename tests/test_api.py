@@ -13,7 +13,7 @@ import sys
 
 import bpsinv
 from bpsinv import clear_caches, p2_table, sigma_table
-from bpsinv.blowup import p2_genfun
+from bpsinv.blowup import p2_series
 from bpsinv.exactq import QQ, qq
 from bpsinv.geometry import SUITABLE
 from bpsinv.hn import suitable_genfun_closed
@@ -22,9 +22,9 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 MEMOIZED_STAGES = (
     "blocks.eta_series", "blocks.inverse_theta_hat", "blocks.fibre_quotient",
-    "hn.suitable_genfun_closed", "hn.suitable_genfun_recursive",
-    "wallcross.genfun_at_polarization", "blowup.gieseker_to_mu",
-    "blowup.p2_genfun",
+    "hn.subtraction_terms", "hn.suitable_genfun_recursive",
+    "hn.closed_terms", "hn.suitable_genfun_closed", "wallcross._h1_squared",
+    "wallcross.genfun_at_polarization", "blowup.p2_series",
 )
 
 
@@ -38,10 +38,13 @@ def test_every_export_resolves():
 
 
 def test_memoized_stages_keep_cache_info():
+    fns = []
     for path in MEMOIZED_STAGES:
         module, name = path.split(".")
-        fn = getattr(importlib.import_module("bpsinv." + module), name)
-        assert callable(getattr(fn, "cache_info", None)), path
+        fns.append(getattr(importlib.import_module("bpsinv." + module), name))
+        assert callable(getattr(fns[-1], "cache_info", None)), path
+    # and no other stage is memoized
+    assert sorted(map(id, fns)) == sorted(map(id, bpsinv.memo._MEMOS))
 
 
 def test_no_unused_imports():
@@ -82,7 +85,8 @@ def test_imports_are_stdlib_or_relative():
 
 def test_series_are_tagged_only_at_the_two_entry_points():
     # every stage below sigma_genfun and p2_genfun returns a bare series, so
-    # those two alone build a GenFun, and wallcross needs no invariants
+    # those two alone build a GenFun, both in compute, and wallcross needs no
+    # invariants
     builders = []
     for path in sorted(pathlib.Path(bpsinv.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -99,12 +103,12 @@ def test_series_are_tagged_only_at_the_two_entry_points():
             assert not [node.module for node in imported
                         if node.module == "invariants" or any(
                             a.name == "invariants" for a in node.names)]
-    assert sorted(builders) == ["blowup.p2_genfun", "compute.sigma_genfun"]
+    assert sorted(builders) == ["compute.p2_genfun", "compute.sigma_genfun"]
 
 
 def test_int_and_rational_cutoffs_share_results_and_memo_entries():
     # a cutoff is an exact rational at the API edge; an int is the same key
-    cases = ((lambda c: p2_table(3, 0, c), p2_genfun, 6),
+    cases = ((lambda c: p2_table(3, 0, c), p2_series, 6),
              (lambda c: sigma_table(2, (0, 1), 1, SUITABLE, c),
               suitable_genfun_closed, 3))
     for table, stage, c in cases:

@@ -3,7 +3,7 @@ from bpsinv.exactq import qq
 from bpsinv.blocks import (
     blowup_factor, eta_series, fibre_quotient, inverse_theta_hat, theta_hat,
 )
-from bpsinv.blowup import p2_genfun
+from bpsinv.compute import p2_genfun
 from bpsinv.geometry import SUITABLE
 from bpsinv.series import QSeries, VPoly, WRat
 

@@ -17,7 +17,7 @@ import bpsinv.cli as cli
 from bpsinv.cli import MAX_QORDERS, main
 from bpsinv.exactq import QQ, qq
 from bpsinv.geometry import NEAR_PULLBACK, SUITABLE, Polarization
-from bpsinv.blowup import p2_genfun
+from bpsinv.blowup import p2_series
 from bpsinv.hn import suitable_genfun_closed, suitable_genfun_recursive
 from bpsinv.invariants import InvariantError
 from bpsinv.serialize import dumps, polarization_to_obj, qseries_to_obj
@@ -189,7 +189,7 @@ def test_plane_c1_is_reduced_before_the_stage_memo(monkeypatch, capsys, r, x):
              "--qorders", "3", "--format", "json"], capsys)
         assert code == 0
         outs.append(out)
-        misses.append(p2_genfun.cache_info().misses)
+        misses.append(p2_series.cache_info().misses)
     assert outs[0] == outs[1]
     assert misses[0] == misses[1]
 

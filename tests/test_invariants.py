@@ -4,8 +4,7 @@ import pytest
 
 from bpsinv.exactq import qq
 from bpsinv.blocks import fibre_quotient
-from bpsinv.blowup import p2_genfun
-from bpsinv.compute import default_cutoff, sigma_genfun
+from bpsinv.compute import default_cutoff, p2_genfun, sigma_genfun
 from bpsinv.geometry import Surface, SUITABLE
 from bpsinv.invariants import (
     Flavor, GenFun, InvariantError, extract_table, omega_genfun,
