@@ -9,7 +9,9 @@ body is the value text inside a fixed envelope, ``{"version":V,"value":...}``,
 and a hit returns that text as it is, with no parsing: the same bytes the
 cold computation printed.  Entries of the earlier layout, whose envelope put
 "value" first, read as misses and are rewritten.  Disk writes are atomic
-(write-temp-then-rename), so concurrent jobs can share a cache directory."""
+(write-temp-then-rename), so concurrent jobs can share a cache directory.
+A write that fails (a full disk, a read-only mount, a directory at the
+entry's path) stores nothing and raises nothing, as a failed read is a miss."""
 
 import hashlib
 import os
@@ -68,11 +70,14 @@ class ResultCache:
             return
         body = _ENVELOPE + text + "}"
         blob = self._header(key, body) + "\n" + body
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "w") as fh:
                 fh.write(blob)
             os.replace(tmp, self._path(key))
+        except OSError:
+            pass
         finally:
-            if os.path.exists(tmp):
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)

@@ -5,15 +5,14 @@ C^2 = -ell, f^2 = 0, C.f = 1) and the projective plane (basis H, H^2 = 1).
 Classes are integer tuples in the surface basis; slopes are rational tuples.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .exactq import qq
 
 __all__ = [
     "Surface", "ChernVector", "Polarization", "GeometryError",
-    "discriminant", "expected_dimension", "twist_reduce",
-    "walls_between", "piece_cutoff",
+    "discriminant", "expected_dimension", "walls_between", "piece_cutoff",
 ]
 
 
@@ -91,12 +90,6 @@ class ChernVector:
         if self.r < 1:
             raise GeometryError("rank must be positive")
 
-    @staticmethod
-    def from_c2(r, c1, c2, surface):
-        c1 = tuple(int(x) for x in c1)
-        ch2 = qq(surface.intersect(c1, c1), 2) - qq(c2)
-        return ChernVector(r, c1, ch2)
-
     def c2(self, surface):
         c2 = qq(surface.intersect(self.c1, self.c1), 2) - self.ch2
         if c2.denominator != 1:
@@ -127,21 +120,6 @@ def expected_dimension(gamma, surface):
     return int(d)
 
 
-def twist_reduce(gamma, surface):
-    """Reduce c1 into the fundamental domain {0..r-1} per basis class.
-
-    Returns (reduced ChernVector, twisting line-bundle class L) so that the
-    input equals the reduction twisted by L.  The discriminant is unchanged;
-    ch2 of the reduced vector is adjusted accordingly."""
-    r = gamma.r
-    red = tuple(x % r for x in gamma.c1)
-    L = tuple((x - y) // r for x, y in zip(gamma.c1, red))
-    # ch2(E (x) L^-1) = ch2 - c1.L + r L^2/2, derived from the twist rule
-    ch2 = gamma.ch2 - surface.intersect(gamma.c1, L) \
-        + qq(r * surface.intersect(L, L), 2)
-    return ChernVector(r, red, ch2), L
-
-
 # ---------------------------------------------------------------------------
 # Polarizations (with exact infinitesimal parts)
 # ---------------------------------------------------------------------------
@@ -159,13 +137,6 @@ class Polarization:
     m: object
     n: object
     e: int = 0
-    # read by every window and wall test, so computed once; not part of
-    # equality or hashing, which stay those of (m, n, e)
-    _slope: object = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        slope = (qq(self.n) / self.m, self.e) if self.m else None
-        object.__setattr__(self, "_slope", slope)
 
     @staticmethod
     def generic(m, n):
@@ -182,7 +153,7 @@ class Polarization:
         """n/m as (t, e): the rational part t and the sign e of the eps part,
         so J_{m,n} gives (n/m, 0) and J_{1,eps} gives (0, 1).  None for
         J_{eps,1}, which lies above every wall."""
-        return self._slope
+        return (qq(self.n) / self.m, self.e) if self.m else None
 
 
 SUITABLE = Polarization(0, 1)          # J_{eps,1}

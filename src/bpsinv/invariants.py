@@ -74,7 +74,7 @@ def omega_genfun(genfun, r, c1) -> GenFun:
     series = h.series
     for m in _class_divisors(r, c1):
         low = omega_genfun(genfun, r // m, tuple(x // m for x in c1))
-        series = series - low.series.substitute(m, multicover=True).scale(qq(1, m))
+        series = series - low.series.substitute(m).scale(qq(1, m))
     return replace(h, flavor=Flavor.OMEGA, series=series)
 
 

@@ -22,12 +22,12 @@ positive int, D an integer polynomial and N_E an integer polynomial.
 Products and sums return the lifted form: a product convolves the
 numerators over Q_a Q_b and D_a D_b, and a sum brings both operands over
 lcm(Q_a, Q_b) and lcm(D_a, D_b), with one polynomial gcd, and adds
-integers.  Neither reduces a coefficient.  Truncation, q-shifts and
-negation act on the lifted form as it is.  Every other reader (``terms``,
-``coeff``, equality, hashing, inversion, scaling, substitution) goes
-through one accessor that reduces each coefficient once (strip the
-v-power, take the primitive part, one polynomial gcd with D, then the
-content against Q) and then drops the lifted form.  The canonical form is
+integers.  Neither reduces a coefficient.  Truncation and negation act
+on the lifted form as it is.  Every other reader (``terms``, equality,
+hashing, inversion, scaling, substitution) goes through one accessor that
+reduces each coefficient once (strip the v-power, take the primitive part,
+one polynomial gcd with D, then the content against Q) and then drops the
+lifted form.  The canonical form is
 unique, so what a reader sees is the series term-by-term WRat arithmetic
 gives, bit for bit.  A lift taken from a canonical operand is used by the
 one operation and not kept, so a series never holds both forms.
@@ -129,38 +129,24 @@ class VPoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
-        c = dict(self._c)
-        for e, v in other._c.items():
-            s = c.get(e, 0) + v
-            if s:
-                c[e] = s
-            else:
-                c.pop(e, None)
-        return VPoly(c)
-
     def __mul__(self, other):
-        if isinstance(other, VPoly):
-            if not self._c or not other._c:
-                return VPoly()
-            a, b = self._c, other._c
-            if len(a) > len(b):
-                a, b = b, a
-            c = {}
-            for ea, va in a.items():
-                for eb, vb in b.items():
-                    e = ea + eb
-                    s = c.get(e, 0) + va * vb
-                    if s:
-                        c[e] = s
-                    else:
-                        c.pop(e, None)
-            return VPoly(c)
-        return self.scale(other)
-
-    def scale(self, k):
-        k = qq(k)
-        return VPoly({e: v * k for e, v in self._c.items()})
+        if not isinstance(other, VPoly):
+            return NotImplemented
+        if not self._c or not other._c:
+            return VPoly()
+        a, b = self._c, other._c
+        if len(a) > len(b):
+            a, b = b, a
+        c = {}
+        for ea, va in a.items():
+            for eb, vb in b.items():
+                e = ea + eb
+                s = c.get(e, 0) + va * vb
+                if s:
+                    c[e] = s
+                else:
+                    c.pop(e, None)
+        return VPoly(c)
 
     # -- maps ----------------------------------------------------------------
 
@@ -396,12 +382,6 @@ class WRat:
             return self._scaled((other > 0) - (other < 0), abs(other))
         return self * _coerce(other).inverse()
 
-    def __pow__(self, n):
-        n = int(n)
-        if n < 0:
-            return self.inverse() ** (-n)
-        return _power(self, n, WRAT_ONE)
-
     def scale(self, k):
         k = _exact(k)
         return self._scaled(int(k.numerator), int(k.denominator))
@@ -415,18 +395,18 @@ class WRat:
 
     # -- maps -----------------------------------------------------------------
 
-    def substitute(self, m, multicover=False):
-        """w -> w^m (plain) or w -> -(-w)^m (multicover, integer-w support
-        only); m >= 1."""
+    def substitute(self, m):
+        """The multicover substitution w -> -(-w)^m for m >= 1, defined on
+        integer-w support only."""
         m = int(m)
         if m < 1:
             raise SeriesError("substitution requires m >= 1")
-        if multicover and not self.is_even_support():
+        if not self.is_even_support():
             raise SeriesError("multicover substitution on half-integer w-support")
         if not self._p:
             return self
         p, n, d = self._p, self._n, self._d
-        if multicover and m % 2 == 0:
+        if m % 2 == 0:
             # w^j -> (-1)^j w^(jm), i.e. v -> i v^m
             if self._s % 4:
                 p = -p
@@ -526,7 +506,7 @@ class QSeries:
     A series holds either its canonical terms ``_t`` {int E: WRat} or the
     lifted form ``_lifted`` of the module docstring, never both.  Products
     and sums build the lifted form (``intpoly._product``, ``_sum``);
-    ``truncate``, ``shift_q`` and negation keep it; every other reader calls
+    ``truncate`` and negation keep it; every other reader calls
     ``_canon``, which reduces each coefficient once and drops the lift.  The
     inversion recurrence works coefficient by coefficient in WRat on the
     canonical terms.
@@ -598,10 +578,6 @@ class QSeries:
     def support(self):
         return [qq(E, _D) for E in sorted(self._canon())]
 
-    def coeff(self, e):
-        # an exponent off the 1/24 grid equals no int key
-        return self._canon().get(_exact(e) * _D, WRAT_ZERO)
-
     def leading_exponent(self):
         lifted = self._lifted
         if lifted is not None:
@@ -609,10 +585,6 @@ class QSeries:
         if not self._t:
             return self.cutoff
         return qq(min(self._t), _D)
-
-    def leading_coeff(self):
-        t = self._canon()
-        return t[min(t)]
 
     # -- arithmetic ----------------------------------------------------------------
 
@@ -662,47 +634,26 @@ class QSeries:
         return _qseries({E: c * k for E, c in self._canon().items()},
                         self.cutoff)
 
-    def shift_q(self, de):
-        de = _exact(de)
-        cut = None if self.cutoff is None else self.cutoff + de
-        if self.is_zero():
-            return _qseries({}, cut)
-        dE = _grid(de.numerator, de.denominator)
-        lifted = self._lifted
-        if lifted is not None:
-            Q, s, D, lterms = lifted
-            return _from_lifted((Q, s, D, [(E + dE, N) for E, N in lterms]),
-                                cut)
-        return _qseries({E + dE: c for E, c in self._t.items()}, cut)
-
     def __pow__(self, n):
         n = int(n)
         if n < 0:
             return self.invert() ** (-n)
         return _power(self, n, QSeries.one(None))
 
-    def invert(self, cutoff=None):
-        """Multiplicative inverse up to the cutoff; the leading exponent is
-        negated.  A zero series is not invertible."""
+    def invert(self):
+        """Multiplicative inverse, known below C - 2 e0 for c0 q^e0 (1 + u)
+        known below C.  An exact series must be a monomial, and a zero
+        series is never invertible."""
         t = self._canon()
         if not t:
             raise NonInvertibleError("non-invertible zero series")
         E0 = min(t)
         c0 = t[E0]
-        cutoff = None if cutoff is None else qq(cutoff)
-        if len(t) == 1 and self.cutoff is None:
-            if cutoff is not None and -E0 >= _cap(cutoff):
-                return _qseries({}, cutoff)
-            return _qseries({-E0: c0.inverse()}, cutoff)
-        if self.cutoff is not None:
-            tcut = self.cutoff - qq(2 * E0, _D)
-            if cutoff is not None:
-                tcut = min(tcut, cutoff)
-        elif cutoff is not None:
-            tcut = cutoff
-        else:
-            raise NonInvertibleError(
-                "cannot invert a non-monomial exact series without a cutoff")
+        if self.cutoff is None:
+            if len(t) > 1:
+                raise NonInvertibleError("non-monomial exact series")
+            return _qseries({-E0: c0.inverse()}, None)
+        tcut = self.cutoff - qq(2 * E0, _D)
         inv0 = c0.inverse()
         # self = c0 q^e0 (1 + u) with u of positive leading exponent, and
         # b = 1/(1 + u) solves b_0 = 1, b_e = -sum_f u_f b_(e-f) below the
@@ -737,13 +688,13 @@ class QSeries:
 
     # -- maps -------------------------------------------------------------------
 
-    def substitute(self, m, multicover=False):
-        """q -> q^m together with w -> w^m (plain) or w -> -(-w)^m (multicover)."""
+    def substitute(self, m):
+        """q -> q^m together with w -> -(-w)^m on every coefficient."""
         m = int(m)
         if m < 1:
             raise SeriesError("substitution requires m >= 1")
         cut = None if self.cutoff is None else self.cutoff * m
-        return _qseries({E * m: c.substitute(m, multicover)
+        return _qseries({E * m: c.substitute(m)
                          for E, c in self._canon().items()}, cut)
 
     # -- comparisons ---------------------------------------------------------------

@@ -7,8 +7,9 @@ geometric-series inverse of a q-series, a q-series kept as a plain
 the wall-crossing sign window by brute force, w-conjugation of a WRat, the
 primitive-PRS gcd of integer polynomials, the parsers of the machine-readable
 encodings, the solved recursion's weights tower by tower, the Betti numbers
-of Kronecker moduli, Hurwitz class numbers, and the slope and stored
-q-exponent of a Chern vector, and the rank-3 function at a polarization
+of Kronecker moduli, Hurwitz class numbers, a Chern vector from c2, its
+twist into the fundamental domain, its slope and stored q-exponent, a
+series coefficient by exponent, and the rank-3 function at a polarization
 with a rank-2 function evaluated per window point."""
 
 import itertools
@@ -18,13 +19,15 @@ from fractions import Fraction
 from bpsinv.blocks import eta_series, fibre_quotient, theta_hat
 from bpsinv.exactq import qq
 from bpsinv.geometry import (
-    Polarization, Surface, discriminant, piece_cutoff, twist_reduce,
+    ChernVector, Polarization, Surface, discriminant, piece_cutoff,
     walls_between,
 )
 from bpsinv.hn import (
     _compositions, suitable_genfun_closed, suitable_genfun_recursive,
 )
-from bpsinv.series import NonInvertibleError, QSeries, SeriesError, VPoly, WRat
+from bpsinv.series import (
+    WRAT_ZERO, NonInvertibleError, QSeries, SeriesError, VPoly, WRat,
+)
 from bpsinv.wallcross import WallError, _wall_delta
 
 
@@ -59,6 +62,37 @@ def prs_gcd(a, b):
 
 
 # ---------------------------------------------------------------------------
+# Chern vectors and coefficients
+# ---------------------------------------------------------------------------
+
+def chern_from_c2(r, c1, c2, surface):
+    """The ChernVector of rank r, first Chern class c1 and second Chern
+    class c2: ch2 = c1^2 / 2 - c2."""
+    c1 = tuple(int(x) for x in c1)
+    return ChernVector(r, c1, qq(surface.intersect(c1, c1), 2) - qq(c2))
+
+
+def twist_reduce(gamma, surface):
+    """Reduce c1 into the fundamental domain {0..r-1} per basis class.
+
+    Returns (reduced ChernVector, twisting line-bundle class L) so that the
+    input equals the reduction twisted by L.  The discriminant is unchanged;
+    ch2 of the reduced vector is adjusted accordingly."""
+    r = gamma.r
+    red = tuple(x % r for x in gamma.c1)
+    L = tuple((x - y) // r for x, y in zip(gamma.c1, red))
+    # ch2(E (x) L^-1) = ch2 - c1.L + r L^2/2, derived from the twist rule
+    ch2 = gamma.ch2 - surface.intersect(gamma.c1, L) \
+        + qq(r * surface.intersect(L, L), 2)
+    return ChernVector(r, red, ch2), L
+
+
+def coeff(s, e):
+    """The coefficient of q^e in the series s (zero when not stored)."""
+    return s.terms.get(qq(e), WRAT_ZERO)
+
+
+# ---------------------------------------------------------------------------
 # Conjugation and parsing
 # ---------------------------------------------------------------------------
 
@@ -84,7 +118,7 @@ def qseries_from_obj(obj):
 # Geometric-series inverse
 # ---------------------------------------------------------------------------
 
-def geometric_invert(s, cutoff=None):
+def geometric_invert(s):
     """QSeries.invert by summing (-u)^k with full truncated products, where
     s = c0 q^e0 (1 + u): the same cutoff rules, computed independently of
     the coefficient recurrence."""
@@ -92,21 +126,14 @@ def geometric_invert(s, cutoff=None):
         raise NonInvertibleError("non-invertible zero series")
     e0 = min(s.terms)
     c0 = s.terms[e0]
-    if len(s.terms) == 1 and s.cutoff is None:
-        return QSeries({-e0: c0.inverse()}, cutoff)
-    if s.cutoff is not None:
-        tcut = s.cutoff - 2 * e0
-        if cutoff is not None:
-            tcut = min(tcut, qq(cutoff))
-    elif cutoff is not None:
-        tcut = qq(cutoff)
-    else:
-        raise NonInvertibleError(
-            "cannot invert a non-monomial exact series without a cutoff")
+    if s.cutoff is None:
+        if len(s.terms) > 1:
+            raise NonInvertibleError("exact non-monomial series")
+        return QSeries({-e0: c0.inverse()})
+    tcut = s.cutoff - 2 * e0
     inv0 = c0.inverse()
-    ucut = None if s.cutoff is None else s.cutoff - e0
     u = QSeries({e - e0: c * inv0 for e, c in s.terms.items() if e != e0},
-                ucut)
+                s.cutoff - e0)
     p = tcut + e0  # precision of the geometric sum
     out = QSeries.one(p)
     term = QSeries.one(None)
@@ -172,32 +199,24 @@ class RefSeries:
         cuts = [c for c in (self.cutoff, qq(cutoff)) if c is not None]
         return RefSeries(self.terms, min(cuts))
 
-    def shift_q(self, de):
-        de = qq(de)
-        return RefSeries({e + de: c for e, c in self.terms.items()},
-                         None if self.cutoff is None else self.cutoff + de)
-
-    def substitute(self, m, multicover=False):
+    def substitute(self, m):
         return RefSeries(
-            {e * m: c.substitute(m, multicover)
-             for e, c in self.terms.items()},
+            {e * m: c.substitute(m) for e, c in self.terms.items()},
             None if self.cutoff is None else self.cutoff * m)
 
     def invert(self, cutoff=None):
         """The geometric series sum_k (-u)^k of s = c0 q^e0 (1 + u), taken
-        to the precision tcut + e0 of the QSeries.invert rules."""
+        to the precision tcut + e0 of the QSeries.invert rules, or below
+        ``cutoff`` if that is smaller, which bounds the oracle's work."""
         e0 = min(self.terms)
         inv0 = self.terms[e0].inverse()
-        if len(self.terms) == 1 and self.cutoff is None:
+        if self.cutoff is None:
+            if len(self.terms) > 1:
+                raise NonInvertibleError("exact non-monomial series")
             return RefSeries({-e0: inv0}, cutoff)
-        if self.cutoff is not None:
-            tcut = self.cutoff - 2 * e0
-            if cutoff is not None:
-                tcut = min(tcut, qq(cutoff))
-        elif cutoff is not None:
-            tcut = qq(cutoff)
-        else:
-            raise NonInvertibleError("exact non-monomial series")
+        tcut = self.cutoff - 2 * e0
+        if cutoff is not None:
+            tcut = min(tcut, qq(cutoff))
         p = tcut + e0
         minus_u = {e - e0: -(c * inv0)
                    for e, c in self.terms.items() if e != e0}
@@ -409,7 +428,7 @@ def eta_product(cutoff):
     while n < body_cut:
         prod = prod * QSeries({0: 1, n: -1})
         n += 1
-    return prod.shift_q(qq(1, 24))
+    return prod * QSeries({qq(1, 24): 1})
 
 
 def theta_hat_product(k, cutoff):
@@ -422,7 +441,7 @@ def theta_hat_product(k, cutoff):
         for j in (0, 2 * k, -2 * k):
             out = out * QSeries({0: 1, n: -WRat.w_power(j)})
         n += 1
-    return out.shift_q(qq(1, 8))
+    return out * QSeries({qq(1, 8): 1})
 
 
 def fibre_quotient_one_step(r, cutoff):
@@ -475,13 +494,11 @@ def total_set_curve(r, g) -> WRat:
         raise SeriesError("total_set_curve requires r >= 1, g >= 0")
     one = WRat.from_rational(1)
     out = WRat.w_power(r * r * (1 - g)).scale(-1)
-    if g:
-        out = out * (one + WRat.w_power(2 * r - 1)) ** (2 * g)
+    out = math.prod([one + WRat.w_power(2 * r - 1)] * (2 * g), start=out)
     out = out / one_minus_w(2 * r)
     for j in range(1, r):
-        if g:
-            out = out * (one + WRat.w_power(2 * j - 1)) ** (2 * g)
-        out = out / one_minus_w(2 * j) ** 2
+        out = math.prod([one + WRat.w_power(2 * j - 1)] * (2 * g), start=out)
+        out = out / (one_minus_w(2 * j) * one_minus_w(2 * j))
     return out
 
 
@@ -490,7 +507,8 @@ def rank2_equal_slope_combination():
     combination of curve stack counts; its genus-g analogue carries the
     intersection-cohomology Betti numbers of moduli of bundles on a curve."""
     c = one_minus_w(4).inverse() - WRat.from_rational(qq(1, 2))
-    return total_set_curve(2, 0) + c * total_set_curve(1, 0) ** 2
+    h1 = total_set_curve(1, 0)
+    return total_set_curve(2, 0) + c * h1 * h1
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +642,7 @@ def wallcross_delta(gamma, J, J2, surface, cutoff=None):
     dser = _wall_delta(gamma.r, red.c1, omega, surface, bound, before, after)
     if _slope_key(J) < _slope_key(J2):
         dser = -dser
-    return dser.coeff(exponent_of(red, surface))
+    return coeff(dser, exponent_of(red, surface))
 
 
 def _states_above(slope, surface, bound):

@@ -92,7 +92,7 @@ def test_criterion_4_fibre_leading_anchor():
     for r in range(1, 5):
         h = fibre_quotient(r, -qq(r, 6) + 1)
         assert h.leading_exponent() == -qq(r, 6)
-        assert h.leading_coeff() == total_set_curve(r, 0)
+        assert h.terms[h.leading_exponent()] == total_set_curve(r, 0)
     _report(4, "fibre product leading coefficient = curve stack count, r<=4")
 
 

@@ -159,6 +159,29 @@ def test_earlier_layout_cache_entry_is_recomputed(tmp_path, capsys):
         assert warm[0] == 0 and "999" not in warm[1]
 
 
+@pytest.mark.parametrize("failure", ["entry_is_a_directory", "disk_full"])
+def test_failed_cache_write_still_prints_the_result(tmp_path, capsys,
+                                                    monkeypatch, failure):
+    args = ["compute", "--surface", "p2", "--rank", "2", "--c1", "0",
+            "--qorders", "3", "--format", "json"]
+    expect = run_cli(args, capsys)
+    (tmp_path / "probe").mkdir()
+    run_cli(args + ["--cache-dir", str(tmp_path / "probe")], capsys)
+    (entry,) = (tmp_path / "probe").glob("*.json")
+    cache_dir = tmp_path / "cache"
+    if failure == "entry_is_a_directory":
+        (cache_dir / entry.name).mkdir(parents=True)
+    else:
+        cache_dir.mkdir()
+
+        def no_space(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr("bpsinv.cache.tempfile.mkstemp", no_space)
+    got = run_cli(args + ["--cache-dir", str(cache_dir)], capsys)
+    assert got == (0, expect[1], "")
+    assert not list(cache_dir.glob("*.tmp"))
+
+
 @pytest.mark.parametrize("polarization", ["suitable", "13,9"])
 def test_equivalent_c1_reuse_memo_entries(monkeypatch, capsys, polarization):
     # c1 matters mod r only: 2,0 and 0,2 are the class 0,0 at rank 2

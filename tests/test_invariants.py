@@ -20,7 +20,7 @@ def _suitable(ell, cutoff):
 
 
 def _multicover(series, m):
-    return series.substitute(m, multicover=True).scale(qq(1, m))
+    return series.substitute(m).scale(qq(1, m))
 
 
 def test_multicover_trivial_for_coprime_class():
