@@ -5,6 +5,13 @@
         --polarization suitable --qorders 4
     bpsinv check --suite table1
 
+Each command's options are declared once, in ``COMMANDS``.  A line that is
+a command name followed by exact ``--option value`` or ``--option=value``
+pairs of that command is read by ``_read_line`` to the namespace argparse
+would give.  Any other line goes to the argparse parser built from the same
+table, on first use, which prints the usage, the help and every error; so a
+process that serves only such lines never builds it.
+
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
 """
 
@@ -289,47 +296,93 @@ def cmd_check(args):
     return 0 if all(r["ok"] for r in results) else 1
 
 
+# Each command's help and options, (flag, dest, type, default, choices,
+# required, help): the argparse parser is built from this table, and
+# _read_line reads the lines it can serve by the same entries.
+COMMANDS = {
+    "compute": ("compute one generating function", (
+        ("--surface", "surface", str, None, None, True,
+         "p2 or hirzebruch:<ell>"),
+        ("--rank", "rank", int, None, None, True, None),
+        ("--c1", "c1", str, None, None, True,
+         "comma list in the surface basis"),
+        ("--polarization", "polarization", str, None, None, False,
+         "'suitable' or '<m>,<n>' (Hirzebruch only)"),
+        ("--qorders", "qorders", int, 4, None, False,
+         "q-levels above the baseline, 1..%d" % MAX_QORDERS),
+        ("--format", "format", str, "text", ("json", "csv", "text"), False,
+         None),
+        ("--cache-dir", "cache_dir", str, None, None, False, None),
+    )),
+    "check": ("run a verification suite", (
+        ("--suite", "suite", str, "all", ("core", "table1", "routes", "all"),
+         False, None),
+        ("--format", "format", str, "text", ("json", "text"), False, None),
+    )),
+}
+
+
+def _read_line(argv):
+    """The Namespace argparse gives argv, for a line that is a command name
+    followed by exact ``--option value`` or ``--option=value`` pairs of that
+    command: each option at most once, every required one present, and
+    each value nonempty and not starting with '-'.  Values are converted by
+    the table's type and checked against its choices.  Any other line,
+    abbreviations, -h and -- included, gives None and is left to the
+    parser, which also words every error."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = COMMANDS[argv[0]][1]
+    flags = {option[0] for option in options}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, "")
+        if flag not in flags or flag in given or not value or \
+                value.startswith("-"):
+            return None
+        given[flag] = value
+    args = argparse.Namespace(command=argv[0])
+    for flag, dest, type_, default, choices, required, _ in options:
+        if flag not in given:
+            if required:
+                return None
+            setattr(args, dest, default)
+            continue
+        try:
+            value = type_(given[flag])
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        setattr(args, dest, value)
+    return args
+
+
 @cache
 def _parser():
-    """The parser and its commands' subparsers by name, built on the first
-    call and reused: later calls pay only for the parse."""
+    """The argparse parser, built from COMMANDS on the first call and
+    reused; only the lines _read_line declines reach it."""
     parser = _Parser(
         prog="bpsinv",
         description="Exact BPS-invariant generating functions for sheaves on "
                     "Hirzebruch surfaces and the projective plane")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("compute", help="compute one generating function")
-    pc.add_argument("--surface", required=True,
-                    help="p2 or hirzebruch:<ell>")
-    pc.add_argument("--rank", type=int, required=True)
-    pc.add_argument("--c1", required=True,
-                    help="comma list in the surface basis")
-    pc.add_argument("--polarization", default=None,
-                    help="'suitable' or '<m>,<n>' (Hirzebruch only)")
-    pc.add_argument("--qorders", type=int, default=4,
-                    help="q-levels above the baseline, 1..%d" % MAX_QORDERS)
-    pc.add_argument("--format", choices=["json", "csv", "text"],
-                    default="text")
-    pc.add_argument("--cache-dir", default=None)
-
-    pk = sub.add_parser("check", help="run a verification suite")
-    pk.add_argument("--suite", choices=["core", "table1", "routes", "all"],
-                    default="all")
-    pk.add_argument("--format", choices=["json", "text"], default="text")
-    return parser, sub.choices
+    for name, (summary, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, dest, type_, default, choices, required, text in options:
+            command.add_argument(flag, dest=dest, type=type_, default=default,
+                                 choices=choices, required=required,
+                                 help=text)
+    return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        parser, commands = _parser()
-        if argv and argv[0] in commands:
-            # what the top parser would do, without its second pass over argv
-            args = commands[argv[0]].parse_args(
-                argv[1:], argparse.Namespace(command=argv[0]))
-        else:
-            args = parser.parse_args(argv)
+        args = _read_line(argv) or _parser().parse_args(argv)
         # looked up per call, so a later rebinding of either name is served
         run = cmd_compute if args.command == "compute" else cmd_check
         return run(args)

@@ -29,8 +29,9 @@ from .blocks import fibre_quotient
 from .exactq import qq
 from .geometry import GeometryError, Surface, piece_cutoff, walls_between
 from .hn import _compositions, _product_sum, suitable_genfun_closed
+from .intpoly import _ONE
 from .memo import memo
-from .series import WRAT_ZERO, QSeries, WRat, _grid
+from .series import QSeries, WRat, _from_lifted, _grid
 
 __all__ = [
     "WallError", "genfun_at_polarization", "genfun_by_wall_march",
@@ -79,37 +80,62 @@ def genfun_at_polarization(r, c1, ell, J, cutoff):
     # the displayed sums are written for the class beta C - alpha_f f
     af = (-alpha) % r
     # a term carries h1^2 (r = 2), or h1 h_2(J_{|x|,|y|}) (r = 3) with h_2 a
-    # base plus h1^2 times a window: the q-polynomials are summed first
+    # base plus h1^2 times a window: the q-polynomials are summed first, in
+    # ints over 8, as {E: {v-exponent: int}}
     by_class, inner = {}, {}
-    for x, y, E, c in _terms(r, ell, _window(r, beta, af, ell, J.slope(),
-                                             Ebound, False)):
+    for x, y, E, X, c in _terms(r, ell, _window(r, beta, af, ell, J.slope(),
+                                                Ebound, False)):
         if r == 2:
-            inner[E] = inner.get(E, WRAT_ZERO) + c
+            _gather(inner, E, ((-X, c), (X, -c)))
             continue
         cls = ((x + 2 * beta) // 3 % 2, -((y + 2 * af) // 3) % 2)
-        poly = by_class.setdefault((cls,), {})
-        poly[E] = poly.get(E, WRAT_ZERO) + c
-        for _, _, E2, c2 in _terms(2, ell, _window(
+        _gather(by_class.setdefault((cls,), {}), E, ((-X, c), (X, -c)))
+        for _, _, E2, X2, c2 in _terms(2, ell, _window(
                 2, cls[0], -cls[1] % 2, ell, (qq(abs(y), abs(x)), 0),
                 Ebound, True)):
-            inner[E + E2] = inner.get(E + E2, WRAT_ZERO) + c * c2
+            # (w^-X - w^X)(w^-X2 - w^X2); each weight is a multiple of 1/8
+            k = c * c2 // 8
+            _gather(inner, E + E2, ((-X - X2, k), (X + X2, k),
+                                    (X2 - X, -k), (X - X2, -k)))
     cut2 = piece_cutoff(cutoff, r, 2, surface)
-    window = _h1_squared(cut2) * QSeries.from_grid(inner)
+    window = _h1_squared(cut2) * _series(inner)
     if r == 3:
         window = fibre_quotient(1, piece_cutoff(cutoff, 3, 1, surface)) * (
             window + _product_sum(
-                {k: QSeries.from_grid(poly) for k, poly in by_class.items()},
+                {k: _series(polys) for k, polys in by_class.items()},
                 lambda cls: suitable_genfun_closed(2, cls, cut2)))
     return (base + window).truncate(cutoff)
 
 
 def _terms(r, ell, points):
-    """Window points (x, y, ds) as terms (x, y, E, c) of c q^(E/24)."""
+    """Window points (x, y, ds) as int parts (x, y, E, X, c) of the term
+    (c/8) (w^-X - w^X) q^(E/24)."""
     for x, y, ds in points:
-        X = (ell - 2) * x + 2 * y
-        # the weight ds/4 (r = 2) or ds/2 (r = 3) is one over an int
-        c = (WRat.w_power(-X) - WRat.w_power(X)) / ((4 if r == 2 else 2) // ds)
-        yield x, y, _grid(ell * x * x + 2 * x * y, _QDEN[r]), c
+        # 8 times the weight ds/4 (r = 2) or ds/2 (r = 3)
+        yield (x, y, _grid(ell * x * x + 2 * x * y, _QDEN[r]),
+               (ell - 2) * x + 2 * y, ds * (2 if r == 2 else 4))
+
+
+def _gather(polys, E, monomials):
+    """Add c w^X for each (X, c) of monomials to the q^(E/24) polynomial of
+    polys, {E: {v-exponent: int}}."""
+    poly = polys.setdefault(E, {})
+    for X, c in monomials:
+        poly[2 * X] = poly.get(2 * X, 0) + c
+
+
+def _series(polys):
+    """The exact series sum over E of (sum c v^e)/8 q^(E/24) from
+    {E: {e: c}}, in the lifted form over Q = 8, D = 1."""
+    s = min((e for poly in polys.values() for e in poly), default=0)
+    lifted = []
+    for E in sorted(polys):
+        poly = polys[E]
+        idx = sorted(e for e, c in poly.items() if c)
+        if idx:
+            lifted.append((E, (tuple(e - s for e in idx),
+                               tuple(poly[e] for e in idx))))
+    return _from_lifted((8, s, _ONE, lifted), None)
 
 
 def _window(r, beta, alpha, ell, slope, Ebound, tiebreak):

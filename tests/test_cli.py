@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -429,12 +431,18 @@ def test_parser_errors_are_json_with_exit_2(capsys, tmp_path, monkeypatch):
 
 
 def test_parser_is_built_once_and_reused(capsys):
+    # well-formed lines are read without argparse; the first line that
+    # _read_line declines builds the parser, and later ones reuse it
+    cli._parser.cache_clear()
     argv = ["compute", "--surface", "p2", "--rank", "1", "--c1", "0",
             "--qorders", "1", "--format", "json"]
     outs = [run_cli(argv, capsys) for _ in range(5)]
     assert all(out == outs[0] for out in outs) and outs[0][0] == 0
+    assert cli._parser.cache_info().misses == 0
+    assert run_cli(["compute", "--surf", "p2"] + argv[3:], capsys) == outs[0]
+    assert run_cli(argv + ["extra"], capsys)[0] == 2
     info = cli._parser.cache_info()
-    assert info.misses == 1 and info.hits >= 4
+    assert info.misses == 1 and info.hits == 1
 
 
 def test_commands_rebound_after_the_first_call_are_the_ones_run(monkeypatch,
@@ -525,15 +533,15 @@ PARITY_ARGV = [
 
 @pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
 def test_main_parses_as_the_top_parser_does(monkeypatch, capsys, argv):
-    # main hands argv that starts with a command straight to that command's
-    # subparser; the nested route through the top parser is the reference
+    # main reads a well-formed line itself and hands any other to the top
+    # parser; the top parser alone is the reference
     seen = []
     monkeypatch.setattr(cli, "cmd_compute", lambda args: seen.append(args) or 0)
     monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args) or 0)
 
     def nested(argv):
         try:
-            args = cli._parser()[0].parse_args(argv)
+            args = cli._parser().parse_args(argv)
             return (cli.cmd_compute if args.command == "compute"
                     else cli.cmd_check)(args)
         except cli.InputError as exc:
@@ -550,6 +558,129 @@ def test_main_parses_as_the_top_parser_does(monkeypatch, capsys, argv):
         results.append((code, out.out, out.err, [vars(a) for a in seen]))
         seen.clear()
     assert results[0] == results[1]
+
+
+PARSER_BYTES = os.path.join(os.path.dirname(__file__), "parser_bytes.json")
+
+
+def test_help_and_parser_outputs_are_pinned(monkeypatch, capsys):
+    # recorded from the parser declared option by option, before it was
+    # built from cli.COMMANDS, at 80 columns; a command prints its sorted
+    # arguments here, so each entry pins the namespace as well
+    with open(PARSER_BYTES, encoding="utf-8") as f:
+        pinned = json.load(f)
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in ("cmd_compute", "cmd_check"):
+        monkeypatch.setattr(cli, name, lambda args: print(
+            json.dumps(vars(args), sort_keys=True)) or 0)
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = "SystemExit %s" % exc.code
+        out = capsys.readouterr()
+        return {"argv": argv, "code": code, "out": out.out, "err": out.err}
+
+    for name in ("bpsinv", "compute", "check"):
+        argv = ["--help"] if name == "bpsinv" else [name, "--help"]
+        assert run(argv)["out"] == pinned["help"][name]
+    assert [entry["argv"] for entry in pinned["parity"]] == PARITY_ARGV
+    for entry in pinned["parity"]:
+        assert run(entry["argv"]) == entry
+
+
+def _top_parse(argv):
+    """vars of the top parser's namespace for argv, or None where it exits
+    or raises; what it prints is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._parser().parse_args(argv))
+        except (cli.InputError, SystemExit):
+            return None
+
+
+# values of each real option that the parser accepts, then values that it
+# rejects or that _read_line leaves to it
+LINE_VALUES = {
+    "--surface": ["p2", "hirzebruch:1"], "--rank": ["2", " 3", "-3"],
+    "--c1": ["0", "0,1", "-2,2"], "--polarization": ["13,9", "suitable"],
+    "--qorders": ["4", "1_0"], "--format": ["json", "csv", "text"],
+    "--cache-dir": ["d", "=d"], "--suite": ["core", "all"],
+}
+ODD_VALUES = ["", "x", "xml", "-2,2", "--", "-h", "--rank", "nope"]
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    pairs = []
+    for flag, _, _, _, _, required, _ in cli.COMMANDS[command][1]:
+        if required or draw(st.booleans()):
+            pairs.append([flag, draw(st.sampled_from(LINE_VALUES.get(
+                flag, ["json", "text"]))), draw(st.booleans())])
+    pairs = draw(st.permutations(pairs))
+    for edit in draw(st.lists(st.integers(0, 5), max_size=2)):
+        if not pairs:
+            break
+        pair = pairs[draw(st.integers(0, len(pairs) - 1))]
+        if edit == 0:  # an abbreviation, or a flag of no option
+            pair[0] = draw(st.sampled_from(
+                [pair[0][:-1], pair[0][:3], pair[0] + "x", "--s", "--c"]))
+        elif edit == 1:
+            pair[1] = draw(st.sampled_from(ODD_VALUES))
+        elif edit == 2:  # a repeated option
+            pairs.append(list(pair))
+        elif edit == 3:  # a missing option
+            pairs.remove(pair)
+        else:
+            pairs.append(draw(st.sampled_from(
+                [["--", None, False], ["-h", None, False],
+                 ["extra", None, False], [pair[0], None, False]])))
+    argv = [command]
+    for flag, value, joined in pairs:
+        argv += ([flag] if value is None else [flag + "=" + value] if joined
+                 else [flag, value])
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_read_line_gives_the_parsers_namespace_or_none(argv):
+    read = cli._read_line(argv)
+    assert read is None or vars(read) == _top_parse(argv), argv
+
+
+def _request_lines():
+    """The argv of every benchmark request and README command line."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(root, "bench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    lines = [argv for w in workloads.WORKLOADS.values()
+             for argv in w["requests"]]
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("bpsinv "):
+                lines.append(shlex.split(line, comments=True)[1:])
+    return lines
+
+
+def test_request_lines_are_read_without_the_parser(monkeypatch):
+    lines = _request_lines()
+    assert len(lines) > 20 and any(argv[0] == "check" for argv in lines)
+    monkeypatch.setattr(cli, "cmd_compute", lambda args: 0)
+    monkeypatch.setattr(cli, "cmd_check", lambda args: 0)
+    cli._parser.cache_clear()
+    for argv in lines:
+        assert main(argv) == 0
+    assert cli._parser.cache_info().misses == 0, "a request built the parser"
+    for argv in lines:
+        assert vars(cli._read_line(argv)) == _top_parse(argv), argv
 
 
 def test_cache_reads_entries_of_the_json_dumps_header(tmp_path, monkeypatch,

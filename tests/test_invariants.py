@@ -86,3 +86,24 @@ def test_extract_rejects_expected_empty():
                series=series.scale(WRat(VPoly({2: 1, -2: -1})).inverse()))
     with pytest.raises(InvariantError):
         extract_table(g)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    ({4: 1}, "non-palindromic"),
+    ({1: 1, -1: 1}, "half-integer w-support"),
+    ({8: 1, -8: 1}, "w-span -8..8 does not match dimension 2"),
+    ({4: -2, -4: -2}, "negative or non-integer Betti"),
+    ({4: qq(1, 2), -4: qq(1, 2)}, "negative or non-integer Betti"),
+    ({2: 1, -2: 1}, "odd Betti"),
+])
+def test_each_extract_check_fires_on_a_spoiled_table(spoil, message):
+    # the rank-1 plane table passes every check; adding spoil (v-exponent:
+    # coefficient) to the Poincare polynomial of its c2 = 1 row, of
+    # dimension 2 and Betti numbers 1, 1, 1, breaks exactly one of them
+    h = omega_genfun(lambda r, c1: p2_genfun(1, 0, qq(4)), 1, (0,))
+    terms = dict(h.series.terms)
+    (e,) = [e for e in terms if h.gamma_of_exponent(e).c2(P2) == 1]
+    terms[e] = terms[e] + WRat(VPoly(spoil)) / WRat(VPoly({2: 1, -2: -1}))
+    assert extract_table(h).rows[1].betti == (1, 1, 1)
+    with pytest.raises(InvariantError, match=message):
+        extract_table(replace(h, series=QSeries(terms, h.series.cutoff)))

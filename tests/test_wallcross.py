@@ -4,6 +4,7 @@ import pytest
 
 from bpsinv import clear_caches, wallcross
 from bpsinv.blocks import fibre_quotient
+from bpsinv.compute import sigma_genfun
 from bpsinv.exactq import qq
 from bpsinv.geometry import (
     Polarization, SUITABLE, NEAR_PULLBACK, Surface, walls_between,
@@ -232,3 +233,14 @@ def test_wallcross_delta_matches_closed_route():
     e = exponent_of(g, S1)
     jump = coeff(after, e) - coeff(before, e)
     assert jump == wallcross_delta(g, J_hi, J_lo, S1, cutoff=qq(3))
+
+
+def test_boundary_and_fibre_side_polarizations():
+    # J_{1,0} is the boundary of the ample cone: no chamber to sum to; an
+    # m = 0 polarization other than SUITABLE, J_{eps,5}, lies above every
+    # wall as J_{eps,1} does, so it is served the suitable-chamber series
+    with pytest.raises(WallError, match="polarization on wall"):
+        sigma_genfun(2, (0, 1), 1, Polarization(1, 0), qq(2))
+    for r, c1 in ((2, (0, 1)), (3, (1, 2))):
+        h = sigma_genfun(r, c1, 1, Polarization(0, 5), qq(2))
+        assert h.series == sigma_genfun(r, c1, 1, SUITABLE, qq(2)).series
