@@ -5,7 +5,7 @@
         --polarization suitable --qorders 4
     bpsinv check --suite table1
 
-Each command's options are declared once, in ``COMMANDS``.  A line that is
+Each command's options are declared once, in ``_COMMANDS``.  A line that is
 a command name followed by exact ``--option value`` or ``--option=value``
 pairs of that command is read by ``_read_line`` to the namespace argparse
 would give.  Any other line goes to the argparse parser built from the same
@@ -296,28 +296,25 @@ def cmd_check(args):
     return 0 if all(r["ok"] for r in results) else 1
 
 
-# Each command's help and options, (flag, dest, type, default, choices,
-# required, help): the argparse parser is built from this table, and
-# _read_line reads the lines it can serve by the same entries.
-COMMANDS = {
+# Each command's help and options, (flag, type, default, choices, required,
+# help): the argparse parser is built from this table, and _read_line reads
+# the lines it can serve by the same entries.
+_COMMANDS = {
     "compute": ("compute one generating function", (
-        ("--surface", "surface", str, None, None, True,
-         "p2 or hirzebruch:<ell>"),
-        ("--rank", "rank", int, None, None, True, None),
-        ("--c1", "c1", str, None, None, True,
-         "comma list in the surface basis"),
-        ("--polarization", "polarization", str, None, None, False,
+        ("--surface", str, None, None, True, "p2 or hirzebruch:<ell>"),
+        ("--rank", int, None, None, True, None),
+        ("--c1", str, None, None, True, "comma list in the surface basis"),
+        ("--polarization", str, None, None, False,
          "'suitable' or '<m>,<n>' (Hirzebruch only)"),
-        ("--qorders", "qorders", int, 4, None, False,
+        ("--qorders", int, 4, None, False,
          "q-levels above the baseline, 1..%d" % MAX_QORDERS),
-        ("--format", "format", str, "text", ("json", "csv", "text"), False,
-         None),
-        ("--cache-dir", "cache_dir", str, None, None, False, None),
+        ("--format", str, "text", ("json", "csv", "text"), False, None),
+        ("--cache-dir", str, None, None, False, None),
     )),
     "check": ("run a verification suite", (
-        ("--suite", "suite", str, "all", ("core", "table1", "routes", "all"),
-         False, None),
-        ("--format", "format", str, "text", ("json", "text"), False, None),
+        ("--suite", str, "all", ("core", "table1", "routes", "all"), False,
+         None),
+        ("--format", str, "text", ("json", "text"), False, None),
     )),
 }
 
@@ -330,9 +327,9 @@ def _read_line(argv):
     the table's type and checked against its choices.  Any other line,
     abbreviations, -h and -- included, gives None and is left to the
     parser, which also words every error."""
-    if not argv or argv[0] not in COMMANDS:
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    options = COMMANDS[argv[0]][1]
+    options = _COMMANDS[argv[0]][1]
     flags = {option[0] for option in options}
     given = {}
     tokens = iter(argv[1:])
@@ -345,7 +342,8 @@ def _read_line(argv):
             return None
         given[flag] = value
     args = argparse.Namespace(command=argv[0])
-    for flag, dest, type_, default, choices, required, _ in options:
+    for flag, type_, default, choices, required, _ in options:
+        dest = flag[2:].replace("-", "_")
         if flag not in given:
             if required:
                 return None
@@ -363,17 +361,17 @@ def _read_line(argv):
 
 @cache
 def _parser():
-    """The argparse parser, built from COMMANDS on the first call and
+    """The argparse parser, built from _COMMANDS on the first call and
     reused; only the lines _read_line declines reach it."""
     parser = _Parser(
         prog="bpsinv",
         description="Exact BPS-invariant generating functions for sheaves on "
                     "Hirzebruch surfaces and the projective plane")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, options) in COMMANDS.items():
+    for name, (summary, options) in _COMMANDS.items():
         command = sub.add_parser(name, help=summary)
-        for flag, dest, type_, default, choices, required, text in options:
-            command.add_argument(flag, dest=dest, type=type_, default=default,
+        for flag, type_, default, choices, required, text in options:
+            command.add_argument(flag, type=type_, default=default,
                                  choices=choices, required=required,
                                  help=text)
     return parser

@@ -7,7 +7,7 @@ The lifted form of a q-series lives here too: every coefficient as
 v^s N_E(v) / (Q D(v)) over one int Q > 0, one v-power s and one denominator
 D, with N_E an integer polynomial kept as the tuples (indices, values) of
 its nonzero entries.  ``_lift`` builds it from canonical coefficients,
-``_product`` and ``_sum`` combine two of them with integer arithmetic only
+``_from_int_polys`` from integer polynomials over one Q, ``_product`` and ``_sum`` combine two of them with integer arithmetic only
 (the sum takes one gcd of the two Ds), and ``_canonical`` reduces one N_E
 back to the parts of a canonical WRat.
 
@@ -152,6 +152,22 @@ def _lift(coeffs):
         lifted.append((E, _nonzero([k * x for x in _pmul(n, f)], sE - s)))
     lifted.sort()
     return Q, s, D, lifted
+
+
+def _from_int_polys(polys, Q):
+    """The lifted form (Q, s, _ONE, lifted) of the series whose coefficient
+    at q-exponent E is sum c v^e / Q, given as {E: {e: c}}; zero entries,
+    and polynomials with no other, are dropped."""
+    polys = {E: {e: c for e, c in poly.items() if c}
+             for E, poly in polys.items()}
+    s = min((e for poly in polys.values() for e in poly), default=0)
+    lifted = []
+    for E in sorted(polys):
+        idx = sorted(polys[E])
+        if idx:
+            lifted.append((E, (tuple(e - s for e in idx),
+                               tuple(polys[E][e] for e in idx))))
+    return Q, s, _ONE, lifted
 
 
 def _product(a, b, cap):

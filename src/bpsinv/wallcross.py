@@ -29,7 +29,7 @@ from .blocks import fibre_quotient
 from .exactq import qq
 from .geometry import GeometryError, Surface, piece_cutoff, walls_between
 from .hn import _compositions, _product_sum, suitable_genfun_closed
-from .intpoly import _ONE
+from .intpoly import _from_int_polys
 from .memo import memo
 from .series import QSeries, WRat, _from_lifted, _grid
 
@@ -98,11 +98,13 @@ def genfun_at_polarization(r, c1, ell, J, cutoff):
             _gather(inner, E + E2, ((-X - X2, k), (X + X2, k),
                                     (X2 - X, -k), (X - X2, -k)))
     cut2 = piece_cutoff(cutoff, r, 2, surface)
-    window = _h1_squared(cut2) * _series(inner)
+    window = _h1_squared(cut2) * _from_lifted(
+        _from_int_polys(inner, 8), None)
     if r == 3:
         window = fibre_quotient(1, piece_cutoff(cutoff, 3, 1, surface)) * (
             window + _product_sum(
-                {k: _series(polys) for k, polys in by_class.items()},
+                {k: _from_lifted(_from_int_polys(polys, 8), None)
+                 for k, polys in by_class.items()},
                 lambda cls: suitable_genfun_closed(2, cls, cut2)))
     return (base + window).truncate(cutoff)
 
@@ -122,20 +124,6 @@ def _gather(polys, E, monomials):
     poly = polys.setdefault(E, {})
     for X, c in monomials:
         poly[2 * X] = poly.get(2 * X, 0) + c
-
-
-def _series(polys):
-    """The exact series sum over E of (sum c v^e)/8 q^(E/24) from
-    {E: {e: c}}, in the lifted form over Q = 8, D = 1."""
-    s = min((e for poly in polys.values() for e in poly), default=0)
-    lifted = []
-    for E in sorted(polys):
-        poly = polys[E]
-        idx = sorted(e for e, c in poly.items() if c)
-        if idx:
-            lifted.append((E, (tuple(e - s for e in idx),
-                               tuple(poly[e] for e in idx))))
-    return _from_lifted((8, s, _ONE, lifted), None)
 
 
 def _window(r, beta, alpha, ell, slope, Ebound, tiebreak):

@@ -565,7 +565,7 @@ PARSER_BYTES = os.path.join(os.path.dirname(__file__), "parser_bytes.json")
 
 def test_help_and_parser_outputs_are_pinned(monkeypatch, capsys):
     # recorded from the parser declared option by option, before it was
-    # built from cli.COMMANDS, at 80 columns; a command prints its sorted
+    # built from cli._COMMANDS, at 80 columns; a command prints its sorted
     # arguments here, so each entry pins the namespace as well
     with open(PARSER_BYTES, encoding="utf-8") as f:
         pinned = json.load(f)
@@ -587,7 +587,18 @@ def test_help_and_parser_outputs_are_pinned(monkeypatch, capsys):
         assert run(argv)["out"] == pinned["help"][name]
     assert [entry["argv"] for entry in pinned["parity"]] == PARITY_ARGV
     for entry in pinned["parity"]:
-        assert run(entry["argv"]) == entry
+        got = run(entry["argv"])
+        got["err"] = _bare_choices(got["err"])
+        assert got == dict(entry, err=_bare_choices(entry["err"]))
+
+
+def _bare_choices(text):
+    """text with the quotes dropped from the choices of an invalid-choice
+    error: argparse quotes them, ('compute', 'check'), in the releases the
+    bytes were recorded on and prints them bare in later patch releases
+    (3.12.10, 3.13.13)."""
+    return re.sub(r"\(choose from [^)]*\)",
+                  lambda m: m.group(0).replace("'", ""), text)
 
 
 def _top_parse(argv):
@@ -614,9 +625,9 @@ ODD_VALUES = ["", "x", "xml", "-2,2", "--", "-h", "--rank", "nope"]
 
 @st.composite
 def command_lines(draw):
-    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
     pairs = []
-    for flag, _, _, _, _, required, _ in cli.COMMANDS[command][1]:
+    for flag, _, _, _, required, _ in cli._COMMANDS[command][1]:
         if required or draw(st.booleans()):
             pairs.append([flag, draw(st.sampled_from(LINE_VALUES.get(
                 flag, ["json", "text"]))), draw(st.booleans())])
