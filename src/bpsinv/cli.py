@@ -55,6 +55,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a JSON error and exit 2, not usage text
         raise InputError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        # argparse of Python 3.10-3.12 gives --option=-- the value [] and
+        # no error
+        args = super().parse_args(args, namespace)
+        for dest, value in vars(args).items():
+            if value == []:
+                self.error("argument --%s: expected one argument"
+                           % dest.replace("_", "-"))
+        return args
+
 
 def _parse_surface(text):
     if text == "p2":

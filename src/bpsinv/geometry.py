@@ -5,7 +5,7 @@ C^2 = -ell, f^2 = 0, C.f = 1) and the projective plane (basis H, H^2 = 1).
 Classes are integer tuples in the surface basis; slopes are rational tuples.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .exactq import qq
@@ -24,12 +24,10 @@ class GeometryError(ValueError):
 # Surfaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(namedtuple("Surface", "kind ell", defaults=(0,))):
     """'hirzebruch' with parameter ell, or 'p2' (ell ignored)."""
 
-    kind: str
-    ell: int = 0
+    __slots__ = ()
 
     @staticmethod
     def hirzebruch(ell):
@@ -76,19 +74,17 @@ class Surface:
 # Chern vectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChernVector:
-    """(rank, first Chern class in the surface basis, ch2)."""
+class ChernVector(namedtuple("ChernVector", "r c1 ch2")):
+    """(rank, first Chern class in the surface basis, ch2), with c1 made a
+    tuple of ints and ch2 a rational."""
 
-    r: int
-    c1: tuple
-    ch2: object  # rational
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "c1", tuple(int(x) for x in self.c1))
-        object.__setattr__(self, "ch2", qq(self.ch2))
-        if self.r < 1:
+    def __new__(cls, r, c1, ch2):
+        self = super().__new__(cls, r, tuple(int(x) for x in c1), qq(ch2))
+        if r < 1:
             raise GeometryError("rank must be positive")
+        return self
 
     def c2(self, surface):
         c2 = qq(surface.intersect(self.c1, self.c1), 2) - self.ch2
@@ -124,8 +120,7 @@ def expected_dimension(gamma, surface):
 # Polarizations (with exact infinitesimal parts)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(namedtuple("Polarization", "m n e", defaults=(0,))):
     """J_{m,n} = m(C + ell f) + n f with exact m, n, and e the sign of an
     infinitesimal eps added to n; m = 0 stands for m = eps.
 
@@ -134,9 +129,7 @@ class Polarization:
     of the plane's hyperplane class, a boundary point used only for
     mu-stability."""
 
-    m: object
-    n: object
-    e: int = 0
+    __slots__ = ()
 
     @staticmethod
     def generic(m, n):

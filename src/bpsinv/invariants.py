@@ -6,13 +6,13 @@ by inverting the multi-cover sum (``omega_genfun``, one recursion over the
 classes (r/m, c1/m)).  The mu-stack counts of ``blowup`` are intermediate
 series and carry no flavor."""
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from enum import Enum
 from math import gcd
 
 from .exactq import qq
-from .geometry import ChernVector, Surface, discriminant, expected_dimension
-from .series import QSeries, VPoly, WRat
+from .geometry import ChernVector, discriminant, expected_dimension
+from .series import VPoly, WRat
 
 __all__ = [
     "Flavor", "GenFun", "InvariantTable", "TableRow", "InvariantError",
@@ -29,18 +29,14 @@ class Flavor(Enum):
     OMEGA = "omega"
 
 
-@dataclass(frozen=True)
-class GenFun:
-    """A q-series tagged with its geometric meaning.
+class GenFun(namedtuple("GenFun", "surface r c1 J flavor series")):
+    """A q-series tagged with its geometric meaning: a Surface, the class
+    (r, c1), J a Polarization or None (P^2, or J-independent data), a
+    Flavor and a QSeries.
 
     Exponents are r*Delta - r*chi_top(S)/24 over realizable discriminants."""
 
-    surface: Surface
-    r: int
-    c1: tuple
-    J: object          # Polarization or None (P^2, or J-independent data)
-    flavor: Flavor
-    series: QSeries
+    __slots__ = ()
 
     def gamma_of_exponent(self, e):
         """ChernVector at a stored exponent (c1 taken from the tag):
@@ -75,29 +71,17 @@ def omega_genfun(genfun, r, c1) -> GenFun:
     for m in _class_divisors(r, c1):
         low = omega_genfun(genfun, r // m, tuple(x // m for x in c1))
         series = series - low.series.substitute(m).scale(qq(1, m))
-    return replace(h, flavor=Flavor.OMEGA, series=series)
+    return h._replace(flavor=Flavor.OMEGA, series=series)
 
 
 # ---------------------------------------------------------------------------
 # Betti / Euler tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableRow:
-    c2: int
-    delta: object      # rational
-    dim: int
-    poincare: VPoly    # (w - w^-1) * Omega, a palindromic Laurent polynomial
-    betti: tuple       # b_0, b_2, ..., b_{2 dim}
-    euler: int
-
-
-@dataclass(frozen=True)
-class InvariantTable:
-    surface: Surface
-    r: int
-    c1: tuple
-    rows: tuple
+# delta is rational; poincare is the VPoly (w - w^-1) * Omega, a palindromic
+# Laurent polynomial; betti is b_0, b_2, ..., b_{2 dim}
+TableRow = namedtuple("TableRow", "c2 delta dim poincare betti euler")
+InvariantTable = namedtuple("InvariantTable", "surface r c1 rows")
 
 
 def extract_table(h: GenFun) -> InvariantTable:

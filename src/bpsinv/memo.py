@@ -6,7 +6,6 @@ the suitable-chamber and wall-crossed series, and the plane series that the
 reverse conversion reads for each lower rank."""
 
 from functools import update_wrapper
-from inspect import signature
 from types import SimpleNamespace
 
 from .exactq import qq
@@ -14,28 +13,37 @@ from .exactq import qq
 __all__ = ["memo", "clear_caches"]
 
 _MEMOS = []
+_UNSET = object()
 
 
 def memo(fn):
     """Memoize a stage on its arguments, defaults applied, keyed on all but
     ``cutoff``.  A stage returns a bare series at exactly the cutoff asked
     for; a key keeps its deepest result (c', v) and serves c <= c' as v
-    truncated at c."""
-    sig, table, info = signature(fn), {}, SimpleNamespace(hits=0, misses=0)
+    truncated at c.  A call is bound by the stage's own parameters, all
+    positional-or-keyword; one the stage would reject raises TypeError."""
+    code = fn.__code__
+    names = code.co_varnames[:code.co_argcount]
+    defaults = dict(zip(names[::-1], (fn.__defaults__ or ())[::-1]))
+    at = names.index("cutoff") if "cutoff" in names else len(names)
+    table, info = {}, SimpleNamespace(hits=0, misses=0)
 
-    def wrapper(*args, **kwargs):
-        bound = sig.bind(*args, **kwargs)
-        bound.apply_defaults()
-        cut = bound.arguments.get("cutoff")
+    def wrapper(*given, **kwargs):
+        args = list(given) + [kwargs.pop(k, defaults.get(k, _UNSET))
+                              for k in names[len(given):]]
+        if kwargs or len(given) > len(names) or _UNSET in args:
+            raise TypeError("call does not bind to %s(%s)"
+                            % (fn.__name__, ", ".join(names)))
+        cut = args[at] if at < len(names) else None
         if cut is not None:
-            cut = bound.arguments["cutoff"] = qq(cut)
-        key = tuple(v for k, v in bound.arguments.items() if k != "cutoff")
+            cut = args[at] = qq(cut)
+        key = tuple(args[:at] + args[at + 1:])
         if key in table and (cut is None or table[key][0] >= cut):
             info.hits += 1
             deep, value = table[key]
             return value if deep == cut else value.truncate(cut)
         info.misses += 1
-        table[key] = (cut, fn(*bound.args, **bound.kwargs))
+        table[key] = (cut, fn(*args))
         return table[key][1]
 
     def cache_clear():

@@ -1,14 +1,16 @@
 """The shipped surface: exports resolve, the memoized stage entry points
 keep their memo, no module imports a name it never uses or from outside the
-standard library, int and rational cutoffs are one key, strings parse to
-the rationals they spell, and the README's library example runs as
-printed."""
+standard library, importing the CLI loads neither dataclasses nor inspect,
+int and rational cutoffs are one key, strings parse to the rationals they
+spell, and the README's library example runs as printed."""
 
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
 import sys
 
 import bpsinv
@@ -81,6 +83,21 @@ def test_imports_are_stdlib_or_relative():
             foreign += ["%s: %s" % (path.name, name) for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert not foreign, foreign
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every bpsinv compute process pays its imports: the records are named
+    # tuples and the memo binds by each stage's code, so neither module,
+    # nor what inspect pulls in, is loaded
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bpsinv.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; before = set(sys.modules); import bpsinv.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    added = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "bpsinv.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added), added
 
 
 def test_series_are_tagged_only_at_the_two_entry_points():

@@ -1,3 +1,5 @@
+import pytest
+
 from bpsinv import clear_caches, sigma_genfun
 from bpsinv.exactq import qq
 from bpsinv.blocks import (
@@ -5,7 +7,7 @@ from bpsinv.blocks import (
 )
 from bpsinv.compute import p2_genfun
 from bpsinv.geometry import SUITABLE
-from bpsinv.series import QSeries, VPoly, WRat
+from bpsinv.series import QSeries, SeriesError, VPoly, WRat
 
 from oracles import (
     blowup_factor as brute_blowup_factor, coeff, eta_product,
@@ -197,3 +199,15 @@ def test_blowup_factor_matches_cube_enumeration():
 def test_blowup_inverse_roundtrip():
     b = blowup_factor(2, 1, qq(3))
     assert (b * b.invert()).eq_to_cutoff(QSeries.one(), qq(3))
+
+
+def test_blocks_reject_arguments_outside_their_range():
+    # eta leads with q^(1/24), so a cutoff at or below it keeps no term; a
+    # deeper memo entry would serve it truncated, so the memo starts empty
+    for c in (qq(1, 24), qq(0), qq(-1)):
+        clear_caches()
+        with pytest.raises(SeriesError, match="eta cutoff"):
+            eta_series(c)
+    for k in (0, -1):
+        with pytest.raises(SeriesError, match="k >= 1"):
+            theta_hat(k, qq(2))

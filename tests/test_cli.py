@@ -430,6 +430,22 @@ def test_parser_errors_are_json_with_exit_2(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--surface=--", "--rank", "2", "--c1", "0"],
+    ["compute", "--surface", "p2", "--rank", "2", "--c1=--"],
+    ["compute", "--surface", "p2", "--rank=--", "--c1", "0"],
+    ["check", "--suite", "core", "--format=--"],
+], ids=" ".join)
+def test_an_option_given_as_equals_dashes_is_an_error(capsys, argv):
+    # argparse of Python 3.10-3.12 gives such an option [] and no error;
+    # _read_line declines the line, so only the parser sees it
+    assert cli._read_line(argv) is None
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert "error" in json.loads(line)
+
+
 def test_parser_is_built_once_and_reused(capsys):
     # well-formed lines are read without argparse; the first line that
     # _read_line declines builds the parser, and later ones reuse it

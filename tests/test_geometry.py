@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bpsinv.compute import p2_genfun, p2_table
 from bpsinv.exactq import qq
 from bpsinv.geometry import (
     SUITABLE, Surface, ChernVector, Polarization, NEAR_PULLBACK,
@@ -25,6 +26,8 @@ def test_surface_tables():
     assert P2.canonical_class() == (-3,)
     assert P2.intersect((2,), (3,)) == 6
     assert (S1.chi_top, P2.chi_top, S1.b2, P2.b2) == (4, 3, 2, 1)
+    assert Surface("p2") == P2 and P2.ell == 0
+    assert Surface.hirzebruch(2) == Surface("hirzebruch", 2)
 
 
 def test_discriminant_examples():
@@ -112,11 +115,11 @@ def test_polarization_validation():
         Polarization.generic(0, 1)
     with pytest.raises(GeometryError):
         Polarization.generic(1, -1)
-    assert Polarization(1, 0).is_boundary
+    assert Polarization(1, 0).is_boundary and Polarization(1, 0).e == 0
     assert not NEAR_PULLBACK.is_boundary
 
 
-def test_polarization_slope_is_stored_but_not_compared():
+def test_polarization_slope_is_computed_and_not_compared():
     # the slope is computed where it is read; equality, hashing and so the
     # memo keys stay those of (m, n, e)
     J = Polarization.generic(13, 9)
@@ -128,6 +131,58 @@ def test_polarization_slope_is_stored_but_not_compared():
     assert Polarization(1, 0).slope() == (0, 0)
     assert repr(J) == \
         "Polarization(m=Fraction(13, 1), n=Fraction(9, 1), e=0)"
+
+
+def _records():
+    """One value of each record, with its field names in order."""
+    table = p2_table(1, 0, qq(2))
+    return {
+        "Surface": (P2, ("kind", "ell")),
+        "ChernVector": (chern_from_c2(2, (1, 1), 1, S1), ("r", "c1", "ch2")),
+        "Polarization": (Polarization.generic(13, 9), ("m", "n", "e")),
+        "GenFun": (p2_genfun(1, 0, qq(2)),
+                   ("surface", "r", "c1", "J", "flavor", "series")),
+        "TableRow": (table.rows[0],
+                     ("c2", "delta", "dim", "poincare", "betti", "euler")),
+        "InvariantTable": (table, ("surface", "r", "c1", "rows")),
+    }
+
+
+@pytest.mark.parametrize("name", ["Surface", "ChernVector", "Polarization",
+                                  "GenFun", "TableRow", "InvariantTable"])
+def test_records_compare_hash_and_print_by_their_fields(name):
+    # memo keys hold these records, so == and hash must stay those of the
+    # tuple of fields, and a record must never change once built
+    value, fields = _records()[name]
+    cls = type(value)
+    assert cls.__name__ == name
+    items = [getattr(value, f) for f in fields]
+    assert repr(value) == "%s(%s)" % (cls.__name__, ", ".join(
+        "%s=%r" % (f, x) for f, x in zip(fields, items)))
+    copy = cls(**dict(zip(fields, items)))
+    assert copy == value and copy is not value
+    assert hash(copy) == hash(value) == hash(tuple(items))
+    if cls is not ChernVector:  # which normalises its fields
+        for f in fields:
+            assert cls(**dict(zip(fields, items), **{f: object()})) != value
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], items[0])
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_chern_vector_normalises_and_rejects_rank_zero():
+    g = ChernVector(2, [qq(3), 1.0], "-3/2")
+    assert g.c1 == (3, 1) and type(g.c1) is tuple
+    assert all(type(x) is int for x in g.c1)
+    assert g.ch2 == qq(-3, 2) and type(g.ch2) is type(qq(1))
+    assert g == ChernVector(2, (3, 1), qq(-3, 2))
+    assert ChernVector(2, (3, 1), qq(-1, 2)) != g != \
+        ChernVector(2, (3, 0), qq(-3, 2))
+    assert ChernVector(r=1, c1=(0,), ch2=0).ch2 == 0
+    for r in (0, -1):
+        with pytest.raises(GeometryError, match="rank must be positive"):
+            ChernVector(r, (0, 0), 0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from bpsinv.exactq import qq
@@ -53,7 +51,7 @@ def test_multicover_nested_divisors(ell):
 
 
 def test_multicover_requires_omegabar_input():
-    h = replace(p2_genfun(1, 0, qq(2)), flavor=Flavor.OMEGA)
+    h = p2_genfun(1, 0, qq(2))._replace(flavor=Flavor.OMEGA)
     with pytest.raises(InvariantError):
         omega_genfun(lambda r, c1: h, 1, (0,))
 
@@ -106,4 +104,4 @@ def test_each_extract_check_fires_on_a_spoiled_table(spoil, message):
     terms[e] = terms[e] + WRat(VPoly(spoil)) / WRat(VPoly({2: 1, -2: -1}))
     assert extract_table(h).rows[1].betti == (1, 1, 1)
     with pytest.raises(InvariantError, match=message):
-        extract_table(replace(h, series=QSeries(terms, h.series.cutoff)))
+        extract_table(h._replace(series=QSeries(terms, h.series.cutoff)))

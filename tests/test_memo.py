@@ -138,6 +138,34 @@ def test_keyword_and_positional_spellings_share_an_entry():
     assert genfun_at_polarization.cache_info().misses == misses
 
 
+@pytest.mark.parametrize("stage, args, kwargs", [
+    (genfun_at_polarization, (2, (1, 1), 1, J_GENERIC),
+     {"cutoff": qq(2), "chamber": 0}),
+    (genfun_at_polarization, (2, (1, 1), 1), {"cutoff": qq(2)}),
+    (genfun_at_polarization, (2, (1, 1), 1, J_GENERIC, qq(2)), {"r": 2}),
+    (genfun_at_polarization, (2, (1, 1), 1, J_GENERIC, qq(2), 0), {}),
+    (p2_series, (2, 0), {"route_k": 1}),
+    (p2_series, (2, 0, qq(2), 1), {"route_k": 1}),
+], ids=["unknown keyword", "missing argument", "given twice",
+        "extra positional", "missing cutoff", "default given twice"])
+def test_a_call_the_signature_rejects_raises_cold_and_warm(stage, args,
+                                                           kwargs):
+    # the memo binds each call as the stage itself would, before its table
+    # is read: an entry for the valid prefix of the call serves no hit
+    clear_caches()
+    with pytest.raises(TypeError):
+        stage(*args, **kwargs)
+    assert stage.cache_info().misses == 0
+    valid = (2, (1, 1), 1, J_GENERIC, qq(2)) if stage is \
+        genfun_at_polarization else (2, 0, qq(2), 1)
+    filled = stage(*valid)
+    misses = stage.cache_info().misses
+    with pytest.raises(TypeError):
+        stage(*args, **kwargs)
+    assert stage(*valid) is filled
+    assert stage.cache_info().misses == misses
+
+
 def test_no_series_keeps_a_lift_beside_its_terms():
     """A lifted form taken from canonical terms is used and dropped, and
     reading a lifted result drops its lift: after a cold plane run, no live

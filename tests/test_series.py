@@ -66,6 +66,8 @@ def test_wrat_division_by_an_int_and_int_arguments():
     assert WRat.from_rational(4) == WRat.from_rational(qq(4))
     with pytest.raises(ZeroDivisionError):
         x / 0
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        WRat(VPoly({1: 3}), VPoly({}))
 
 
 def test_qseries_from_int_exponents():

@@ -241,6 +241,10 @@ def test_boundary_and_fibre_side_polarizations():
     # wall as J_{eps,1} does, so it is served the suitable-chamber series
     with pytest.raises(WallError, match="polarization on wall"):
         sigma_genfun(2, (0, 1), 1, Polarization(1, 0), qq(2))
+    # above rank 3 only the wall march serves a generic J, with no second
+    # route to check it
+    with pytest.raises(WallError, match="r <= 3"):
+        sigma_genfun(4, (0, 1), 1, Polarization.generic(13, 9), qq(2))
     for r, c1 in ((2, (0, 1)), (3, (1, 2))):
         h = sigma_genfun(r, c1, 1, Polarization(0, 5), qq(2))
         assert h.series == sigma_genfun(r, c1, 1, SUITABLE, qq(2)).series
