@@ -19,6 +19,7 @@ only series ever inverted are the sparse sums eta and theta_hat(k); each
 1/theta_hat(k) is one entry, and 1/theta_hat(1) is h1 on the plane.
 """
 
+from functools import partial
 from itertools import product as iproduct
 from math import gcd, isqrt
 
@@ -32,14 +33,16 @@ __all__ = [
 ]
 
 
-@memo
+def _eta_cutoff(cutoff):
+    if cutoff <= qq(1, 24):
+        raise SeriesError("eta cutoff must exceed 1/24")
+
+
+@partial(memo, check=_eta_cutoff)
 def eta_series(cutoff) -> QSeries:
     """Dedekind eta, q^(1/24) prod (1 - q^n), by Euler's pentagonal sum over
     m > 0 prime to 6 of chi_12(m) q^(m^2/24), chi_12(m) = +1 for m = +-1 and
     -1 for m = +-5 mod 12."""
-    cutoff = qq(cutoff)
-    if cutoff <= qq(1, 24):
-        raise SeriesError("eta cutoff must exceed 1/24")
     top = isqrt(24 * cutoff.numerator // cutoff.denominator)
     return QSeries.from_grid(
         {_grid(m * m, 24): WRat.from_rational(1 if m % 12 in (1, 11) else -1)

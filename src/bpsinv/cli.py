@@ -29,7 +29,7 @@ from .compute import (
     sigma_omega_genfun,
 )
 from .geometry import GeometryError, Polarization, SUITABLE, Surface
-from .invariants import InvariantError, extract_table
+from .invariants import InvariantError, extract_table, omega_genfun
 from .serialize import (
     dumps, genfun_to_obj, polarization_to_obj, table_to_obj,
 )
@@ -236,6 +236,7 @@ def _suite_table1():
 
 def _suite_routes():
     from itertools import product as iproduct
+    from .geometry import discriminant, expected_dimension
     from .hn import suitable_genfun_closed, suitable_genfun_recursive
     from .wallcross import (_mirror, genfun_at_polarization,
                             genfun_by_wall_march, line_filtrations)
@@ -268,9 +269,21 @@ def _suite_routes():
         for c1 in iproduct(range(r), repeat=2):
             ok = ok and suitable_genfun_closed(r, c1, qq(2)) \
                 == suitable_genfun_recursive(r, c1, qq(2))
-    for r, x, cut in ((3, 1, qq(2)), (2, 0, qq(3))):
+    # two blow-up routes give the plane's series and tables, Poincare
+    # polynomials included
+    for r, x, cut in ((3, 1, qq(2)), (2, 0, qq(3)), (3, 0, qq(3))):
         hA, hB = (p2_series(r, x, cut, route_k=k) for k in (0, 1))
-        ok = ok and hA.eq_to_cutoff(hB, cut)
+        tA, tB = (extract_table(omega_genfun(lambda s, c1: p2_genfun(
+            s, c1[0], cut, k), r, (x,))) for k in (0, 1))
+        ok = ok and hA.eq_to_cutoff(hB, cut) and tA == tB
+    # each term's row has the c2, Delta and dim of its Chern vector (x = 1
+    # puts c1^2 into c2, which is 0 in the suitable chamber)
+    for h in (p2_omega_genfun(3, 0, qq(6)), p2_omega_genfun(3, 1, qq(6)),
+              sigma_omega_genfun(3, (0, 1), 1, SUITABLE, qq(3))):
+        S = h.surface
+        ok = ok and [row[:3] for row in extract_table(h).rows] == [
+            (g.c2(S), discriminant(g, S), expected_dimension(g, S))
+            for g in map(h.gamma_of_exponent, sorted(h.series.terms))]
     # rank 4 on the plane runs the general-rank march: four routes
     hs = [p2_series(4, 1, qq(3), route_k=k) for k in range(4)]
     return ok and all(h.cutoff >= 3 and h.eq_to_cutoff(hs[0], qq(3))

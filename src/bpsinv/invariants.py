@@ -11,8 +11,9 @@ from enum import Enum
 from math import gcd
 
 from .exactq import qq
-from .geometry import ChernVector, discriminant, expected_dimension
-from .series import VPoly, WRat
+from .geometry import ChernVector, GeometryError
+from .intpoly import _pmul, _quotient
+from .series import VPoly, _parts
 
 __all__ = [
     "Flavor", "GenFun", "InvariantTable", "TableRow", "InvariantError",
@@ -88,48 +89,48 @@ def extract_table(h: GenFun) -> InvariantTable:
     """Per q-exponent of an OMEGA-flavor series: multiply by (w - w^-1),
     demand an integer palindromic Laurent polynomial with nonnegative
     coefficients whose w-span is twice the expected dimension, and read off
-    Betti and Euler numbers.  Violations raise InvariantError."""
+    Betti and Euler numbers.  Violations raise InvariantError.  In ints: a
+    coefficient (p/q) v^s n/d times v^-2 (v^4 - 1) is a Laurent polynomial
+    iff d | v^4 - 1; with N = 24 r Delta = 24 e + r chi_top, 24 r c2 =
+    12 (r-1) c1^2 + r N and dim = r N / 12 - r^2 + 1."""
     if h.flavor != Flavor.OMEGA:
         raise InvariantError("extract_table requires an OMEGA-flavor series")
-    wminus = WRat(VPoly({2: 1, -2: -1}))  # w - w^-1
+    r, c1sq = h.r, h.surface.intersect(h.c1, h.c1)
     rows = []
-    for e in h.series.support():
-        coeff = h.series.terms[e]
-        gamma = h.gamma_of_exponent(e)
-        c2 = gamma.c2(h.surface)
-        dim = expected_dimension(gamma, h.surface)
-        poly = coeff * wminus
-        if not poly.is_polynomial():
+    # c2 grows with the exponent, so the rows come out sorted by c2
+    for E, p, q, s, n, d in sorted(_parts(h.series._canon())):
+        N = E + r * h.surface.chi_top
+        c2, rem = divmod(12 * (r - 1) * c1sq + r * N, 24 * r)
+        if rem:
+            raise GeometryError("non-integral c2 for %s"
+                                % (h.gamma_of_exponent(qq(E, 24)),))
+        # 12 divides 24 r and 12 (r-1) c1^2, so an integral c2 gives 12 | r N
+        dim = r * N // 12 - r * r + 1
+        f = _quotient((-1, 0, 0, 0, 1), d)
+        if f is None:
             raise InvariantError(
                 "integrality violation at c2=%s: coefficient times (w-w^-1) "
                 "is not a Laurent polynomial" % (c2,))
-        p = poly.as_vpoly()
-        if p.is_zero():
-            continue
         if dim < 0:
             raise InvariantError(
                 "nonzero invariant at expected-empty class c2=%s (dim %d)"
                 % (c2, dim))
-        if p.conjugate() != p:
+        t, lo = _pmul(n, f), s - 2  # the product is (p/q) v^lo t(v)
+        if 2 * lo + len(t) != 1 or t != t[::-1]:
             raise InvariantError("non-palindromic invariant at c2=%s" % (c2,))
-        if not p.is_even_support():
+        if lo % 2 or any(t[1::2]):
             raise InvariantError("half-integer w-support at c2=%s" % (c2,))
-        if p.min_exp != -2 * dim or p.max_exp != 2 * dim:
+        if lo != -2 * dim:
             raise InvariantError(
                 "w-span %s..%s does not match dimension %d at c2=%s"
-                % (p.min_exp, p.max_exp, dim, c2))
-        betti = []
-        for i in range(dim + 1):
-            b = p.coeff(-2 * dim + 4 * i)
-            if b.denominator != 1 or b < 0:
-                raise InvariantError(
-                    "negative or non-integer Betti number at c2=%s" % (c2,))
-            betti.append(int(b))
-        if any(p.coeff(-2 * dim + 4 * i + 2) for i in range(dim)):
+                % (lo, -lo, dim, c2))
+        betti = tuple(p * x // q for x in t[::4])
+        if min(betti) < 0 or any(p * x % q for x in t[::4]):
+            raise InvariantError(
+                "negative or non-integer Betti number at c2=%s" % (c2,))
+        if any(t[2::4]):
             raise InvariantError("odd Betti number present at c2=%s" % (c2,))
-        euler = int(p.eval_w_one())
-        rows.append(TableRow(c2=c2, delta=discriminant(gamma, h.surface),
-                             dim=dim, poincare=p, betti=tuple(betti),
-                             euler=euler))
-    rows.sort(key=lambda row: row.c2)
-    return InvariantTable(surface=h.surface, r=h.r, c1=h.c1, rows=tuple(rows))
+        rows.append(TableRow(
+            c2=c2, delta=qq(N, 24 * r), dim=dim, betti=betti, euler=sum(betti),
+            poincare=VPoly({lo + 4 * i: b for i, b in enumerate(betti)})))
+    return InvariantTable(surface=h.surface, r=r, c1=h.c1, rows=tuple(rows))

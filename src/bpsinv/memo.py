@@ -16,12 +16,14 @@ _MEMOS = []
 _UNSET = object()
 
 
-def memo(fn):
+def memo(fn, check=lambda *args: None):
     """Memoize a stage on its arguments, defaults applied, keyed on all but
     ``cutoff``.  A stage returns a bare series at exactly the cutoff asked
     for; a key keeps its deepest result (c', v) and serves c <= c' as v
     truncated at c.  A call is bound by the stage's own parameters, all
-    positional-or-keyword; one the stage would reject raises TypeError."""
+    positional-or-keyword; one the stage would reject raises TypeError.
+    ``check`` is called on the bound arguments before the table is read, so
+    what it rejects raises on a hit as on a miss."""
     code = fn.__code__
     names = code.co_varnames[:code.co_argcount]
     defaults = dict(zip(names[::-1], (fn.__defaults__ or ())[::-1]))
@@ -37,6 +39,7 @@ def memo(fn):
         cut = args[at] if at < len(names) else None
         if cut is not None:
             cut = args[at] = qq(cut)
+        check(*args)
         key = tuple(args[:at] + args[at + 1:])
         if key in table and (cut is None or table[key][0] >= cut):
             info.hits += 1

@@ -2,9 +2,11 @@
 strings, never floats; v-polynomials are [exponent, coefficient] lists."""
 
 import json
+from math import gcd
 
 from .exactq import qq
 from .geometry import SUITABLE
+from .series import QEXP_DENOMINATOR_BOUND, _parts
 
 FORMAT_VERSION = 1
 
@@ -13,18 +15,25 @@ def _q_str(x):
     return str(qq(x))
 
 
-def vpoly_to_obj(p):
-    return [[e, _q_str(c)] for e, c in sorted(p.items())]
+def _ratio(a, b):
+    """str(Fraction(a, b)) for ints a and b > 0."""
+    g = gcd(a, b)
+    return str(a // g) if g == b else "%d/%d" % (a // g, b // g)
 
 
-def wrat_to_obj(x):
-    return {"num": vpoly_to_obj(x.num), "den": vpoly_to_obj(x.den)}
+def wrat_to_obj(p, q, s, n, d):
+    """The views num = p/(q lc(d)) v^s n and den = d/lc(d) of (p/q) v^s n/d."""
+    lc = d[-1]
+    num = [[s + e, _ratio(p * x, q * lc)] for e, x in enumerate(n) if x]
+    return {"num": num, "den": [[e, _ratio(x, lc)]
+                                for e, x in enumerate(d) if x]}
 
 
 def qseries_to_obj(s):
     return {
         "cutoff": None if s.cutoff is None else _q_str(s.cutoff),
-        "terms": [[_q_str(e), wrat_to_obj(s.terms[e])] for e in s.support()],
+        "terms": [[_ratio(E, QEXP_DENOMINATOR_BOUND), wrat_to_obj(*parts)]
+                  for E, *parts in sorted(_parts(s._canon()))],
     }
 
 
@@ -61,7 +70,8 @@ def table_to_obj(t):
         "rows": [
             {"c2": row.c2, "delta": _q_str(row.delta), "dim": row.dim,
              "betti": list(row.betti), "euler": row.euler,
-             "poincare": vpoly_to_obj(row.poincare)}
+             "poincare": [[e, _q_str(c)]
+                          for e, c in sorted(row.poincare.items())]}
             for row in t.rows
         ],
     }

@@ -79,9 +79,6 @@ def _power(base, n, one):
 # Laurent polynomials in v
 # ---------------------------------------------------------------------------
 
-_QZERO = qq(0)
-
-
 def _exact(x):
     """x as an exact number: an int or a rational as it is, else qq(x)."""
     return x if isinstance(x, (int, QQ)) else qq(x)
@@ -112,9 +109,6 @@ class VPoly:
     def items(self):
         return self._c.items()
 
-    def coeff(self, vexp):
-        return self._c.get(int(vexp), _QZERO)
-
     @property
     def min_exp(self):
         return min(self._c)
@@ -122,10 +116,6 @@ class VPoly:
     @property
     def max_exp(self):
         return max(self._c)
-
-    def is_even_support(self):
-        """True iff supported on integer w-powers only."""
-        return all(e % 2 == 0 for e in self._c)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -153,10 +143,6 @@ class VPoly:
     def conjugate(self):
         """v -> v^-1 (w -> w^-1)."""
         return VPoly({-e: v for e, v in self._c.items()})
-
-    def eval_w_one(self):
-        """Value at w = 1 (v = 1)."""
-        return sum(self._c.values(), _QZERO)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -229,13 +215,13 @@ class WRat:
     appear only at the edges (``from_rational``, ``scale`` and the views
     below).
 
-    ``num`` and ``den`` are Laurent-polynomial views built on first use:
+    ``num`` and ``den`` are Laurent-polynomial views built on each read:
     den = d / lc(d), a genuine polynomial with nonzero constant term and
     leading coefficient +1, and num = p / (q lc(d)) * v^s * n, so any
     v-monomial content lives in the numerator.
     """
 
-    __slots__ = ("_p", "_q", "_s", "_n", "_d", "_num", "_den", "_hash")
+    __slots__ = ("_p", "_q", "_s", "_n", "_d", "_hash")
 
     def __init__(self, num, den=None):
         if den is None:
@@ -253,7 +239,7 @@ class WRat:
                 p, q = -p, -q
             s = sn - sd
         self._p, self._q, self._s, self._n, self._d = p, q, s, n, d
-        self._num = self._den = self._hash = None
+        self._hash = None
 
     # -- constructors --------------------------------------------------------
 
@@ -275,33 +261,19 @@ class WRat:
 
     @property
     def num(self):
-        if self._num is None:
-            k = qq(self._p, self._q * self._d[-1])
-            self._num = VPoly({self._s + e: k * x
-                               for e, x in enumerate(self._n) if x})
-        return self._num
+        k = qq(self._p, self._q * self._d[-1])
+        return VPoly({self._s + e: k * x for e, x in enumerate(self._n) if x})
 
     @property
     def den(self):
-        if self._den is None:
-            lc = self._d[-1]
-            self._den = VPoly({e: qq(x, lc)
-                               for e, x in enumerate(self._d) if x})
-        return self._den
+        lc = self._d[-1]
+        return VPoly({e: qq(x, lc) for e, x in enumerate(self._d) if x})
 
     def is_zero(self):
         return not self._p
 
     def __bool__(self):
         return bool(self._p)
-
-    def is_polynomial(self):
-        return len(self._d) == 1
-
-    def as_vpoly(self):
-        if len(self._d) > 1:
-            raise SeriesError("WRat is not a Laurent polynomial")
-        return self.num
 
     def is_even_support(self):
         return (self._s % 2 == 0 and not any(self._n[1::2])
@@ -443,7 +415,7 @@ def _wrat(p, q, s, n, d):
     """A WRat from the parts of its canonical form, taken as given."""
     x = object.__new__(WRat)
     x._p, x._q, x._s, x._n, x._d = p, q, s, n, d
-    x._num = x._den = x._hash = None
+    x._hash = None
     return x
 
 
@@ -574,9 +546,6 @@ class QSeries:
 
     def is_zero(self):
         return self._lifted is None and not self._t
-
-    def support(self):
-        return [qq(E, _D) for E in sorted(self._canon())]
 
     def leading_exponent(self):
         lifted = self._lifted

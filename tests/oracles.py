@@ -10,7 +10,10 @@ encodings, the solved recursion's weights tower by tower, the Betti numbers
 of Kronecker moduli, Hurwitz class numbers, a Chern vector from c2, its
 twist into the fundamental domain, its slope and stored q-exponent, a
 series coefficient by exponent, and the rank-3 function at a polarization
-with a rank-2 function evaluated per window point."""
+with a rank-2 function evaluated per window point.  The API edge on
+rationals: tables and series encodings read through the Fraction views
+(``ref_extract_table``, ``ref_qseries_to_obj``), with the support, v-power
+coefficient and polynomial tests they use."""
 
 import itertools
 import math
@@ -19,11 +22,14 @@ from fractions import Fraction
 from bpsinv.blocks import eta_series, fibre_quotient, theta_hat
 from bpsinv.exactq import qq
 from bpsinv.geometry import (
-    ChernVector, Polarization, Surface, discriminant, piece_cutoff,
-    walls_between,
+    ChernVector, Polarization, Surface, discriminant, expected_dimension,
+    piece_cutoff, walls_between,
 )
 from bpsinv.hn import (
     _compositions, suitable_genfun_closed, suitable_genfun_recursive,
+)
+from bpsinv.invariants import (
+    Flavor, InvariantError, InvariantTable, TableRow,
 )
 from bpsinv.series import (
     WRAT_ZERO, NonInvertibleError, QSeries, SeriesError, VPoly, WRat,
@@ -92,6 +98,22 @@ def coeff(s, e):
     return s.terms.get(qq(e), WRAT_ZERO)
 
 
+def support(s):
+    """The stored q-exponents of the series s, increasing."""
+    return sorted(s.terms)
+
+
+def vpoly_coeff(p, e):
+    """The coefficient of v^e in the Laurent polynomial p (zero when not
+    stored)."""
+    return dict(p.items()).get(e, qq(0))
+
+
+def is_polynomial(x):
+    """True iff the WRat x is a Laurent polynomial in v."""
+    return x.den == VPoly({0: 1})
+
+
 # ---------------------------------------------------------------------------
 # Conjugation and parsing
 # ---------------------------------------------------------------------------
@@ -112,6 +134,76 @@ def wrat_from_obj(obj):
 def qseries_from_obj(obj):
     cutoff = None if obj["cutoff"] is None else qq(obj["cutoff"])
     return QSeries({qq(e): wrat_from_obj(c) for e, c in obj["terms"]}, cutoff)
+
+
+# ---------------------------------------------------------------------------
+# The API edge on rationals
+# ---------------------------------------------------------------------------
+
+def vpoly_to_obj(p):
+    return [[e, str(c)] for e, c in sorted(p.items())]
+
+
+def ref_qseries_to_obj(s):
+    """serialize.qseries_to_obj through the rational views: each exponent
+    and each coefficient of the num and den views as str of its
+    Fraction."""
+    return {
+        "cutoff": None if s.cutoff is None else str(s.cutoff),
+        "terms": [[str(e), {"num": vpoly_to_obj(s.terms[e].num),
+                            "den": vpoly_to_obj(s.terms[e].den)}]
+                  for e in support(s)],
+    }
+
+
+def ref_extract_table(h):
+    """invariants.extract_table on rationals: each coefficient times the
+    WRat w - w^-1, checked and read as a VPoly of Fractions, with c2, Delta
+    and dim from the ChernVector at each exponent.  The checks run in the
+    same order and raise the same messages."""
+    if h.flavor != Flavor.OMEGA:
+        raise InvariantError("extract_table requires an OMEGA-flavor series")
+    wminus = WRat(VPoly({2: 1, -2: -1}))
+    rows = []
+    for e in support(h.series):
+        gamma = h.gamma_of_exponent(e)
+        c2 = gamma.c2(h.surface)
+        dim = expected_dimension(gamma, h.surface)
+        poly = h.series.terms[e] * wminus
+        if not is_polynomial(poly):
+            raise InvariantError(
+                "integrality violation at c2=%s: coefficient times (w-w^-1) "
+                "is not a Laurent polynomial" % (c2,))
+        p = poly.num
+        if p.is_zero():
+            continue
+        if dim < 0:
+            raise InvariantError(
+                "nonzero invariant at expected-empty class c2=%s (dim %d)"
+                % (c2, dim))
+        if p.conjugate() != p:
+            raise InvariantError("non-palindromic invariant at c2=%s" % (c2,))
+        if any(x % 2 for x, _ in p.items()):
+            raise InvariantError("half-integer w-support at c2=%s" % (c2,))
+        if p.min_exp != -2 * dim or p.max_exp != 2 * dim:
+            raise InvariantError(
+                "w-span %s..%s does not match dimension %d at c2=%s"
+                % (p.min_exp, p.max_exp, dim, c2))
+        betti = []
+        for i in range(dim + 1):
+            b = vpoly_coeff(p, -2 * dim + 4 * i)
+            if b.denominator != 1 or b < 0:
+                raise InvariantError(
+                    "negative or non-integer Betti number at c2=%s" % (c2,))
+            betti.append(int(b))
+        if any(vpoly_coeff(p, -2 * dim + 4 * i + 2) for i in range(dim)):
+            raise InvariantError("odd Betti number present at c2=%s" % (c2,))
+        euler = int(sum((x for _, x in p.items()), qq(0)))
+        rows.append(TableRow(c2=c2, delta=discriminant(gamma, h.surface),
+                             dim=dim, poincare=p, betti=tuple(betti),
+                             euler=euler))
+    rows.sort(key=lambda row: row.c2)
+    return InvariantTable(surface=h.surface, r=h.r, c1=h.c1, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

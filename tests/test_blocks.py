@@ -202,12 +202,20 @@ def test_blowup_inverse_roundtrip():
 
 
 def test_blocks_reject_arguments_outside_their_range():
-    # eta leads with q^(1/24), so a cutoff at or below it keeps no term; a
-    # deeper memo entry would serve it truncated, so the memo starts empty
+    # eta leads with q^(1/24), so a cutoff at or below it keeps no term; the
+    # check runs before the memo, so a deeper entry does not serve it
     for c in (qq(1, 24), qq(0), qq(-1)):
-        clear_caches()
         with pytest.raises(SeriesError, match="eta cutoff"):
             eta_series(c)
+    eta_series(qq(2))
+    hits = eta_series.cache_info().hits
+    for c in (qq(1, 24), 0):
+        with pytest.raises(SeriesError, match="eta cutoff"):
+            eta_series(c)
+        with pytest.raises(SeriesError, match="eta cutoff"):
+            eta_series(cutoff=c)
+    assert eta_series.cache_info().hits == hits
+    assert eta_series(qq(1, 12)) == QSeries({qq(1, 24): 1}, qq(1, 12))
     for k in (0, -1):
         with pytest.raises(SeriesError, match="k >= 1"):
             theta_hat(k, qq(2))

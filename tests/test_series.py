@@ -11,7 +11,8 @@ from bpsinv.series import (
 )
 
 from oracles import (
-    RefSeries, coeff, geometric_invert, one_minus_w, prs_gcd, wrat_conjugate,
+    RefSeries, coeff, geometric_invert, is_polynomial, one_minus_w, prs_gcd,
+    support, vpoly_coeff, wrat_conjugate,
 )
 
 
@@ -31,7 +32,7 @@ def test_wrat_strips_monomials_and_content():
     b = VPoly({-2: 3, 0: 3})           # 3w^-1(1 + w)
     r = WRat(a, b)
     assert r == WRat(VPoly({4: qq(2, 3)}))
-    assert r.is_polynomial()
+    assert is_polynomial(r)
     assert WRat(b, a).den == VPoly({0: 1})
 
 
@@ -43,7 +44,7 @@ def test_wrat_canonical_form():
     r2 = WRat(VPoly({0: qq(1, 2)}), VPoly({0: 1, 4: 1}))
     assert r == r2
     assert hash(r) == hash(r2)
-    assert r.den.coeff(r.den.max_exp) == 1
+    assert vpoly_coeff(r.den, r.den.max_exp) == 1
     assert r.den.min_exp == 0
 
 
@@ -253,7 +254,7 @@ def _same_value(x, num, den):
 
 def _monic_den(x):
     d = x.den
-    return d.min_exp == 0 and d.coeff(d.max_exp) == 1
+    return d.min_exp == 0 and vpoly_coeff(d, d.max_exp) == 1
 
 
 def _content_form(x):
@@ -394,7 +395,7 @@ def test_qseries_against_rational_reference(data, cut, m):
     _same(a.truncate(cut), ra.truncate(cut) if cut is not None else ra)
     if all(c.is_even_support() for c in a.terms.values()):
         _same(a.substitute(m), ra.substitute(m))
-    assert [a.terms[e] for e in a.support()] == \
+    assert [a.terms[e] for e in support(a)] == \
         [ra.terms[e] for e in sorted(ra.terms)]
     for other, rother in ((b, rb), (a.truncate(cut), ra), (a + b, ra + rb)):
         assert a.eq_to_cutoff(other, cut) == ra.eq_to_cutoff(rother, cut)
@@ -499,7 +500,7 @@ def test_lifted_chains_against_rational_reference(case, data):
         # sum with a zero operand is the other operand in its own form
         lifted = step in ("*", "square") or _is_lifted(x)
         if step in ("*", "+", "-"):
-            y, ry = data.draw(st.sampled_from(done))
+            y, ry = done[data.draw(st.integers(0, len(done) - 1))]
             if step != "*":
                 lifted = lifted and _is_lifted(y) or not (
                     x.is_zero() or y.is_zero())
