@@ -13,10 +13,12 @@ Each block is a bare series.  Those that every rank shares are memoized on
 their arguments but the cutoff; the fibre quotient on r alone, as neither
 c1 nor ell enters it: one entry serves every class on every Sigma_ell, and
 its r = 1 entry is h1 there.  theta_hat(k) is read only through the memo of
-its inverse, and B_{r,k} once per plane series, so neither is memoized.
-The quotients are built as a ladder, each rank from the one below, so the
-only series ever inverted are the sparse sums eta and theta_hat(k); each
-1/theta_hat(k) is one entry, and 1/theta_hat(1) is h1 on the plane.
+its inverse, and the blow-up lattice sum Theta_{r,k} once per plane series,
+so neither is memoized.  The quotients are built as a ladder, each rank
+from the one below, and the plane divides by eta^-r Theta_{r,k} as
+eta^r / Theta_{r,k}, so the only series ever inverted are the sparse sums
+eta, theta_hat(k) and Theta_{r,k}; each 1/theta_hat(k) is one entry, and
+1/theta_hat(1) is h1 on the plane.
 """
 
 from functools import partial
@@ -24,12 +26,13 @@ from itertools import product as iproduct
 from math import gcd, isqrt
 
 from .exactq import qq
+from .intpoly import _from_int_polys, _gather
 from .memo import memo
-from .series import QSeries, WRat, SeriesError, _grid
+from .series import QSeries, WRat, SeriesError, _from_lifted, _grid
 
 __all__ = [
     "eta_series", "theta_hat", "inverse_theta_hat", "fibre_quotient",
-    "blowup_factor",
+    "blowup_theta",
 ]
 
 
@@ -89,31 +92,27 @@ def fibre_quotient(r, cutoff) -> QSeries:
             * inverse_theta_hat(r, top - qq(1, 8))).truncate(cutoff)
 
 
-def blowup_factor(r, k, cutoff) -> QSeries:
-    """B_{r,k} = eta^-r sum over (a_1..a_r), sum a_i = 0, a_i in Z + k/r, of
-    q^(-sum_{i<j} a_i a_j) w^(sum_{i<j} (a_i - a_j)).
+def blowup_theta(r, k, cutoff) -> QSeries:
+    """Theta_{r,k} = sum over (a_1..a_r), sum a_i = 0, a_i in Z + k/r, of
+    q^(-sum_{i<j} a_i a_j) w^(sum_{i<j} (a_i - a_j)); B_{r,k} = eta^-r Theta.
 
     The sum runs over the integer points b_i = r a_i = k mod r, sum b_i = 0.
     The w-exponent sum_{i<j}(a_i - a_j) = sum_i (r+1-2i) b_i / r is always
     an integer, so every coefficient has integer w-support.  Truncation: the
     quadratic form -sum_{i<j} a_i a_j = sum b_i^2 / (2 r^2) is positive
     definite on the sum-zero lattice, so points outside a finite ball exceed
-    the cutoff."""
+    the cutoff.  The points are counted in ints, {E: {v-exponent: int}}."""
     r, k = int(r), int(k) % int(r)
-    # eta^-1 at c keeps c - 1/12, and its r-th power c - (r+1)/24; the
-    # lattice sum starts at q^>=0
-    eta_inv = eta_series(cutoff + qq(r + 1, 24)).invert() ** r
-    theta_cut = cutoff - eta_inv.leading_exponent()
-    # a point is kept when sum b_i^2 / (2 r^2) < theta_cut, i.e. below lim;
+    cutoff = qq(cutoff)
+    # a point is kept when sum b_i^2 / (2 r^2) < cutoff, i.e. below lim;
     # the last b_i is fixed by the sum, which also puts it in the class k
-    lim = -(-2 * r * r * theta_cut.numerator // theta_cut.denominator)
+    lim = -(-2 * r * r * cutoff.numerator // cutoff.denominator)
     m = isqrt(max(lim - 1, 0))
-    acc = {}
+    polys = {}
     for head in iproduct(range(-m + (k + m) % r, m + 1, r), repeat=r - 1):
         b = head + (-sum(head),)
         sq = sum(x * x for x in b)
         if sq < lim:
-            E = _grid(sq, 2 * r * r)
             wexp = sum((r - 1 - 2 * i) * x for i, x in enumerate(b)) // r
-            acc[E] = acc.get(E, WRat.from_rational(0)) + WRat.w_power(wexp)
-    return (eta_inv * QSeries.from_grid(acc, theta_cut)).truncate(cutoff)
+            _gather(polys, _grid(sq, 2 * r * r), ((wexp, 1),))
+    return _from_lifted(_from_int_polys(polys, 1), cutoff)

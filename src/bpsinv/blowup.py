@@ -8,7 +8,8 @@ mu-slope (equal f-degree per rank) ordered by the J_{1,eps} refinement;
 equal-slope runs contribute Boltzmann factors 1/g!.  Those slopes lie on the
 line c1/r + Q C, so the sum is ``wallcross.line_filtrations`` along C.
 
-Step (2) divides by the blow-up factor, landing on the plane.
+Step (2) divides by the blow-up factor eta^-r Theta_{r,k}, landing on the
+plane; only the sparse lattice sum Theta_{r,k} is inverted.
 
 Step (3) reverses step (1) on the plane, where equal-slope splittings are the
 only corrections (b2 = 1): each multiset of ranks enters with
@@ -28,7 +29,7 @@ divisor.
 from math import factorial
 
 from .exactq import qq
-from .blocks import blowup_factor, inverse_theta_hat
+from .blocks import blowup_theta, eta_series, inverse_theta_hat
 from .geometry import NEAR_PULLBACK, Surface, piece_cutoff
 from .hn import _compositions, _product_sum
 from .invariants import InvariantError
@@ -65,19 +66,36 @@ def gieseker_to_mu(r, c1, cutoff):
 
 
 def blowup_divide(hmu, r, k, cutoff):
-    """Divide a mu-stack series on the blown-up plane by B_{r,k}; the result
-    lives on the plane.  All coefficients must keep integer w-support."""
+    """Divide a mu-stack series on the blown-up plane by B_{r,k}, as
+    hmu * eta^r / Theta_{r,k}; the result lives on the plane.  All
+    coefficients must keep integer w-support."""
     r = int(r)
     k = int(k) % r
-    # B^-1 keeps B's cutoff - 2 lead(B) and is the rank-0 factor of a rank-r
-    # product; hmu's cutoff - lead(B) is the caller's to supply
-    B = blowup_factor(r, k, piece_cutoff(cutoff, r, 0, SIGMA1)
-                      + 2 * _lead_of_B(r, k))
-    quotient = hmu * B.invert()
-    for c in quotient.terms.values():
-        if not c.is_even_support():
-            raise BlowupError("blow-up parity violation")
+    # 1/B is the rank-0 factor of a rank-r product, known below pc: 1/Theta
+    # leads with q^-L, L = lead(B) + r/24, and keeps Theta's cutoff - 2L,
+    # and eta^r keeps eta's + (r-1)/24.  eta is cut L deeper than pc needs,
+    # as when B was built whole, so that too shallow a cutoff raises the
+    # same error; hmu's cutoff - lead(B) is the caller's to supply
+    pc = piece_cutoff(cutoff, r, 0, SIGMA1)
+    theta_cut = pc + 2 * _lead_of_B(r, k) + qq(r, 24)
+    quotient = hmu * (eta_series(theta_cut + qq(1, 24)) ** r
+                      * blowup_theta(r, k, theta_cut).invert())
+    if not _integer_w_support(quotient):
+        raise BlowupError("blow-up parity violation")
     return quotient.truncate(cutoff)
+
+
+def _integer_w_support(series):
+    """Every coefficient has even v-support: read from the lifted parts when
+    v^s, D and every N_E do (a gcd of polynomials in v^2 with nonzero
+    constant terms lies in Z[v^2]), else from the reduced coefficients."""
+    lifted = series._lifted
+    if lifted is not None:
+        _, s, D, terms = lifted
+        if s % 2 == 0 and not any(D[1::2]) and not any(
+                i % 2 for _, (idx, _) in terms for i in idx):
+            return True
+    return all(c.is_even_support() for c in series.terms.values())
 
 
 def _lead_of_B(r, k):

@@ -212,6 +212,14 @@ def _suite_core():
         a = rand_series(invertible=True)
         if not (a * a.invert()).eq_to_cutoff(QSeries.one()):
             return False
+    # theta_hat-like, a lead w^j - 1 times integral Laurent polynomials:
+    # the inversion runs in integers
+    for _ in range(50):
+        lead, a = WRat(VPoly({2 * rng.randint(1, 4): 1, 0: -1})), rand_series()
+        a = QSeries({e: c * lead for e, c in a.terms.items() if e > 0}
+                    | {0: lead}, a.cutoff)
+        if not (a * a.invert()).eq_to_cutoff(QSeries.one()):
+            return False
     return True
 
 

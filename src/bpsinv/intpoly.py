@@ -7,9 +7,12 @@ The lifted form of a q-series lives here too: every coefficient as
 v^s N_E(v) / (Q D(v)) over one int Q > 0, one v-power s and one denominator
 D, with N_E an integer polynomial kept as the tuples (indices, values) of
 its nonzero entries.  ``_lift`` builds it from canonical coefficients,
-``_from_int_polys`` from integer polynomials over one Q, ``_product`` and ``_sum`` combine two of them with integer arithmetic only
-(the sum takes one gcd of the two Ds), and ``_canonical`` reduces one N_E
-back to the parts of a canonical WRat.
+``_from_int_polys`` from integer polynomials over one Q, ``_inverse_ints``
+from the inversion recurrence run on integer polynomials, ``_product`` and
+``_sum`` combine two of them with integer arithmetic only (the sum takes
+one gcd of the two Ds), and ``_canonical`` reduces one N_E back to the
+parts of a canonical WRat.  The same recurrence on WRat coefficients,
+``_inverse_terms``, serves the inverses it cannot.
 
 A module apart from series.py, the package's largest: a process importing
 the package without a bytecode cache parses each module whole, and the
@@ -168,6 +171,58 @@ def _from_int_polys(polys, Q):
             lifted.append((E, (tuple(e - s for e in idx),
                                tuple(polys[E][e] for e in idx))))
     return Q, s, _ONE, lifted
+
+
+def _gather(polys, E, monomials):
+    """Add c w^X for each (X, c) of monomials to the q^(E/24) polynomial of
+    polys, {E: {v-exponent: int}}."""
+    poly = polys.setdefault(E, {})
+    for X, c in monomials:
+        poly[2 * X] = poly.get(2 * X, 0) + c
+
+
+def _inverse_terms(nu, P, one, zero):
+    """b = 1/(1 + u) below the int exponent P, term by term in the ring of
+    one and zero (WRat), for nu the pairs (f, -u_f) by increasing f > 0."""
+    b = {0: one} if P > 0 else {}
+    for e in range(1, P):
+        acc = zero
+        for f, c in nu:
+            if f > e:
+                break
+            be = b.get(e - f)
+            if be is not None:
+                acc = acc + c * be
+        if acc:
+            b[e] = acc
+    return b
+
+
+def _inverse_ints(nu, P, E0, c0):
+    """The lifted form of c0 q^(-E0) b, b = 1/(1 + u) for e < P: b_0 = 1 and
+    b_e = sum_f -u_f b_(e-f), for nu the triples (f, p, s, n) of
+    -u_f = p v^s n(v) in Z[v, 1/v] by increasing f, and c0 = (p, q, s, n, d)
+    canonical WRat parts.  Each b_e is kept as the (v-exponents, values) of
+    its nonzero terms, so no gcd is taken; its numerator is p n b_e."""
+    nu = [(f, _nonzero([p * x for x in n], s)) for f, p, s, n in nu]
+    b = {0: ((0,), (1,))} if P > 0 else {}
+    for e in range(1, P):
+        parts = [(U, b[e - f]) for f, U in nu if f <= e and e - f in b]
+        if parts:
+            lo = min(U[0][0] + B[0][0] for U, B in parts)
+            out = [0] * (max(U[0][-1] + B[0][-1] for U, B in parts) - lo + 1)
+            for (iu, vu), (ib, vb) in parts:
+                for i, x in zip(iu, vu):
+                    i -= lo
+                    for j, y in zip(ib, vb):
+                        out[i + j] += x * y
+            B = _nonzero(out, lo)
+            if B[0]:
+                b[e] = B
+    p, q, s, n, d = c0
+    lo = min((B[0][0] for B in b.values()), default=0)
+    f = [(j - lo, p * y) for j, y in enumerate(n) if y]
+    return q, s + lo, d, [(e - E0, _muladd(None, B, f)) for e, B in b.items()]
 
 
 def _product(a, b, cap):

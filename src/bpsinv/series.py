@@ -41,8 +41,8 @@ from math import gcd, lcm
 
 from .exactq import QQ, qq
 from .intpoly import (
-    _ONE, _canonical, _int_poly_gcd, _lift, _pmul, _primitive, _product,
-    _spread, _sum, _twist,
+    _ONE, _canonical, _int_poly_gcd, _inverse_ints, _inverse_terms, _lift,
+    _pmul, _primitive, _product, _spread, _sum, _twist,
 )
 
 __all__ = ["VPoly", "WRat", "QSeries", "SeriesError", "NonInvertibleError"]
@@ -480,8 +480,8 @@ class QSeries:
     and sums build the lifted form (``intpoly._product``, ``_sum``);
     ``truncate`` and negation keep it; every other reader calls
     ``_canon``, which reduces each coefficient once and drops the lift.  The
-    inversion recurrence works coefficient by coefficient in WRat on the
-    canonical terms.
+    inversion reads the canonical terms and returns the lifted form when
+    its recurrence runs on integer polynomials.
     """
 
     __slots__ = ("_t", "_lifted", "cutoff", "_terms")
@@ -612,7 +612,8 @@ class QSeries:
     def invert(self):
         """Multiplicative inverse, known below C - 2 e0 for c0 q^e0 (1 + u)
         known below C.  An exact series must be a monomial, and a zero
-        series is never invertible."""
+        series is never invertible.  The recurrence runs on integer
+        polynomials when every u_f lies in Z[v, 1/v], else in WRat."""
         t = self._canon()
         if not t:
             raise NonInvertibleError("non-invertible zero series")
@@ -629,17 +630,11 @@ class QSeries:
         # precision tcut + e0, i.e. for integer exponents e < P.
         P = _cap(tcut) + E0
         nu = sorted((E - E0, -(c * inv0)) for E, c in t.items() if E != E0)
-        b = {0: WRAT_ONE} if P > 0 else {}
-        for e in range(1, P):
-            acc = WRAT_ZERO
-            for f, c in nu:
-                if f > e:
-                    break
-                be = b.get(e - f)
-                if be is not None:
-                    acc = acc + c * be
-            if acc:
-                b[e] = acc
+        if all(c._q == 1 and c._d == _ONE for _, c in nu):
+            return _from_lifted(_inverse_ints(
+                [(f, c._p, c._s, c._n) for f, c in nu],
+                P, E0, (inv0._p, inv0._q, inv0._s, inv0._n, inv0._d)), tcut)
+        b = _inverse_terms(nu, P, WRAT_ONE, WRAT_ZERO)
         return _qseries({e - E0: c * inv0 for e, c in b.items()}, tcut)
 
     def truncate(self, cutoff):

@@ -23,13 +23,13 @@ Both routes return the bare series; ``compute.sigma_genfun`` tags it.
 """
 
 from itertools import product as iproduct
-from math import isqrt, lcm
+from math import factorial, isqrt, lcm
 
 from .blocks import fibre_quotient
 from .exactq import qq
 from .geometry import GeometryError, Surface, piece_cutoff, walls_between
 from .hn import _compositions, _product_sum, suitable_genfun_closed
-from .intpoly import _from_int_polys
+from .intpoly import _from_int_polys, _gather
 from .memo import memo
 from .series import QSeries, WRat, _from_lifted, _grid
 
@@ -118,14 +118,6 @@ def _terms(r, ell, points):
                (ell - 2) * x + 2 * y, ds * (2 if r == 2 else 4))
 
 
-def _gather(polys, E, monomials):
-    """Add c w^X for each (X, c) of monomials to the q^(E/24) polynomial of
-    polys, {E: {v-exponent: int}}."""
-    poly = polys.setdefault(E, {})
-    for X, c in monomials:
-        poly[2 * X] = poly.get(2 * X, 0) + c
-
-
 def _window(r, beta, alpha, ell, slope, Ebound, tiebreak):
     """Lattice points (x, y) with x = beta, y = alpha mod r whose target-side
     ordering sign s1 = sgn(x n - y m) differs from the suitable-side sign
@@ -188,7 +180,7 @@ def line_filtrations(r, c1, omega, surface, bound):
     wK = int(surface.intersect(omega, surface.canonical_class()))
     rhos = {ri: s for ri in range(1, r + 1) for s in range(r)
             if not any((ri * c + s * o) % r for c, o in zip(c1, omega))}
-    out = {}
+    out, Q = {}, factorial(r)
     for ranks in _compositions(r):
         if not rhos.keys() >= set(ranks):
             continue
@@ -215,15 +207,15 @@ def line_filtrations(r, c1, omega, surface, bound):
                 aut *= run
             cross = sum(ranks[i] * ss[j] - ranks[j] * ss[i]
                         for j in range(n) for i in range(j))
-            weight = QSeries.from_grid(
-                {_grid(mw2 * used, 2 * r * r * P):
-                 WRat.w_power(-wK * cross // r) / aut})
             key = tuple(sorted(
                 (ri, tuple((ri * c + s * o) // r % ri
                            for c, o in zip(c1, omega)))
                 for ri, s in zip(ranks, ss)))
-            out[key] = out[key] + weight if key in out else weight
-    return out
+            # aut divides r!: the weight is (r!/aut) w^X / r!, in ints
+            _gather(out.setdefault(key, {}), _grid(mw2 * used, 2 * r * r * P),
+                    ((-wK * cross // r, Q // aut),))
+    return {key: _from_lifted(_from_int_polys(polys, Q), None)
+            for key, polys in out.items()}
 
 
 def _mirror(weight):

@@ -3,7 +3,7 @@ import pytest
 from bpsinv import clear_caches, sigma_genfun
 from bpsinv.exactq import qq
 from bpsinv.blocks import (
-    blowup_factor, eta_series, fibre_quotient, inverse_theta_hat, theta_hat,
+    blowup_theta, eta_series, fibre_quotient, inverse_theta_hat, theta_hat,
 )
 from bpsinv.compute import p2_genfun
 from bpsinv.geometry import SUITABLE
@@ -156,6 +156,15 @@ def test_fibre_leading_equals_total_set_all_ranks():
         h = fibre_quotient(r, qq(-qq(r, 6) + 2))
         assert h.leading_exponent() == -qq(r, 6)
         assert h.terms[h.leading_exponent()] == total_set_curve(r, 0)
+
+
+def blowup_factor(r, k, cutoff):
+    """B_{r,k} = eta^-r Theta_{r,k} below cutoff, from the package's lattice
+    sum: eta^-1 at c keeps c - 1/12, its r-th power c - (r+1)/24, and the
+    lattice sum starts at q^>=0."""
+    eta_inv = eta_series(cutoff + qq(r + 1, 24)).invert() ** r
+    theta = blowup_theta(r, k, cutoff - eta_inv.leading_exponent())
+    return (eta_inv * theta).truncate(cutoff)
 
 
 def test_blowup_factor_rank2():

@@ -2,19 +2,21 @@ from itertools import product as iproduct
 
 import pytest
 
+from bpsinv import clear_caches, series, sigma_genfun
 from bpsinv.exactq import qq
-from bpsinv.blocks import blowup_factor
 from bpsinv.blowup import (
     BlowupError, blowup_divide, gieseker_to_mu, mu_to_gieseker, p2_series,
 )
-from bpsinv.compute import p2_genfun, p2_omega_genfun, p2_table
-from bpsinv.geometry import NEAR_PULLBACK, Surface, walls_between
+from bpsinv.compute import (
+    default_cutoff, p2_genfun, p2_omega_genfun, p2_table,
+)
+from bpsinv.geometry import NEAR_PULLBACK, SUITABLE, Surface, walls_between
 from bpsinv.series import QSeries, SeriesError, WRat
 from bpsinv.wallcross import (
     _mirror, genfun_at_polarization, line_filtrations,
 )
 
-from oracles import line_filtrations as brute_line_filtrations
+from oracles import blowup_factor, line_filtrations as brute_line_filtrations
 
 S1 = Surface.hirzebruch(1)
 
@@ -145,6 +147,52 @@ def test_blowup_divide_roundtrip_and_parity():
     bad = QSeries({0: WRat.w_power(qq(1, 2))}, qq(1))
     with pytest.raises(BlowupError, match="parity"):
         blowup_divide(bad, 2, 1, qq(1, 2))
+
+
+def test_blowup_divide_against_the_brute_factor():
+    # hmu * eta^r / Theta against hmu / B_{r,k}, with B built by brute force
+    # and inverted whole, at the cutoff asked for, on and off the 1/24 grid
+    for r in range(1, 5):
+        for k in range(r):
+            lead = qq(k * (r - k), 2 * r) - qq(r, 24)
+            for c in (qq(3, 2), qq(7, 5)):
+                hmu = QSeries({0: 1, qq(1, 3): WRat.w_power(1) + 2}, c + lead)
+                got = blowup_divide(hmu, r, k, c)
+                want = hmu * blowup_factor(r, k, c + 1).invert()
+                assert got.cutoff == c and got == want.truncate(c), (r, k, c)
+
+
+def test_blowup_parity_check_on_lifted_parts():
+    c = qq(3, 2)
+    hmu = QSeries.one(c + qq(1, 4) - qq(1, 12))
+    plain = blowup_divide(hmu, 2, 1, c)
+    # decided on the lifted parts, so the quotient is handed on unreduced
+    assert plain._lifted is not None
+    # a lifted mu-series with a half-integer w-power is no plane series
+    with pytest.raises(BlowupError, match="^blow-up parity violation$"):
+        blowup_divide(hmu * QSeries({1: WRat.w_power(qq(1, 2))}), 2, 1, c)
+    # lifted parts of odd support, (1 + v) / (1 + v), whose reduced
+    # coefficients are even: the canonical check passes them
+    one_plus_v = WRat.w_power(qq(1, 2)) + 1
+    spoiled = (hmu * QSeries({0: one_plus_v})
+               * QSeries({0: one_plus_v.inverse()}))
+    _, _, D, terms = spoiled._lifted
+    assert any(D[1::2]) and any(i % 2 for _, (idx, _) in terms for i in idx)
+    assert blowup_divide(spoiled, 2, 1, c) == plain
+
+
+def test_the_pipeline_inverts_only_in_integers(monkeypatch):
+    calls, inverse_terms = [], series._inverse_terms
+    monkeypatch.setattr(series, "_inverse_terms", lambda *args: (
+        calls.append(args) or inverse_terms(*args)))
+    clear_caches()
+    p2_table(3, 0, qq(6))
+    sigma_genfun(4, (0, 1), 1, SUITABLE,
+                 default_cutoff(4, Surface.hirzebruch(1), 6))
+    assert not calls
+    # a quotient outside Z[v, 1/v] still takes the WRat recurrence
+    QSeries({0: 2, 1: 1}, qq(2)).invert()
+    assert calls
 
 
 def test_h20_p2_proposition_literal():

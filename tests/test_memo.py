@@ -11,7 +11,7 @@ from bpsinv import clear_caches
 from bpsinv.cli import main
 from bpsinv.exactq import qq
 from bpsinv.blocks import (
-    blowup_factor, eta_series, fibre_quotient, inverse_theta_hat, theta_hat,
+    blowup_theta, eta_series, fibre_quotient, inverse_theta_hat, theta_hat,
 )
 from bpsinv.blowup import gieseker_to_mu, p2_series
 from bpsinv.compute import p2_genfun, p2_table
@@ -34,7 +34,7 @@ def _stage_calls():
         yield inverse_theta_hat, (k,), {}
     for r in (1, 2, 3):
         for k in range(r):
-            yield blowup_factor, (r, k), {}
+            yield blowup_theta, (r, k), {}
     yield _h1_squared, (), {}
     for r in (1, 2, 3, 4):
         yield fibre_quotient, (r,), {}

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bpsinv import intpoly
+from bpsinv.blocks import blowup_theta, eta_series, theta_hat
 from bpsinv.exactq import qq
 from bpsinv.series import (
     VPoly, WRat, QSeries, SeriesError, NonInvertibleError, WRAT_ONE, WRAT_ZERO,
+    _from_lifted,
 )
 
 from oracles import (
@@ -333,6 +335,68 @@ def test_invert_matches_geometric_series(a):
     got = a.invert()
     assert got.terms == expect.terms
     assert got.cutoff == expect.cutoff
+
+
+@st.composite
+def integral_quotient_case(draw):
+    """A series whose terms divided by its leading one lie in Z[v, 1/v], so
+    that its inverse takes the integer recurrence: eta, theta_hat(k) for
+    k = 1..4, the lattice sum Theta_{r,k} for r <= 4 and every k but
+    Theta_{4,2} (below), or a sparse series c0 q^e0 (1 + sum g_f q^f) with a
+    non-monomial c0 and Laurent polynomials g_f with integer coefficients,
+    exact or not.  Cutoffs fall on the 1/24 grid and off it, in steps of
+    1/5 and 1/7."""
+    den = draw(st.sampled_from([24, 5, 7]))
+    kind = draw(st.sampled_from(["eta", "theta_hat", "lattice", "sparse"]))
+    if kind == "eta":
+        return eta_series(qq(draw(st.integers(den // 24 + 1, 3 * den)), den))
+    cut = qq(draw(st.integers(1, 3 * den)), den)
+    if kind == "theta_hat":
+        return theta_hat(draw(st.integers(1, 4)), cut)
+    if kind == "lattice":
+        r, k = draw(st.sampled_from([(r, k) for r in range(1, 5)
+                                     for k in range(r) if (r, k) != (4, 2)]))
+        return blowup_theta(r, k, cut)
+    lead = draw(st.one_of(true_wrat(), small_wrat(allow_zero=False)))
+    assume((lead._n, lead._d) != ((1,), (1,)))
+    e0 = qq(draw(st.integers(-8, 8)), 8)
+    terms = {e0: lead}
+    for _ in range(draw(st.integers(0, 3))):
+        f = qq(draw(st.integers(1, 24)), draw(st.sampled_from([1, 8, 24])))
+        terms[e0 + f] = lead * draw(small_wrat(allow_zero=False))
+    return QSeries(terms, None if len(terms) == 1 and draw(st.booleans())
+                   else e0 + cut)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integral_quotient_case(), st.integers(-2, 48))
+def test_integer_inversion_matches_the_wrat_recurrence(a, P):
+    """The recurrence on integer polynomials against the one on WRat, on the
+    same quotients, for P <= 0 too, and the inverse against the oracle's."""
+    assume(not a.is_zero())
+    t = a._canon()
+    E0 = min(t)
+    inv0 = t[E0].inverse()
+    nu = sorted((E - E0, -(c * inv0)) for E, c in t.items() if E != E0)
+    assert all(c._q == 1 and c._d == (1,) for _, c in nu)
+    ints = [(f, c._p, c._s, c._n) for f, c in nu]
+    b = _from_lifted(intpoly._inverse_ints(ints, P, 0, (1, 1, 0, (1,), (1,))),
+                     None)
+    wrat = intpoly._inverse_terms(nu, P, WRAT_ONE, WRAT_ZERO)
+    assert b.terms == {qq(e, 24): c for e, c in wrat.items()}
+    _same(a.invert(), RefSeries(a.terms, a.cutoff).invert())
+
+
+def test_lattice_sum_4_2_takes_the_wrat_recurrence():
+    # its lead w^-4 (1 + w^4)(1 + w^2 + w^4) does not divide its q^(3/2)
+    # term in Z[v, 1/v]: the quotient keeps 1 + w^2 + w^4 as denominator.
+    # The plane's rank-4 route_k = 2, which only the library asks for,
+    # inverts it
+    theta = blowup_theta(4, 2, qq(3))
+    t = theta._canon()
+    E0 = min(t)
+    assert not all((c * t[E0].inverse())._d == (1,) for c in t.values())
+    _same(theta.invert(), RefSeries(theta.terms, theta.cutoff).invert())
 
 
 @settings(max_examples=150, deadline=None)
