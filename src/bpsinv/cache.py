@@ -8,10 +8,14 @@ and is recomputed (a writer who also rewrites the digest is not caught).  The
 body is the value text inside a fixed envelope, ``{"version":V,"value":...}``,
 and a hit returns that text as it is, with no parsing: the same bytes the
 cold computation printed.  Entries of the earlier layout, whose envelope put
-"value" first, read as misses and are rewritten.  Disk writes are atomic
-(write-temp-then-rename), so concurrent jobs can share a cache directory.
-A write that fails (a full disk, a read-only mount, a directory at the
-entry's path) stores nothing and raises nothing, as a failed read is a miss."""
+"value" first, read as misses and are rewritten.  An entry is read in binary
+and decoded as UTF-8 once, so a header line ending in "\\r\\n" or a body that
+is not UTF-8 is a miss too.  A hit opens only the entry: the directory is
+made by ``make_directory`` on a miss, before the result is computed.
+Disk writes are atomic (write-temp-then-rename), so concurrent jobs can
+share a cache directory.  A write that fails (a full disk, a read-only
+mount, a directory at the entry's path) stores nothing and raises nothing,
+as a failed read is a miss."""
 
 import hashlib
 import os
@@ -27,8 +31,12 @@ class ResultCache:
         if directory is None:
             directory = os.environ.get("BPSINV_CACHE_DIR") or None
         self.directory = directory
-        if directory and not os.path.isdir(directory):
-            os.makedirs(directory, exist_ok=True)
+
+    def make_directory(self):
+        """Create the cache directory if it is missing.  Raises OSError when
+        it cannot be created or is not a directory."""
+        if self.directory:
+            os.makedirs(self.directory, exist_ok=True)
 
     @staticmethod
     def key_of(op, params):
@@ -52,14 +60,14 @@ class ResultCache:
         if not self.directory:
             return None
         try:
-            with open(self._path(key)) as fh:
-                head, body = fh.read().split("\n", 1)
+            with open(self._path(key), "rb") as fh:
+                head, body = fh.read().decode().split("\n", 1)
             if (head == self._header(key, body)
                     and body.startswith(_ENVELOPE) and body.endswith("}")):
                 return body[len(_ENVELOPE):-1]
         except (OSError, ValueError):
-            # a missing, unreadable or truncated entry is a miss; the caller
-            # recomputes and rewrites it
+            # a missing, unreadable, undecodable or truncated entry is a
+            # miss; the caller recomputes and rewrites it
             pass
         # so is an entry filed under another key or edited after writing
         return None
@@ -73,8 +81,8 @@ class ResultCache:
         tmp = None
         try:
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                fh.write(blob)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(blob.encode())
             os.replace(tmp, self._path(key))
         except OSError:
             pass

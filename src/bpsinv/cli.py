@@ -106,7 +106,11 @@ def _parse_polarization(text, surface):
                 "--polarization parts are limited to %d characters and "
                 "exponents of at most %d" % ((MAX_POLARIZATION_PART,) * 2))
     try:
-        return Polarization.generic(qq(parts[0]), qq(parts[1]))
+        # a part of ASCII digits alone reads as an int, about ten times
+        # faster than Fraction's parse; qq reads every other spelling
+        return Polarization.generic(*[
+            int(part) if part.isdigit() and part.isascii() else qq(part)
+            for part in parts])
     except (ValueError, GeometryError, ZeroDivisionError):
         raise InputError("invalid polarization %r" % (text,))
 
@@ -119,10 +123,7 @@ def cmd_compute(args):
         raise InputError("rank must be positive")
     if not 1 <= args.qorders <= MAX_QORDERS:
         raise InputError("qorders must be between 1 and %d" % MAX_QORDERS)
-    try:
-        cache = ResultCache(args.cache_dir)
-    except OSError as exc:
-        raise InputError("unusable cache directory: %s" % (exc,))
+    cache = ResultCache(args.cache_dir)
     # keyed on the parsed polarization: spellings of one J share an entry,
     # and the plane, which has none, ignores the option
     spec = {
@@ -132,6 +133,11 @@ def cmd_compute(args):
     key = cache.key_of("compute", spec)
     text = cache.get(key)
     if text is None:
+        # made on a miss only, so a hit makes no directory call
+        try:
+            cache.make_directory()
+        except OSError as exc:
+            raise InputError("unusable cache directory: %s" % (exc,))
         text = dumps(_run_compute(surface, args.rank, c1, J, args.qorders))
         cache.put(key, text)
     _emit(text, args.format)

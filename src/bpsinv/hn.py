@@ -109,10 +109,11 @@ def _lattice_sum(block_ranks, phis, alpha, D):
         return WRAT_ONE if alpha * (D // R) % D == phis[0] else WRAT_ZERO
     # D times the fractional parts {phi_c - phi_(c+1)}, with 0 read as 1
     delta0 = [(phis[c] - phis[c + 1]) % D or D for c in range(len(P))]
-    T, rem = divmod(alpha * D - R * phis[-1]
-                    - sum(p * d for p, d in zip(P, delta0)), D)
-    if rem:
-        return WRAT_ZERO
+    # exact: by Abel summation the numerator is alpha D - sum_c R_c phi_c
+    # mod D, alpha is an int, and each R_c phi_c is a multiple of D, since
+    # phi_c is a multiple of D / gcd(block c) and gcd(block c) divides R_c
+    T = (alpha * D - R * phis[-1]
+         - sum(p * d for p, d in zip(P, delta0))) // D
     counts = {}
     for rhos in iproduct(range(R), repeat=len(P)):
         if (sum(p * rho for p, rho in zip(P, rhos)) - T) % R == 0:

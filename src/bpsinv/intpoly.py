@@ -97,10 +97,9 @@ def _peval(p, x):
 
 def _quotient(a, b):
     """a / b in Z[v], or None when b does not divide a (b primitive with a
-    positive leading coefficient, so a quotient in Q[v] is integral)."""
+    positive leading coefficient, so a quotient in Q[v] is integral; a
+    nonzero, so an a shorter than b is all remainder)."""
     db, lb = len(b) - 1, b[-1]
-    if db >= len(a):
-        return None
     a = list(a)
     q = [0] * (len(a) - db)
     for i in range(len(q) - 1, -1, -1):

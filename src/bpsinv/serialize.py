@@ -77,5 +77,9 @@ def table_to_obj(t):
     }
 
 
+# built once: json.dumps with these arguments builds a new encoder per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)

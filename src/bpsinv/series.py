@@ -375,8 +375,6 @@ class WRat:
             raise SeriesError("substitution requires m >= 1")
         if not self.is_even_support():
             raise SeriesError("multicover substitution on half-integer w-support")
-        if not self._p:
-            return self
         p, n, d = self._p, self._n, self._d
         if m % 2 == 0:
             # w^j -> (-1)^j w^(jm), i.e. v -> i v^m

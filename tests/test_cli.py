@@ -18,7 +18,9 @@ import bpsinv
 import bpsinv.cli as cli
 from bpsinv.cli import MAX_QORDERS, main
 from bpsinv.exactq import QQ, qq
-from bpsinv.geometry import NEAR_PULLBACK, SUITABLE, Polarization
+from bpsinv.geometry import (
+    NEAR_PULLBACK, SUITABLE, GeometryError, Polarization, Surface,
+)
 from bpsinv.blowup import p2_series
 from bpsinv.hn import suitable_genfun_closed, suitable_genfun_recursive
 from bpsinv.invariants import InvariantError
@@ -184,6 +186,82 @@ def test_failed_cache_write_still_prints_the_result(tmp_path, capsys,
     assert not list(cache_dir.glob("*.tmp"))
 
 
+def _counting_run_compute(monkeypatch):
+    """The list of _run_compute calls made from here on."""
+    computed = []
+    run_compute = cli._run_compute
+
+    def counting(*args):
+        computed.append(args)
+        return run_compute(*args)
+
+    monkeypatch.setattr(cli, "_run_compute", counting)
+    return computed
+
+
+@pytest.mark.parametrize("spoil", ["crlf_header", "non_utf8_body"])
+def test_crlf_or_non_utf8_cache_entry_is_recomputed(tmp_path, capsys,
+                                                    monkeypatch, spoil):
+    # an entry is read in binary and decoded as UTF-8 once: a header line
+    # ending in \r\n (which text mode read as \n) and a body that is not
+    # UTF-8, under the digest of its own bytes, are misses
+    args = ["compute", "--surface", "p2", "--rank", "1", "--c1", "0",
+            "--qorders", "2", "--format", "json", "--cache-dir", str(tmp_path)]
+    cold = run_cli(args, capsys)
+    (entry,) = tmp_path.glob("*.json")
+    blob = entry.read_bytes()
+    head, body = blob.split(b"\n", 1)
+    if spoil == "crlf_header":
+        entry.write_bytes(head + b"\r\n" + body)
+    else:
+        body = body.replace(b'"surface":"p2"', b'"surface":"p\xe92"')
+        head = json.loads(head)
+        head["sha256"] = hashlib.sha256(body).hexdigest()
+        entry.write_bytes(json.dumps(head).encode() + b"\n" + body)
+    computed = _counting_run_compute(monkeypatch)
+    assert run_cli(args, capsys) == cold
+    assert len(computed) == 1
+    assert entry.read_bytes() == blob
+
+
+def test_a_hit_makes_no_directory_call(tmp_path, capsys, monkeypatch):
+    args = ["compute", "--surface", "hirzebruch:1", "--rank", "2", "--c1",
+            "1,1", "--polarization", "13,9", "--qorders", "2", "--format",
+            "json", "--cache-dir", str(tmp_path)]
+    cold = run_cli(args, capsys)
+
+    def no_directory_call(*args, **kwargs):
+        raise AssertionError("a hit made a directory call")
+
+    with monkeypatch.context() as m:
+        m.setattr(os.path, "isdir", no_directory_call)
+        m.setattr(os, "makedirs", no_directory_call)
+        m.setattr(cli, "_run_compute",
+                  lambda *args: pytest.fail("a hit was recomputed"))
+        warm = run_cli(args, capsys)
+    assert warm == cold
+
+
+def test_a_miss_creates_a_missing_cache_directory(tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.delenv("BPSINV_CACHE_DIR", raising=False)
+    args = ["compute", "--surface", "p2", "--rank", "1", "--c1", "0",
+            "--qorders", "2", "--format", "json"]
+    cold = run_cli(args, capsys)
+    for given in ("option", "environment"):
+        cache_dir = tmp_path / given / "nested"
+        if given == "option":
+            got = run_cli(args + ["--cache-dir", str(cache_dir)], capsys)
+        else:
+            monkeypatch.setenv("BPSINV_CACHE_DIR", str(cache_dir))
+            got = run_cli(args, capsys)
+        assert got == cold
+        assert len(list(cache_dir.glob("*.json"))) == 1
+    computed = _counting_run_compute(monkeypatch)
+    assert run_cli(args, capsys) == cold
+    assert computed == []
+
+
 @pytest.mark.parametrize("polarization", ["suitable", "13,9"])
 def test_equivalent_c1_reuse_memo_entries(monkeypatch, capsys, polarization):
     # c1 matters mod r only: 2,0 and 0,2 are the class 0,0 at rank 2
@@ -311,6 +389,21 @@ def test_serialization_round_trip(s):
     assert dumps(qseries_to_obj(back)) == dumps(obj)
 
 
+@pytest.mark.parametrize("suite", ["table1", "routes"])
+def test_check_runs_the_real_suite(capsys, suite):
+    # the suites themselves, not stubs: the paper's table and every route
+    # agreement the CLI's check runs
+    try:
+        code, out, _ = run_cli(["check", "--suite", suite, "--format",
+                                "json"], capsys)
+    finally:
+        bpsinv.clear_caches()
+    (result,) = json.loads(out)["results"]
+    assert code == 0
+    assert result["name"] == suite and result["ok"] is True
+    assert "error" not in result
+
+
 def test_check_reports_what_raised(monkeypatch, capsys):
     def boom():
         raise RuntimeError("suite exploded")
@@ -405,6 +498,26 @@ def test_polarization_encoding_and_cache_key_are_pinned(tmp_path, capsys):
     assert [p.name for p in tmp_path.glob("*.json")] == [
         "596b458880fced84d1e6af1ead58b8d3af8bdbf897138b30171f74bf60f089c7"
         ".json"]
+
+
+@pytest.mark.parametrize("part", [
+    "13", "013", " 9", "+13", "1_3", "\u0661\u0663", "\u00b2", "26/2", "13.0",
+    "1e1", "0", "1/0"])
+def test_polarization_parts_read_as_qq_reads_them(part):
+    # a part of ASCII digits alone is read by int, any other by qq: each
+    # gives the J of qq's values, or an InputError where qq or J raises
+    surface = Surface.hirzebruch(1)
+    for text in (part + ",9", "9," + part):
+        try:
+            want = Polarization.generic(*map(qq, text.split(",")))
+        except (ValueError, GeometryError, ZeroDivisionError):
+            with pytest.raises(cli.InputError, match="invalid polarization"):
+                cli._parse_polarization(text, surface)
+        else:
+            got = cli._parse_polarization(text, surface)
+            assert got == want
+            assert dumps(polarization_to_obj(got)) == \
+                dumps(polarization_to_obj(want))
 
 
 def test_parser_errors_are_json_with_exit_2(capsys, tmp_path, monkeypatch):

@@ -92,6 +92,10 @@ def test_wrat_multicover_substitution():
     assert m2 == (w(2) - w(-2)).inverse().scale(-1)
     m3 = inv.substitute(3)
     assert m3 == (w(3) - w(-3)).inverse()
+    # zero takes the general path to the same canonical zero
+    for m in (1, 2, 3, 4):
+        assert WRAT_ZERO.substitute(m) == WRAT_ZERO
+        assert not WRAT_ZERO.substitute(m)
 
 
 def test_multicover_requires_integer_w_support():
@@ -150,6 +154,10 @@ def test_substitute_identity_and_scaling():
     # w^j -> (-1)^j w^(2j)
     assert b == QSeries({qq(-1, 4): -w(2), 2: w(4)}, cutoff=6)
     assert a.substitute(3) == QSeries({qq(-3, 8): w(3), 3: w(6)}, cutoff=9)
+    # scaling by zero keeps no zero coefficients
+    for k in (0, qq(0), WRAT_ZERO):
+        assert a.scale(k) == QSeries.zero(3)
+        assert a.scale(k).terms == {} and a.scale(k).is_zero()
 
 
 def test_mul_cutoff_propagation():
@@ -636,6 +644,14 @@ def test_gcd_against_prs_oracle_with_cofactors(g, u, w, k):
     assert intpoly._pmul(h, qa) == a and intpoly._pmul(h, qb) == b
     assert intpoly._quotient(h, g) is not None
     assert intpoly._int_poly_gcd(b, a) == (h, qb, qa)
+
+
+def test_quotient_by_a_longer_divisor_is_none():
+    # a nonzero a shorter than b is all remainder
+    assert intpoly._quotient((1, 2), (1, 1, 1)) is None
+    assert intpoly._quotient((-1, 0, 0, 0, 1), (1, 0, 0, 0, -2, 0, 0, 0, 1)) \
+        is None
+    assert intpoly._quotient((1, 2, 1), (1, 1)) == (1, 1)
 
 
 def test_gcd_at_unlucky_points():
