@@ -125,11 +125,6 @@ def _lattice_sum(block_ranks, phis, alpha, D):
         (VPoly({k: 1, 0: -1}) for k in ks), start=VPoly({0: 1})))
 
 
-def _phi_choices(block, D):
-    """Numerators over D of the fractional slopes a block can carry."""
-    return range(0, D, D // gcd(*block))
-
-
 @memo
 def subtraction_terms(r, alpha):
     """Extended-HN subtraction weights at the suitable chamber for target
@@ -147,7 +142,8 @@ def subtraction_terms(r, alpha):
             blocks = [ranks[e - n:e]
                       for n, e in zip(pattern, accumulate(pattern))]
             aut = prod(factorial(n) for n in pattern)
-            for phis in iproduct(*[_phi_choices(b, D) for b in blocks]):
+            # each block's fractional slopes, as numerators over D
+            for phis in iproduct(*[range(0, D, D // gcd(*b)) for b in blocks]):
                 key = tuple(sorted((ri, ri * phi // D % ri) for b, phi
                                    in zip(blocks, phis) for ri in b))
                 weight = _lattice_sum(blocks, phis, alpha, D) / aut

@@ -116,8 +116,6 @@ def _quotient(a, b):
 
 def _spread(p, m):
     """p(v) -> p(v^m)."""
-    if m == 1:
-        return p
     out = [0] * ((len(p) - 1) * m + 1)
     out[::m] = p
     return tuple(out)

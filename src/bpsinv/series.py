@@ -61,20 +61,6 @@ class NonInvertibleError(SeriesError):
 QEXP_DENOMINATOR_BOUND = 24
 
 
-def _power(base, n, one):
-    """base ** n for an int n >= 0 by binary powering.  The first factor is
-    taken as it is rather than multiplied into ``one``, and base is squared
-    only while higher bits remain, so x ** 2 is the single product x * x."""
-    out = None
-    while True:
-        if n & 1:
-            out = base if out is None else out * base
-        n >>= 1
-        if not n:
-            return one if out is None else out
-        base = base * base
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials in v
 # ---------------------------------------------------------------------------
@@ -321,8 +307,6 @@ class WRat:
     __radd__ = __add__
 
     def __neg__(self):
-        if not self._p:
-            return self
         return _wrat(-self._p, self._q, self._s, self._n, self._d)
 
     def __sub__(self, other):
@@ -350,8 +334,6 @@ class WRat:
         return _wrat(p, q, -self._s, self._d, self._n)
 
     def __truediv__(self, other):
-        if type(other) is int and other:
-            return self._scaled((other > 0) - (other < 0), abs(other))
         return self * _coerce(other).inverse()
 
     def scale(self, k):
@@ -418,10 +400,9 @@ def _wrat(p, q, s, n, d):
 
 
 def _coerce(x):
+    """x as a WRat, from a WRat, an int or a rational; WRat(p) takes a VPoly."""
     if isinstance(x, WRat):
         return x
-    if isinstance(x, VPoly):
-        return WRat(x)
     return WRat.from_rational(x)
 
 
@@ -602,10 +583,20 @@ class QSeries:
                         self.cutoff)
 
     def __pow__(self, n):
+        """self ** n by binary powering.  The first factor is taken as it is
+        rather than multiplied into one, and the base is squared only while
+        higher bits remain, so x ** 2 is the single product x * x."""
         n = int(n)
         if n < 0:
             return self.invert() ** (-n)
-        return _power(self, n, QSeries.one(None))
+        base, out = self, None
+        while True:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return QSeries.one(None) if out is None else out
+            base = base * base
 
     def invert(self):
         """Multiplicative inverse, known below C - 2 e0 for c0 q^e0 (1 + u)

@@ -65,10 +65,8 @@ def genfun_at_polarization(r, c1, ell, J, cutoff):
     r = int(r)
     surface = Surface.hirzebruch(ell)
     beta, alpha = (c1[0] % r, c1[1] % r)
-    if r == 1:
-        return fibre_quotient(1, cutoff)
     base = suitable_genfun_closed(r, (beta, alpha), cutoff)
-    if J.slope() is None:
+    if r == 1 or J.slope() is None:
         return base
     if J.is_boundary:
         raise WallError("polarization on wall")
@@ -261,8 +259,6 @@ def genfun_by_wall_march(r, c1, ell, J_target, cutoff):
     r = int(r)
     surface = Surface.hirzebruch(ell)
     beta, alpha = (c1[0] % r, c1[1] % r)
-    if r == 1:
-        return fibre_quotient(1, cutoff)
     # one state per class of each rank below r, at the cutoff a rank-r
     # product needs, and the target
     states = {(1, (0, 0)): fibre_quotient(

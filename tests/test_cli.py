@@ -81,6 +81,27 @@ def test_invalid_inputs_exit_2(capsys):
                        capsys)[0] == 2, pol
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--surface", "hirzebruch:x", "--rank", "2", "--c1", "0,0"],
+     "surface must be p2 or hirzebruch:<ell>"),
+    # Surface.hirzebruch refuses ell < 0, and the parser reports the surface
+    (["--surface", "hirzebruch:-1", "--rank", "2", "--c1", "0,0"],
+     "surface must be p2 or hirzebruch:<ell>"),
+    (["--surface", "hirzebruch:1", "--rank", "2", "--c1", "0,x"],
+     "--c1 components must be integers"),
+    (["--surface", "hirzebruch:1", "--rank", "2", "--c1", "0,0",
+      "--polarization", "1,2,3"],
+     "--polarization must be 'suitable' or '<m>,<n>'"),
+    (["--surface", "p2", "--rank", "0", "--c1", "0"], "rank must be positive"),
+], ids=["ell_not_an_int", "ell_negative", "c1_not_an_int",
+        "three_polarization_parts", "rank_zero"])
+def test_malformed_compute_inputs_exit_2_with_their_error(capsys, args,
+                                                          message):
+    code, out, err = run_cli(["compute"] + args, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": message}
+
+
 def test_check_core_suite(capsys):
     code, out, _ = run_cli(["check", "--suite", "core", "--format", "json"],
                            capsys)
@@ -402,6 +423,58 @@ def test_check_runs_the_real_suite(capsys, suite):
     assert code == 0
     assert result["name"] == suite and result["ok"] is True
     assert "error" not in result
+
+
+def _check_fails(capsys, suite):
+    try:
+        code, out, _ = run_cli(["check", "--suite", suite, "--format",
+                                "json"], capsys)
+    finally:
+        bpsinv.clear_caches()
+    (result,) = json.loads(out)["results"]
+    return code == 1 and result == {
+        "name": suite, "ok": False, "seconds": result["seconds"]}
+
+
+# the core suite compares 200 distributive and 200 associative triples,
+# then 200 series and 50 theta-hat-like series times their inverses; the
+# n-th comparison is the first of each kind
+@pytest.mark.parametrize("n", [1, 2, 401, 601],
+                         ids=["distributive", "associative", "inverse",
+                              "integer_inverse"])
+def test_check_core_reports_each_failed_comparison(monkeypatch, capsys, n):
+    compare, calls = QSeries.eq_to_cutoff, []
+
+    def spoilt(self, other, cutoff=None):
+        calls.append(None)
+        # the n-th comparison reads a series with one coefficient changed,
+        # on the 1/24 grid just below the cutoff it compares to
+        if len(calls) == n:
+            cuts = [c for c in (self.cutoff, other.cutoff, cutoff)
+                    if c is not None]
+            other = other + QSeries({min(cuts) - qq(1, 24) if cuts else 0: 1})
+        return compare(self, other, cutoff)
+
+    monkeypatch.setattr(QSeries, "eq_to_cutoff", spoilt)
+    assert _check_fails(capsys, "core")
+    assert len(calls) == n
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda row: row._replace(euler=row.euler + 1),
+    lambda row: row._replace(betti=(1, 3) + row.betti[2:]),
+], ids=["euler", "betti"])
+def test_check_table1_reports_a_wrong_row(monkeypatch, capsys, spoil):
+    table = cli.p2_table
+
+    def spoilt(r, c1, cutoff):
+        # the row c2 = 4 (euler 216, betti 1, 2, 5, ...) has one number off
+        t = table(r, c1, cutoff)
+        return t._replace(rows=[spoil(row) if row.c2 == 4 else row
+                                for row in t.rows])
+
+    monkeypatch.setattr(cli, "p2_table", spoilt)
+    assert _check_fails(capsys, "table1")
 
 
 def test_check_reports_what_raised(monkeypatch, capsys):

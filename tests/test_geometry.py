@@ -46,6 +46,18 @@ def test_expected_dimension_examples():
         assert expected_dimension(chern_from_c2(2, (0, 1), 0, S), S) == -3
 
 
+def test_expected_dimension_rejects_a_non_integral_class():
+    # 2 r ch2 = 1/2: the dimension c1^2 - 2 r ch2 - r^2 chi(O) + 1 is not
+    # an integer
+    with pytest.raises(GeometryError, match="non-integral expected dimension"):
+        expected_dimension(ChernVector(2, (0,), qq(1, 8)), P2)
+
+
+def test_hirzebruch_parameter_must_be_nonnegative():
+    with pytest.raises(GeometryError, match="must be >= 0"):
+        Surface.hirzebruch(-1)
+
+
 def test_filtration_discriminant_identity():
     rng = random.Random(7)
     for _ in range(100):

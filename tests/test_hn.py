@@ -2,11 +2,13 @@ import hashlib
 import json
 from itertools import product as iproduct
 
+import pytest
+
 from bpsinv import clear_caches, sigma_genfun
 from bpsinv.exactq import qq
 from bpsinv.blocks import eta_series, theta_hat
 from bpsinv.compute import default_cutoff
-from bpsinv.geometry import SUITABLE, Polarization, Surface
+from bpsinv.geometry import GeometryError, SUITABLE, Polarization, Surface
 from bpsinv.hn import (
     M, closed_terms, subtraction_terms, suitable_genfun_closed,
     suitable_genfun_recursive,
@@ -34,6 +36,11 @@ def test_M_values():
     assert M((1, 2), qq(2, 3)) == 2
     assert M((2, 1), qq(2, 3)) == 1
     assert M((1, 1, 1), qq(2, 3)) == 2
+
+
+def test_M_of_no_ranks_raises():
+    with pytest.raises(GeometryError, match="nonempty rank list"):
+        M([], qq(1, 2))
 
 
 def _filtration_weight(pieces):

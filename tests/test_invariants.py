@@ -67,6 +67,11 @@ def test_multicover_requires_omegabar_input():
         omega_genfun(lambda r, c1: h, 1, (0,))
 
 
+def test_extract_table_requires_omega_input():
+    with pytest.raises(InvariantError, match="requires an OMEGA-flavor"):
+        extract_table(p2_genfun(1, 0, qq(2)))
+
+
 def test_extract_table_rank1_p2():
     out = omega_genfun(lambda r, c1: p2_genfun(1, 0, qq(4)), 1, (0,))
     table = extract_table(out)

@@ -106,6 +106,36 @@ def test_multicover_requires_integer_w_support():
         QSeries({0: half}).substitute(3)
 
 
+def test_argument_checks_raise_with_their_message():
+    with pytest.raises(SeriesError, match="not a half-integer"):
+        WRat.w_power(qq(1, 3))
+    for x in (WRAT_ONE, QSeries.one(qq(2))):
+        for m in (0, -1):
+            with pytest.raises(SeriesError, match="requires m >= 1"):
+                x.substitute(m)
+
+
+def test_data_model_fallbacks():
+    assert not VPoly() and VPoly({0: 1})
+    # a VPoly multiplies only a VPoly; a WRat is made from one by WRat(num)
+    with pytest.raises(TypeError):
+        VPoly({0: 1}) * 2
+    assert WRAT_ONE != object() and not WRAT_ONE == object()
+
+
+def test_reprs():
+    assert repr(VPoly()) == "0"
+    assert repr(VPoly({1: 2, -3: qq(1, 2), 0: 1, 4: 3})) == \
+        "1/2*w^(-3/2) + 1 + 2*w^(1/2) + 3*w^2"
+    assert repr(w(qq(1, 2))) == "(1*w^(1/2))"
+    assert repr(WRat(VPoly({0: 1}), VPoly({0: 1, 2: -1}))) == \
+        "(-1)/(-1 + 1*w^1)"
+    # the first six terms, then an ellipsis
+    assert repr(QSeries({k: 1 for k in range(8)}, 9)) == "QSeries[" + \
+        " + ".join("q^(%d)*(1)" % k for k in range(6)) + " + ... | cutoff=9]"
+    assert repr(QSeries.zero(2)) == "QSeries[0 | cutoff=2]"
+
+
 def test_invert_and_substitute_take_no_options():
     def params(f):
         return list(inspect.signature(f).parameters)

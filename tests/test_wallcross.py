@@ -52,6 +52,12 @@ def test_suitable_chamber_reproduces_base():
             assert h.eq_to_cutoff(base, qq(2)), (ell, beta, alpha)
 
 
+def test_march_to_the_suitable_chamber_crosses_no_wall():
+    for r, c1 in ((2, (0, 1)), (3, (1, 2))):
+        assert genfun_by_wall_march(r, c1, 1, SUITABLE, qq(2)) == \
+            suitable_genfun_closed(r, c1, qq(2))
+
+
 def test_on_wall_polarization_rejected():
     # J_{1,1} is on the slope-1 wall for (2, C+f)-type classes on Sigma_0,
     # and for the rank-3 class 0 there, whose rank-2 windows keep their
